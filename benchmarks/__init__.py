@@ -1,17 +1,14 @@
-"""Benchmark suite: paper-figure reproductions plus perf tracking.
+"""Benchmark suite: paper-figure reproductions.
 
-Two kinds of benchmarks live here:
+``bench_fig*.py`` / ``bench_table*.py`` / ``bench_ablation_*.py`` are
+pytest-benchmark files that regenerate one table or figure of the paper's
+evaluation (§3) each, print it as an aligned text table, and archive a
+copy under ``benchmarks/results/`` (quoted by ``EXPERIMENTS.md``).  Run
+with ``pytest benchmarks/ --benchmark-only -s``; the sweep is controlled
+by ``REPRO_RADICES`` and ``REPRO_SEEDS``.
 
-* ``bench_fig*.py`` / ``bench_table*.py`` / ``bench_ablation_*.py`` —
-  pytest-benchmark files that regenerate one table or figure of the
-  paper's evaluation (§3) each, print it as an aligned text table, and
-  archive a copy under ``benchmarks/results/`` (quoted by
-  ``EXPERIMENTS.md``).  Run with ``pytest benchmarks/ --benchmark-only -s``;
-  the sweep is controlled by ``REPRO_RADICES`` and ``REPRO_SEEDS``.
-* ``bench_perf.py`` — a standalone CLI that times the schedule/simulate
-  hot paths against the frozen seed kernels in ``repro.sim.reference``,
-  asserts the optimized pipeline is bit-identical to them, and writes the
-  machine-readable report to ``BENCH_engine.json`` at the repo root.
-  Run with ``PYTHONPATH=src python benchmarks/bench_perf.py`` (or
-  ``--quick`` for the CI guard).
+The implementation itself is timed elsewhere: ``perfbench/run.py``
+compares a change with its parent commit end to end and per layer, and
+``python -m repro obs baseline record`` / ``obs check`` record and gate
+per-stage timings and schedule quality (``BENCH_obs.json``).
 """

@@ -816,7 +816,13 @@ def cmd_obs_export(args) -> int:
 
 
 def _parse_point_axes(args) -> "tuple[tuple[int, ...], tuple[str, ...]]":
-    radices = tuple(int(part) for part in args.radices.split(","))
+    try:
+        radices = tuple(int(part) for part in args.radices.split(","))
+    except ValueError:
+        raise SystemExit(
+            f"obs baseline: --radices must be comma-separated integers, "
+            f"got {args.radices!r}"
+        ) from None
     schedulers = tuple(part.strip() for part in args.schedulers.split(","))
     for scheduler in schedulers:
         if scheduler not in ("solstice", "eclipse"):
@@ -835,14 +841,17 @@ def cmd_obs_baseline_record(args) -> int:
     radices, schedulers = _parse_point_axes(args)
     repeats = 1 if args.quick else args.repeats
     trials = 1 if args.quick else args.trials
-    payload = record_baseline(
-        radices=radices,
-        schedulers=schedulers,
-        ocs=args.ocs,
-        n_trials=trials,
-        seed=args.seed,
-        repeats=repeats,
-    )
+    try:
+        payload = record_baseline(
+            radices=radices,
+            schedulers=schedulers,
+            ocs=args.ocs,
+            n_trials=trials,
+            seed=args.seed,
+            repeats=repeats,
+        )
+    except ValueError as exc:  # a count or radix the pipeline cannot run
+        raise SystemExit(f"obs baseline record: {exc}") from None
     write_baseline(payload, args.out)
     total = sum(point["timing_s"]["total"] for point in payload["points"])
     print(
@@ -855,6 +864,11 @@ def cmd_obs_baseline_record(args) -> int:
 def cmd_obs_check(args) -> int:
     from repro.obs.baseline import check_baseline, load_baseline, measure_like
 
+    if not args.tolerance >= 0:  # NaN-safe: NaN would pass every stage
+        raise SystemExit(
+            f"obs check: --tolerance must be a non-negative fraction "
+            f"(0.25 = 25%), got {args.tolerance:g}"
+        )
     path = Path(args.baseline)
     if not path.exists():
         raise SystemExit(

@@ -4,18 +4,22 @@ Hybrid-switch schedulers fail silently in two distinct ways: a refactor
 can make a phase *slower* without changing any result, or it can change
 *what the scheduler decides* (slice counts, composite-path grants,
 OCS-served fractions) without an assertion tripping — and the second kind
-moves the paper's throughput/completion-time numbers.  This module records
-both families into one baseline file (``BENCH_obs.json``) and gates
-against it:
+moves the paper's throughput/completion-time numbers.  This module is the
+repo's one in-tree recorder and gate for both families, kept in one
+baseline file (``BENCH_obs.json``):
 
-* ``repro obs baseline record`` times the live pipeline per stage (reusing
-  :func:`repro.analysis.perf._run_pipeline` over the same seeded Figure 5/6
-  workload as the engine bench) under a metrics-enabled observability
-  context, and derives the schedule-quality fingerprint from the
-  simulation results plus the audit counters.
+* ``repro obs baseline record`` times the live Figure 5/6 pipeline per
+  stage (:data:`STAGES`: schedule + simulate on the h-Switch and the
+  cp-Switch, over seeded :class:`~repro.workloads.skewed.SkewedWorkload`
+  demands) under a metrics-enabled observability context, and derives the
+  schedule-quality fingerprint from the simulation results plus the audit
+  counters, the fast-reroute backup count and the deadline-ladder
+  outcomes.
 * ``repro obs check --baseline BENCH_obs.json`` re-measures (or takes a
   ``--current`` file, the test-injection point) and exits nonzero on a
-  timing regression beyond ``--tolerance`` or on *any* quality drift.
+  timing regression beyond ``--tolerance``, on *any* quality drift, or
+  when the two files were measured under different envelopes (seed, OCS
+  class, trials, repeats) and so cannot be compared.
 
 Timing comparisons only engage for stages above ``min_seconds`` (noise on
 micro-stages is not a regression) and are run machine-locally: CI records
@@ -34,17 +38,21 @@ import numpy as np
 
 from repro import obs
 from repro.analysis.figures import DEFAULT_SEED, params_for
-from repro.analysis.perf import STAGES, _run_pipeline
 from repro.core.scheduler import CpSwitchScheduler
 from repro.faults.reroute import BackupPlanner
 from repro.hybrid.base import make_scheduler
 from repro.service.deadline import AnytimeScheduler, TickClock
+from repro.sim import simulate_cp, simulate_hybrid
+from repro.switch.params import SwitchParams
 from repro.utils.fileio import atomic_write_json
 from repro.utils.rng import spawn_rngs
 from repro.workloads.skewed import SkewedWorkload
 
 #: Version of the BENCH_obs.json envelope.
 BASELINE_FORMAT: int = 1
+
+#: The stages every point is timed over, in pipeline order.
+STAGES: "tuple[str, ...]" = ("h_schedule", "h_simulate", "cp_schedule", "cp_simulate")
 
 #: Default relative timing-regression tolerance (25% — generous enough for
 #: shared CI runners, tight enough to catch a de-vectorized hot path).
@@ -78,6 +86,10 @@ _EXACT_QUALITY: "tuple[str, ...]" = (
 #: in both directions.
 DEADLINE_TICK_BUDGET: float = 4.5
 
+#: Envelope fields that must match for two files to be comparable: the
+#: demands (seed, OCS class, trial count) and the min-of-repeats estimator.
+_ENVELOPE: "tuple[str, ...]" = ("seed", "ocs", "trials_per_point", "repeats")
+
 #: Quality fields compared with :data:`QUALITY_RTOL`.
 _FLOAT_QUALITY: "tuple[str, ...]" = (
     "h_ocs_fraction",
@@ -92,6 +104,33 @@ def _counter_total(snapshot: dict, name: str) -> float:
     if not payload:
         return 0.0
     return sum(float(entry.get("value", 0.0)) for entry in payload.get("values", []))
+
+
+def _run_pipeline(demands, params: SwitchParams, scheduler: str):
+    """Schedule + simulate every demand once; return (stage seconds, results).
+
+    Results are ``(h_result, cp_result)`` pairs in trial order.
+    """
+    times = dict.fromkeys(STAGES, 0.0)
+    results = []
+    inner = make_scheduler(scheduler)
+    cp_scheduler = CpSwitchScheduler(inner)
+    for demand in demands:
+        start = time.perf_counter()
+        h_sched = inner.schedule(demand, params)
+        t1 = time.perf_counter()
+        h_result = simulate_hybrid(demand, h_sched, params)
+        t2 = time.perf_counter()
+        cp_sched = cp_scheduler.schedule(demand, params)
+        t3 = time.perf_counter()
+        cp_result = simulate_cp(demand, cp_sched, params)
+        t4 = time.perf_counter()
+        times["h_schedule"] += t1 - start
+        times["h_simulate"] += t2 - t1
+        times["cp_schedule"] += t3 - t2
+        times["cp_simulate"] += t4 - t3
+        results.append((h_result, cp_result))
+    return times, results
 
 
 def measure_point(
@@ -109,6 +148,8 @@ def measure_point(
     counters — repeats are bit-identical by construction, so any repeat
     would do.
     """
+    if n_trials < 1:
+        raise ValueError(f"trials must be >= 1, got {n_trials}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     params = params_for(ocs, n_ports)
@@ -123,9 +164,7 @@ def measure_point(
     for repeat in range(repeats):
         registry = obs.MetricsRegistry()
         with obs.observability(metrics=registry):
-            times, results = _run_pipeline(
-                demands, params, scheduler, reference=False
-            )
+            times, results = _run_pipeline(demands, params, scheduler)
         for stage in STAGES:
             timing[stage] = min(timing[stage], times[stage])
         if repeat == 0:
@@ -248,6 +287,15 @@ def load_baseline(path: "str | Path") -> dict:
             f"unsupported baseline format v{version} in {path} "
             f"(expected v{BASELINE_FORMAT})"
         )
+    for field in ("trials_per_point", "repeats"):
+        count = payload.get(field)
+        if not isinstance(count, int) or count < 1:
+            # Zero trials time nothing: every stage 0.0 s, a gate that
+            # always passes.
+            raise ValueError(
+                f"{field} must be a positive integer in {path}, got {count!r}; "
+                "record the baseline again"
+            )
     return payload
 
 
@@ -282,15 +330,26 @@ def check_baseline(
 ) -> "list[str]":
     """Compare ``current`` against ``baseline``; return violation messages.
 
-    An empty list means the gate passes.  Violations are of two kinds:
+    An empty list means the gate passes.  Violations are of three kinds:
 
+    * *not comparable* — the two files differ in an envelope field
+      (:data:`_ENVELOPE`), so they timed different demands or a different
+      number of repeats; nothing else is compared;
     * *timing* — a tracked stage above ``min_seconds`` in the baseline got
       more than ``tolerance`` (relative) slower;
     * *quality drift* — any integer schedule decision changed, or a float
       fraction moved beyond summation-order dust (:data:`QUALITY_RTOL`).
     """
-    if tolerance < 0:
+    if not tolerance >= 0:  # NaN-safe
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    mismatched = [
+        f"not comparable — {field} {baseline.get(field)!r} in the baseline, "
+        f"{current.get(field)!r} in the current measurement"
+        for field in _ENVELOPE
+        if baseline.get(field) != current.get(field)
+    ]
+    if mismatched:
+        return mismatched
     current_points = {
         (point["radix"], point["scheduler"]): point
         for point in current.get("points", [])

@@ -3,8 +3,8 @@
 The sweep runner forks one subprocess per trial attempt because a trial is
 long (seconds) and must be killable.  The scheduling service has the
 opposite profile: every epoch it fans out a handful of *short* heavy
-stages (independent-scheduler arms, backup planning, robustness checks)
-and fork-per-stage would dominate the epoch budget.  :class:`WorkerPool`
+stages (independent-scheduler arms, backup planning) and fork-per-stage
+would dominate the epoch budget.  :class:`WorkerPool`
 keeps ``K`` worker processes alive across epochs — each is a long-lived
 loop around the same ``(fn_path, kwargs)`` protocol as
 :mod:`repro.runner.isolation`, so stage functions are addressed by

@@ -13,8 +13,8 @@ wraps it into the long-running loop a deployment would actually operate
 * an **epoch task** fires on a monotonic epoch clock, offers the next
   batch, and runs the controller's schedule/execute step — inline
   deadline budget, anytime fallback ladder, backpressure ledger and all;
-* the per-epoch **auxiliary heavy stages** (independent scheduler arms,
-  fast-reroute backup planning, robustness replays — see
+* the per-epoch **auxiliary heavy stages** (independent scheduler arms
+  and fast-reroute backup planning — see
   :mod:`repro.service.stages`) are sharded across a warm
   :class:`~repro.runner.pool.WorkerPool` and overlap with the inline
   epoch execution; a worker death respawns the worker and retries the

@@ -9,9 +9,7 @@ fans the auxiliary heavy stages out to a warm
   demand snapshot (what would Eclipse/TDM/... have delivered?);
 * :func:`backup_arm` — precompute a fast-reroute backup set for the
   snapshot (how much outage cover could this epoch have armed, and at
-  what planning cost?);
-* :func:`robustness_arm` — replay the snapshot's schedule under a seeded
-  fault realization (how would this epoch have degraded?).
+  what planning cost?).
 
 Stage functions are addressed by ``"module:function"`` path (the same
 convention as trial specs), take picklable keyword arguments, and return
@@ -27,7 +25,6 @@ import numpy as np
 
 from repro import obs
 from repro.core.scheduler import CpSwitchScheduler
-from repro.faults.plan import FaultPlan
 from repro.faults.reroute import BackupPlanner
 from repro.hybrid.base import make_scheduler
 from repro.sim import simulate_cp, simulate_hybrid
@@ -97,45 +94,5 @@ def backup_arm(
         "arm": f"backup:{name}",
         "n_armed": backups.n_armed,
         "plan_ms": backups.plan_seconds * 1e3,
-        "stage_ms": (time.perf_counter() - start) * 1e3,
-    }
-
-
-def robustness_arm(
-    *,
-    demand: np.ndarray,
-    params: SwitchParams,
-    name: str = "solstice",
-    seed: int = 0,
-    stream: int = 0,
-    o2m_outage_rate: float = 0.2,
-    m2o_outage_rate: float = 0.2,
-) -> dict:
-    """Replay an epoch's schedule under a seeded composite-outage draw."""
-    start = time.perf_counter()
-    with obs.profiled("service.stage", stage="robustness", arm=name):
-        cp = CpSwitchScheduler(make_scheduler(name))
-        schedule = cp.schedule(demand, params)
-        plan = FaultPlan(
-            seed=seed,
-            o2m_outage_rate=o2m_outage_rate,
-            m2o_outage_rate=m2o_outage_rate,
-        )
-        result = simulate_cp(
-            demand,
-            schedule,
-            params,
-            faults=plan.injector(params.n_ports, stream=stream),
-        )
-    summary = result.fault_summary
-    residual = (
-        float(result.residual.sum()) if result.residual is not None else 0.0
-    )
-    return {
-        "arm": f"robustness:{name}",
-        "completion_time": result.completion_time,
-        "residual_mb": residual,
-        "composite_outages": summary.composite_outages if summary else 0,
-        "released_mb": result.released_composite,
         "stage_ms": (time.perf_counter() - start) * 1e3,
     }

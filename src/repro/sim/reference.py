@@ -12,24 +12,22 @@ the kernels that the vectorization work rewrote:
 * :func:`reference_cp_switch_demand_reduction` — Algorithm 1 with the
   numpy-scalar greedy both-qualify loop.
 
-They exist for two reasons:
-
-1. **Perf trajectory.** ``benchmarks/bench_perf.py`` times the reference
-   pipeline ("before") against the optimized library ("after") and writes
-   both to ``BENCH_engine.json``, so every future PR can compare against a
-   recorded baseline instead of folklore.
-2. **Ground truth.** The optimized engine must be *bit-identical* to the
-   reference on the seeded benchmark points (same per-entry finish times,
-   same completion times, conservation intact).  The perf harness and the
-   property tests assert this on every run.
+They are **ground truth**: the optimized pipeline must be *bit-identical*
+to the reference on the seeded Figure 5/6 benchmark points (same
+per-entry finish times, same completion times, conservation intact).
+``tests/test_reference_pipeline.py`` composes the seed pipeline from these
+kernels and asserts this at radix 32/64/128 under Solstice and Eclipse.
+:class:`ReferenceFluidEngine` is also the only cp-Switch fluid engine
+independent of the live one, since the packet-level model
+(:mod:`repro.sim.packetlevel`) has no composite paths.
 
 The only intentional behavioural difference is the phase-skip dust bug
 (see ``FluidEngine.run_phase``): the reference engine preserves the seed
 behaviour of idling out the rest of a phase when a near-drained entry's
 drain time falls below ``TIME_TOL``, while the optimized engine snaps the
-dust entry to zero and keeps serving everyone else.  The harness verifies
-the seeded benchmark points never enter that branch, which is what makes
-the bit-identical comparison meaningful.
+dust entry to zero and keeps serving everyone else.  The seeded benchmark
+points never enter that branch, which is what makes the bit-identical
+comparison meaningful.
 
 Do not "improve" this module: its value is that it does not change.
 """
@@ -97,18 +95,9 @@ class ReferenceFluidEngine:
         self.regular = np.maximum(self.regular - filtered, 0.0)
         self.composite = self.composite + filtered
 
-    def merge_composite_into_regular(
-        self, mask: "np.ndarray | None" = None
-    ) -> float:
-        if mask is None:
-            moved = float(self.composite.sum())
-            self.regular += self.composite
-            self.composite[:] = 0.0
-            return moved
-        take = np.where(mask, self.composite, 0.0)
-        self.regular += take
-        np.maximum(self.composite - take, 0.0, out=self.composite)
-        return float(take.sum())
+    def merge_composite_into_regular(self) -> None:
+        self.regular += self.composite
+        self.composite[:] = 0.0
 
     def run_phase(
         self,

@@ -2,14 +2,17 @@
 
 Covers the tracer and metrics primitives, the null-backend defaults, the
 fork-worker span shipping, the scheduler/engine/runner instrumentation,
-the CLI flags, and — the load-bearing property — that an instrumented run
-is bit-identical to an uninstrumented one across random demand matrices
-and fault plans.
+the CLI flags, and the two load-bearing properties: an instrumented run
+is bit-identical to an uninstrumented one across random demand matrices,
+fault plans and the seeded Figure 5 demand, and with observability off
+its hooks cost under 2 % of the pipeline's wall time.
 """
 
 from __future__ import annotations
 
 import json
+import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro import obs
+from repro.analysis.figures import DEFAULT_SEED, params_for
 from repro.cli import main
 from repro.core.scheduler import CpSwitchScheduler
 from repro.faults import FaultPlan
@@ -30,6 +34,8 @@ from repro.runner import SweepConfig, SweepRunner, TrialSpec
 from repro.runner.isolation import run_in_subprocess
 from repro.sim import simulate_cp, simulate_hybrid
 from repro.switch.params import SwitchParams
+from repro.utils.rng import spawn_rngs
+from repro.workloads.skewed import SkewedWorkload
 
 N = 6
 PARAMS = SwitchParams(n_ports=N, eps_rate=10.0, ocs_rate=100.0, reconfig_delay=0.02)
@@ -401,26 +407,102 @@ def _assert_identical(plain, traced):
     assert len(plain.segments) == len(traced.segments)
 
 
+def _solstice_pipeline(demand, params, plan=None):
+    """One h + cp schedule/simulate pair under Solstice; both results."""
+    scheduler = SolsticeScheduler()
+    h_schedule = scheduler.schedule(demand, params)
+    cp_schedule = CpSwitchScheduler(scheduler).schedule(demand, params)
+    return (
+        simulate_hybrid(demand, h_schedule, params, faults=plan),
+        simulate_cp(demand, cp_schedule, params, faults=plan),
+    )
+
+
+def _figure5_demand():
+    """The seeded radix-32 Figure 5 demand (fast OCS, root seed 2016)."""
+    params = params_for("fast", 32)
+    (rng,) = spawn_rngs(DEFAULT_SEED, 1)
+    return SkewedWorkload.for_params(params).generate(32, rng).demand, params
+
+
 class TestBitIdentity:
+    @staticmethod
+    def _check(demand, params, plan=None):
+        h_plain, cp_plain = _solstice_pipeline(demand, params, plan)
+        with obs.observability(tracer=JsonlTracer(), metrics=MetricsRegistry()):
+            h_traced, cp_traced = _solstice_pipeline(demand, params, plan)
+        _assert_identical(h_plain, h_traced)
+        _assert_identical(cp_plain, cp_traced)
+
     @given(demand=demands(), plan=plans())
     @settings(max_examples=25, deadline=None)
     def test_instrumented_run_is_bit_identical(self, demand, plan):
-        scheduler = SolsticeScheduler()
-        h_schedule = scheduler.schedule(demand, PARAMS)
-        cp_schedule = CpSwitchScheduler(scheduler).schedule(demand, PARAMS)
-        h_plain = simulate_hybrid(demand, h_schedule, PARAMS, faults=plan)
-        cp_plain = simulate_cp(demand, cp_schedule, PARAMS, faults=plan)
+        self._check(demand, PARAMS, plan)
 
-        tracer, registry = JsonlTracer(), MetricsRegistry()
-        with obs.observability(tracer=tracer, metrics=registry):
-            instrumented = SolsticeScheduler()
-            h_schedule_t = instrumented.schedule(demand, PARAMS)
-            cp_schedule_t = CpSwitchScheduler(instrumented).schedule(demand, PARAMS)
-            h_traced = simulate_hybrid(demand, h_schedule_t, PARAMS, faults=plan)
-            cp_traced = simulate_cp(demand, cp_schedule_t, PARAMS, faults=plan)
+    def test_instrumented_figure5_run_is_bit_identical(self):
+        self._check(*_figure5_demand())
 
-        _assert_identical(h_plain, h_traced)
-        _assert_identical(cp_plain, cp_traced)
+
+class TestOffPathOverhead:
+    """With observability off, its hooks cost < 2 % of the pipeline.
+
+    A wall-clock A/B of the same pipeline is noise-bound on a shared host
+    (run-to-run spread is itself a few percent), so the bound is computed:
+    count every null-path hook the pipeline hits (``active()`` guards and
+    ``profiled()`` blocks), microbenchmark each hook's per-call cost, and
+    compare the product with the pipeline's wall time.  Both factors are
+    nearly noise-free.
+    """
+
+    BUDGET = 0.02
+
+    @staticmethod
+    def _per_call_seconds(fn, calls: int = 200_000) -> float:
+        start = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        return (time.perf_counter() - start) / calls
+
+    @staticmethod
+    def _null_profiled_once() -> None:
+        with obs.profiled("test.null"):
+            pass
+
+    def test_null_path_hooks_stay_under_budget(self, monkeypatch):
+        demand, params = _figure5_demand()
+        assert not obs.active()
+        wall = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            _solstice_pipeline(demand, params)
+            wall = min(wall, time.perf_counter() - start)
+
+        counts = {"active": 0, "profiled": 0}
+        real_active, real_profiled = obs.active, obs.profiled
+
+        def counting_active():
+            counts["active"] += 1
+            return real_active()
+
+        @contextmanager
+        def counting_profiled(name, **attrs):
+            counts["profiled"] += 1
+            with real_profiled(name, **attrs) as span:
+                yield span
+
+        with monkeypatch.context() as patch:
+            patch.setattr(obs, "active", counting_active)
+            patch.setattr(obs, "profiled", counting_profiled)
+            _solstice_pipeline(demand, params)
+        assert counts["active"] > 0 and counts["profiled"] > 0
+
+        overhead = counts["active"] * self._per_call_seconds(
+            obs.active
+        ) + counts["profiled"] * self._per_call_seconds(self._null_profiled_once)
+        assert overhead < self.BUDGET * wall, (
+            f"null-path hooks ({counts}) cost {overhead * 1e3:.3f} ms, "
+            f"{overhead / wall:.2%} of the {wall * 1e3:.1f} ms pipeline"
+        )
 
 
 # ---------------------------------------------------------------------- #

@@ -127,6 +127,26 @@ class TestCheck:
         with pytest.raises(ValueError, match="tolerance"):
             check_baseline(baseline, baseline, tolerance=-0.1)
 
+    def test_nan_tolerance_rejected(self, baseline):
+        # NaN compares false both ways, so it would pass every stage.
+        with pytest.raises(ValueError, match="tolerance"):
+            check_baseline(baseline, baseline, tolerance=float("nan"))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("seed", 7), ("ocs", "slow"), ("trials_per_point", 3), ("repeats", 3)],
+    )
+    def test_other_envelope_is_not_comparable(self, baseline, field, value):
+        other = {**copy.deepcopy(baseline), field: value}
+        # Lower min-of-more-repeats timings, or another seed's schedules,
+        # must neither pass nor read as drift against this baseline.
+        for stage in other["points"][0]["timing_s"]:
+            other["points"][0]["timing_s"][stage] /= 10.0
+        other["points"][0]["quality"]["slices"] += 1
+        violations = check_baseline(baseline, other, min_seconds=0.0)
+        assert len(violations) == 1
+        assert violations[0].startswith(f"not comparable — {field} ")
+
 
 class TestFileRoundtrip:
     def test_write_load(self, tmp_path, baseline):
@@ -140,6 +160,12 @@ class TestFileRoundtrip:
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"format": 99, "points": []}))
         with pytest.raises(ValueError, match="unsupported baseline format"):
+            load_baseline(path)
+
+    def test_load_rejects_vacuous_trial_count(self, tmp_path, baseline):
+        path = tmp_path / "vacuous.json"
+        path.write_text(json.dumps({**baseline, "trials_per_point": 0}))
+        with pytest.raises(ValueError, match="trials_per_point must be a positive"):
             load_baseline(path)
 
 
@@ -197,6 +223,50 @@ class TestCli:
     def test_check_missing_baseline_is_actionable(self, tmp_path):
         with pytest.raises(SystemExit, match="baseline record"):
             main(["obs", "check", "--baseline", str(tmp_path / "nope.json")])
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            # Zero trials would time nothing: every stage 0.0 s, a
+            # baseline no later measurement can regress against.
+            (["--trials", "0"], "trials must be >= 1"),
+            (["--repeats", "0"], "repeats must be >= 1"),
+            (["--radices", "x"], "--radices must be comma-separated integers"),
+            (["--radices", "2"], "radix 2 too small"),
+        ],
+        ids=["trials-0", "repeats-0", "radices-x", "radix-2"],
+    )
+    def test_record_rejects_bad_values_in_one_line(self, tmp_path, flags, message):
+        out = tmp_path / "b.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", "baseline", "record", "--out", str(out), "--radices", "8", *flags])
+        assert message in str(exc.value.code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan"])
+    def test_check_rejects_bad_tolerance(self, tmp_path, tolerance):
+        out = self._record(tmp_path)
+        with pytest.raises(SystemExit, match="--tolerance must be a non-negative"):
+            main(["obs", "check", "--baseline", out, "--current", out,
+                  "--tolerance", tolerance])
+
+    def test_check_refuses_a_file_from_another_seed(self, tmp_path, capsys):
+        out = self._record(tmp_path)
+        other = str(tmp_path / "seed7.json")
+        assert main(
+            [
+                "obs", "baseline", "record",
+                "--out", other,
+                "--radices", "8",
+                "--schedulers", "solstice",
+                "--quick",
+                "--seed", "7",
+            ]
+        ) == 0
+        assert main(["obs", "check", "--baseline", out, "--current", other]) == 1
+        err = capsys.readouterr().err
+        assert "not comparable — seed 2016 in the baseline, 7 in the current" in err
+        assert "quality drift" not in err
 
     def test_record_rejects_unknown_scheduler(self, tmp_path):
         with pytest.raises(SystemExit):

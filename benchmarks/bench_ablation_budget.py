@@ -15,11 +15,12 @@ budget ``Ce* <= Ce`` enforced by traffic shaping.  This bench sweeps
 
 from __future__ import annotations
 
-from benchmarks.common import BENCH_SEED, emit, params_for, trials
+from benchmarks.common import BENCH_SEED, emit, trials
 from repro.analysis.aggregate import aggregate
 from repro.core.scheduler import CpSwitchScheduler
 from repro.hybrid.solstice import SolsticeScheduler
 from repro.sim import simulate_cp
+from repro.switch.params import ocs_params
 from repro.utils.rng import spawn_rngs
 from repro.workloads.combined import CombinedWorkload
 
@@ -32,7 +33,7 @@ BUDGETS = (0.5, 1.0, 2.0, 4.0, 10.0)
 
 
 def _rows(ocs: str):
-    base_params = params_for(ocs, RADIX)
+    base_params = ocs_params(ocs, RADIX)
     workload = CombinedWorkload.typical(base_params)
     scheduler = CpSwitchScheduler(SolsticeScheduler())
     specs = [workload.generate(RADIX, rng) for rng in spawn_rngs(BENCH_SEED, trials())]

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.common import BENCH_SEED, emit, params_for, trials
+from benchmarks.common import BENCH_SEED, emit, trials
 from repro.analysis.aggregate import aggregate
 from repro.core.multipath import MultiPathCpScheduler
 from repro.hybrid.solstice import SolsticeScheduler
 from repro.sim import simulate_hybrid, simulate_multipath
+from repro.switch.params import ocs_params
 from repro.utils.rng import spawn_rngs
 from repro.workloads.varying import VaryingSkewWorkload
 
@@ -26,7 +27,7 @@ PATH_COUNTS = (1, 2, 4)
 
 
 def _rows(ocs: str):
-    params = params_for(ocs, RADIX)
+    params = ocs_params(ocs, RADIX)
     workload = VaryingSkewWorkload.for_params(params, n_skewed_ports=N_SKEWED)
     h_scheduler = SolsticeScheduler()
     specs = [

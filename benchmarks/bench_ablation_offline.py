@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.common import BENCH_SEED, emit, params_for, trials
+from benchmarks.common import BENCH_SEED, emit, trials
 from repro.analysis.aggregate import aggregate
 from repro.core.offline import reorder
 from repro.core.scheduler import CpSwitchScheduler
 from repro.hybrid.solstice import SolsticeScheduler
 from repro.sim import simulate_cp, simulate_hybrid
+from repro.switch.params import ocs_params
 from repro.utils.rng import spawn_rngs
 from repro.workloads.combined import CombinedWorkload
 
@@ -26,7 +27,7 @@ RADIX = 64
 
 
 def _rows(ocs: str):
-    params = params_for(ocs, RADIX)
+    params = ocs_params(ocs, RADIX)
     workload = CombinedWorkload.typical(params)
     h_scheduler = SolsticeScheduler()
     cp_scheduler = CpSwitchScheduler(h_scheduler)

@@ -13,10 +13,11 @@ leaves the reduction nearly unchanged.
 
 from __future__ import annotations
 
-from benchmarks.common import BENCH_SEED, emit, params_for, trials
+from benchmarks.common import BENCH_SEED, emit, trials
 from repro.analysis.aggregate import aggregate
 from repro.analysis.robustness import robustness_trial
 from repro.hybrid.solstice import SolsticeScheduler
+from repro.switch.params import ocs_params
 from repro.utils.rng import spawn_rngs
 from repro.workloads.combined import CombinedWorkload
 
@@ -31,7 +32,7 @@ SCENARIOS = (
 
 
 def _rows(ocs: str):
-    params = params_for(ocs, RADIX)
+    params = ocs_params(ocs, RADIX)
     workload = CombinedWorkload.typical(params)
     scheduler = SolsticeScheduler()
     specs = [workload.generate(RADIX, rng) for rng in spawn_rngs(BENCH_SEED, trials())]

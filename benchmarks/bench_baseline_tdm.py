@@ -10,12 +10,13 @@ sub-scheduler per Algorithm 4's genericity.
 
 from __future__ import annotations
 
-from benchmarks.common import BENCH_SEED, emit, params_for, trials
+from benchmarks.common import BENCH_SEED, emit, trials
 from repro.analysis.aggregate import aggregate
 from repro.core.scheduler import CpSwitchScheduler
 from repro.hybrid.solstice import SolsticeScheduler
 from repro.hybrid.tdm import TdmScheduler
 from repro.sim import simulate_cp, simulate_hybrid
+from repro.switch.params import ocs_params
 from repro.utils.rng import spawn_rngs
 from repro.workloads.skewed import SkewedWorkload
 
@@ -23,7 +24,7 @@ RADIX = 64
 
 
 def _rows(ocs: str):
-    params = params_for(ocs, RADIX)
+    params = ocs_params(ocs, RADIX)
     workload = SkewedWorkload.for_params(params)
     specs = [workload.generate(RADIX, rng) for rng in spawn_rngs(BENCH_SEED, trials())]
 

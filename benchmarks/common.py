@@ -16,10 +16,15 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.analysis.experiment import ComparisonAggregate, ExperimentConfig, run_comparison
+from repro.analysis.experiment import (
+    ComparisonAggregate,
+    ExperimentConfig,
+    default_trials,
+    run_comparison,
+)
 from repro.analysis.report import format_table
 from repro.core.config import FilterConfig
-from repro.switch.params import SwitchParams, fast_ocs_params, slow_ocs_params
+from repro.switch.params import ocs_params
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -36,16 +41,8 @@ def radices() -> "tuple[int, ...]":
 
 
 def trials() -> int:
-    return int(os.environ.get("REPRO_SEEDS", "2"))
-
-
-def params_for(ocs: str, n_ports: int) -> SwitchParams:
-    """Switch parameters for an OCS class name ("fast" / "slow")."""
-    if ocs == "fast":
-        return fast_ocs_params(n_ports)
-    if ocs == "slow":
-        return slow_ocs_params(n_ports)
-    raise ValueError(f"unknown OCS class {ocs!r}")
+    """``REPRO_SEEDS`` under the library's rule (an integer >= 1), default 2."""
+    return default_trials(default=2)
 
 
 def run_point(
@@ -62,7 +59,7 @@ def run_point(
     ``workload_factory(params)`` builds the demand generator so each OCS
     class gets its paper-matched volume scale.
     """
-    params = params_for(ocs, n_ports)
+    params = ocs_params(ocs, n_ports)
     config = ExperimentConfig(
         workload=workload_factory(params),
         params=params,

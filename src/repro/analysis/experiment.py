@@ -42,11 +42,12 @@ from repro.workloads.base import DemandSpec, Workload
 DEFAULT_TRIALS: int = 5
 
 
-def default_trials() -> int:
-    """Trial count: ``REPRO_SEEDS`` env var or :data:`DEFAULT_TRIALS`."""
+def default_trials(default: int = DEFAULT_TRIALS) -> int:
+    """Trial count: the ``REPRO_SEEDS`` env var (an integer >= 1), or
+    ``default`` when it is unset."""
     raw = os.environ.get("REPRO_SEEDS")
     if raw is None:
-        return DEFAULT_TRIALS
+        return default
     try:
         value = int(raw)
     except ValueError:
@@ -144,48 +145,46 @@ class ExperimentConfig:
         return self.scheduler
 
     def resolved_window(self) -> float:
-        if self.window is not None:
-            return float(self.window)
-        return EclipseScheduler().resolved_window(self.params)
+        return _resolved_window(self.window, self.params)
 
     def resolved_trials(self) -> int:
-        return self.n_trials if self.n_trials is not None else default_trials()
+        if self.n_trials is None:
+            return default_trials()
+        if self.n_trials < 1:
+            raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
+        return self.n_trials
+
+
+def _resolved_window(window: "float | None", params: SwitchParams) -> float:
+    if window is not None:
+        return float(window)
+    return EclipseScheduler().resolved_window(params)
 
 
 def run_comparison(config: ExperimentConfig) -> ComparisonAggregate:
-    """Run the full h vs cp comparison for one experiment point."""
+    """Run the full h vs cp comparison for one experiment point.
+
+    The object-level twin of :func:`comparison_trial`: it takes workload,
+    scheduler and filter instances instead of names, but runs each trial
+    through the same body and aggregates with
+    :func:`comparison_from_payloads`.
+    """
     scheduler = config.resolved_scheduler()
     cp_scheduler = CpSwitchScheduler(scheduler, filter_config=config.filter_config)
     window = config.resolved_window()
-    n_trials = config.resolved_trials()
     params = config.params
-
-    h_rows: list[TrialMetrics] = []
-    cp_rows: list[TrialMetrics] = []
-    for rng in spawn_rngs(config.seed, n_trials):
-        spec = config.workload.generate(params.n_ports, rng)
-        h_rows.append(_run_h_trial(spec, scheduler, params, window))
-        cp_rows.append(_run_cp_trial(spec, cp_scheduler, params, window))
-
-    def agg(rows: list[TrialMetrics], attr: str) -> Aggregate:
-        return aggregate([getattr(row, attr) for row in rows])
-
-    return ComparisonAggregate(
-        n_ports=params.n_ports,
-        h_completion_total=agg(h_rows, "completion_total"),
-        cp_completion_total=agg(cp_rows, "completion_total"),
-        h_completion_o2m=agg(h_rows, "completion_o2m"),
-        cp_completion_o2m=agg(cp_rows, "completion_o2m"),
-        h_completion_m2o=agg(h_rows, "completion_m2o"),
-        cp_completion_m2o=agg(cp_rows, "completion_m2o"),
-        h_ocs_fraction=agg(h_rows, "ocs_fraction"),
-        cp_ocs_fraction=agg(cp_rows, "ocs_fraction"),
-        h_configs=agg(h_rows, "n_configs"),
-        cp_configs=agg(cp_rows, "n_configs"),
-        h_sched_seconds=agg(h_rows, "sched_seconds"),
-        cp_sched_seconds=agg(cp_rows, "sched_seconds"),
-        n_trials=n_trials,
-    )
+    payloads = [
+        _trial_payload(
+            config.workload.generate(params.n_ports, rng),
+            scheduler,
+            cp_scheduler,
+            params,
+            window,
+            trial,
+        )
+        for trial, rng in enumerate(spawn_rngs(config.seed, config.resolved_trials()))
+    ]
+    return comparison_from_payloads(payloads)
 
 
 # ---------------------------------------------------------------------- #
@@ -223,6 +222,29 @@ def _run_cp_trial(
         window,
         composite_volume=cp_schedule.reduction.composite_volume,
     )
+
+
+def _trial_payload(
+    spec: DemandSpec,
+    scheduler: HybridScheduler,
+    cp_scheduler: CpSwitchScheduler,
+    params: SwitchParams,
+    window: float,
+    trial: int,
+) -> dict:
+    """One h-vs-cp trial on one demand: both switches' metrics plus any
+    scheduler watchdog diagnostics, as the JSON payload sweeps journal."""
+    h = _run_h_trial(spec, scheduler, params, window)
+    diagnostics = [d.to_dict() for d in getattr(scheduler, "last_diagnostics", [])]
+    cp = _run_cp_trial(spec, cp_scheduler, params, window)
+    diagnostics += [d.to_dict() for d in getattr(scheduler, "last_diagnostics", [])]
+    return {
+        "n_ports": params.n_ports,
+        "trial": trial,
+        "h": asdict(h),
+        "cp": asdict(cp),
+        "diagnostics": diagnostics,
+    }
 
 
 # ---------------------------------------------------------------------- #
@@ -265,11 +287,10 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _trial_spec(
-    workload: str, ocs: str, radix: int, seed: int, trial: int, skewed_ports: int
+    workload: str, params: SwitchParams, seed: int, trial: int, skewed_ports: int
 ) -> DemandSpec:
-    params = ocs_params(ocs, radix)
     generator = make_workload(workload, params, skewed_ports)
-    return generator.generate(radix, trial_rng(seed, trial))
+    return generator.generate(params.n_ports, trial_rng(seed, trial))
 
 
 def comparison_trial(
@@ -285,32 +306,22 @@ def comparison_trial(
 ) -> dict:
     """One journaled h-vs-cp comparison trial (JSON in, JSON out).
 
-    This is the unit the sweep runner executes in subprocess workers: every
-    argument is a plain JSON scalar (persisted in the journal header), and
-    the returned payload is a JSON dict of both switches' metrics plus any
-    scheduler watchdog diagnostics.  Trial ``t`` here is bit-identical to
-    trial ``t`` of :func:`run_comparison` on the same configuration.
+    This is the unit the sweep runner executes in subprocess workers, and
+    the unit :mod:`repro.analysis.figures` calls in-process: every argument
+    is a plain JSON scalar (persisted in the journal header), and the
+    returned payload is a JSON dict of both switches' metrics plus any
+    scheduler watchdog diagnostics.
     """
     params = ocs_params(ocs, radix)
-    spec = _trial_spec(workload, ocs, radix, seed, trial, skewed_ports)
     inner = make_scheduler(scheduler)
-    cp_scheduler = CpSwitchScheduler(inner)
-    resolved_window = (
-        float(window)
-        if window is not None
-        else EclipseScheduler().resolved_window(params)
+    return _trial_payload(
+        _trial_spec(workload, params, seed, trial, skewed_ports),
+        inner,
+        CpSwitchScheduler(inner),
+        params,
+        _resolved_window(window, params),
+        trial,
     )
-    h = _run_h_trial(spec, inner, params, resolved_window)
-    diagnostics = [d.to_dict() for d in getattr(inner, "last_diagnostics", [])]
-    cp = _run_cp_trial(spec, cp_scheduler, params, resolved_window)
-    diagnostics += [d.to_dict() for d in getattr(inner, "last_diagnostics", [])]
-    return {
-        "n_ports": radix,
-        "trial": trial,
-        "h": asdict(h),
-        "cp": asdict(cp),
-        "diagnostics": diagnostics,
-    }
 
 
 def comparison_demand(
@@ -330,7 +341,7 @@ def comparison_demand(
     to a failed trial's journal record (``scheduler``/``window`` are
     accepted so the two functions share one kwargs dict).
     """
-    return _trial_spec(workload, ocs, radix, seed, trial, skewed_ports).demand
+    return _trial_spec(workload, ocs_params(ocs, radix), seed, trial, skewed_ports).demand
 
 
 def comparison_from_payloads(payloads: "list[dict]") -> ComparisonAggregate:
@@ -343,26 +354,24 @@ def comparison_from_payloads(payloads: "list[dict]") -> ComparisonAggregate:
     if not payloads:
         raise ValueError("cannot aggregate an empty payload list")
     rows = sorted(payloads, key=lambda p: p["trial"])
-    h_rows = [TrialMetrics(**row["h"]) for row in rows]
-    cp_rows = [TrialMetrics(**row["cp"]) for row in rows]
 
-    def agg(metric_rows: "list[TrialMetrics]", attr: str) -> Aggregate:
-        return aggregate([getattr(row, attr) for row in metric_rows])
+    def agg(switch: str, attr: str) -> Aggregate:
+        return aggregate([row[switch][attr] for row in rows])
 
     return ComparisonAggregate(
         n_ports=int(rows[0]["n_ports"]),
-        h_completion_total=agg(h_rows, "completion_total"),
-        cp_completion_total=agg(cp_rows, "completion_total"),
-        h_completion_o2m=agg(h_rows, "completion_o2m"),
-        cp_completion_o2m=agg(cp_rows, "completion_o2m"),
-        h_completion_m2o=agg(h_rows, "completion_m2o"),
-        cp_completion_m2o=agg(cp_rows, "completion_m2o"),
-        h_ocs_fraction=agg(h_rows, "ocs_fraction"),
-        cp_ocs_fraction=agg(cp_rows, "ocs_fraction"),
-        h_configs=agg(h_rows, "n_configs"),
-        cp_configs=agg(cp_rows, "n_configs"),
-        h_sched_seconds=agg(h_rows, "sched_seconds"),
-        cp_sched_seconds=agg(cp_rows, "sched_seconds"),
+        h_completion_total=agg("h", "completion_total"),
+        cp_completion_total=agg("cp", "completion_total"),
+        h_completion_o2m=agg("h", "completion_o2m"),
+        cp_completion_o2m=agg("cp", "completion_o2m"),
+        h_completion_m2o=agg("h", "completion_m2o"),
+        cp_completion_m2o=agg("cp", "completion_m2o"),
+        h_ocs_fraction=agg("h", "ocs_fraction"),
+        cp_ocs_fraction=agg("cp", "ocs_fraction"),
+        h_configs=agg("h", "n_configs"),
+        cp_configs=agg("cp", "n_configs"),
+        h_sched_seconds=agg("h", "sched_seconds"),
+        cp_sched_seconds=agg("cp", "sched_seconds"),
         n_trials=len(rows),
     )
 

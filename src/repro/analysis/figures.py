@@ -9,32 +9,29 @@ layer over this module, and library users can call these directly, e.g.::
         print(point.n_ports, point.result.completion_improvement)
 
 All functions take the OCS class name (``"fast"``/``"slow"``), the radix
-sweep, the trial count, and a root seed; they fix the workload, the
-sub-scheduler, and the metric per the paper's §3 pairing (Solstice for
-completion-time figures, Eclipse for utilization figures).
+sweep, the trial count, and a root seed.  They build the same trial specs
+as ``python -m repro figure`` / ``compare`` (:mod:`repro.analysis.sweeps`)
+and run the CLI's trial unit on each one in-process — no runner, journal
+or subprocess — so a figure's workload and sub-scheduler (Solstice for
+completion-time figures, Eclipse for utilization figures) are defined
+once, in :data:`~repro.analysis.sweeps.FIGURE_PAIRINGS`, and both entry
+points return the same numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.analysis.experiment import (
-    ComparisonAggregate,
-    ExperimentConfig,
-    default_trials,
-    run_comparison,
-)
-from repro.analysis.robustness import fault_trial
+from repro.analysis.experiment import comparison_trial, default_trials
 from repro.analysis.runtime import RuntimeRow, runtime_row
-from repro.faults.plan import FaultPlan
-from repro.hybrid.solstice import SolsticeScheduler
+from repro.analysis.sweeps import (
+    FIG11_SKEW_COUNTS,
+    FigurePoint,
+    compare_specs,
+    comparison_points,
+    figure_specs,
+    single_comparison,
+)
+from repro.runner.isolation import TrialSpec
 from repro.switch.params import SwitchParams, ocs_params
-from repro.utils.rng import spawn_rngs
-from repro.workloads.combined import CombinedWorkload
-from repro.workloads.skewed import SkewedWorkload
-from repro.workloads.varying import VaryingSkewWorkload
 
 #: Default radix sweep of the paper's evaluation.
 PAPER_RADICES: "tuple[int, ...]" = (32, 64, 128)
@@ -47,38 +44,28 @@ def params_for(ocs: str, n_ports: int) -> SwitchParams:
     return ocs_params(ocs, n_ports)
 
 
-@dataclass(frozen=True)
-class FigurePoint:
-    """One x-axis point of a figure: a radix (and optionally a skew count)
-    with its aggregated h-vs-cp comparison."""
-
-    n_ports: int
-    result: ComparisonAggregate
-    skewed_ports: "int | None" = None
+def _run(specs: "list[TrialSpec]") -> "dict[str, dict]":
+    """Every spec's comparison trial, in-process, keyed like a journal."""
+    return {spec.key: comparison_trial(**spec.kwargs) for spec in specs}
 
 
-def _sweep(
-    workload_factory,
-    scheduler: str,
+def _figure(
+    name: str,
     ocs: str,
     radices: "tuple[int, ...]",
     n_trials: "int | None",
     seed: int,
+    **extra,
 ) -> "list[FigurePoint]":
-    points = []
-    for n_ports in radices:
-        params = params_for(ocs, n_ports)
-        result = run_comparison(
-            ExperimentConfig(
-                workload=workload_factory(params),
-                params=params,
-                scheduler=scheduler,
-                n_trials=n_trials,
-                seed=seed,
-            )
-        )
-        points.append(FigurePoint(n_ports=n_ports, result=result))
-    return points
+    specs = figure_specs(
+        name,
+        ocs=ocs,
+        radices=radices,
+        trials=n_trials if n_trials is not None else default_trials(),
+        seed=seed,
+        **extra,
+    )
+    return [point for _, point in comparison_points(specs, _run(specs))]
 
 
 # ---------------------------------------------------------------------- #
@@ -97,9 +84,7 @@ def figure5(
     Also carries the Figure 5(c) configuration counts inside each point's
     ``result``.
     """
-    return _sweep(
-        lambda p: SkewedWorkload.for_params(p), "solstice", ocs, radices, n_trials, seed
-    )
+    return _figure("fig5", ocs, radices, n_trials, seed)
 
 
 def figure6(
@@ -109,9 +94,7 @@ def figure6(
     seed: int = DEFAULT_SEED,
 ) -> "list[FigurePoint]":
     """Figure 6 — pure skewed demand, OCS fraction in the window (Eclipse)."""
-    return _sweep(
-        lambda p: SkewedWorkload.for_params(p), "eclipse", ocs, radices, n_trials, seed
-    )
+    return _figure("fig6", ocs, radices, n_trials, seed)
 
 
 def figure7(
@@ -121,9 +104,7 @@ def figure7(
     seed: int = DEFAULT_SEED,
 ) -> "list[FigurePoint]":
     """Figure 7 — typical DCN + skewed demand, completion time (Solstice)."""
-    return _sweep(
-        lambda p: CombinedWorkload.typical(p), "solstice", ocs, radices, n_trials, seed
-    )
+    return _figure("fig7", ocs, radices, n_trials, seed)
 
 
 def figure8(
@@ -133,9 +114,7 @@ def figure8(
     seed: int = DEFAULT_SEED,
 ) -> "list[FigurePoint]":
     """Figure 8 — typical DCN + skewed demand, OCS fraction (Eclipse)."""
-    return _sweep(
-        lambda p: CombinedWorkload.typical(p), "eclipse", ocs, radices, n_trials, seed
-    )
+    return _figure("fig8", ocs, radices, n_trials, seed)
 
 
 def figure9(
@@ -145,9 +124,7 @@ def figure9(
     seed: int = DEFAULT_SEED,
 ) -> "list[FigurePoint]":
     """Figure 9 — intensive (4×) DCN + skewed demand, completion time."""
-    return _sweep(
-        lambda p: CombinedWorkload.intensive(p), "solstice", ocs, radices, n_trials, seed
-    )
+    return _figure("fig9", ocs, radices, n_trials, seed)
 
 
 def figure10(
@@ -157,15 +134,13 @@ def figure10(
     seed: int = DEFAULT_SEED,
 ) -> "list[FigurePoint]":
     """Figure 10 — intensive DCN + skewed demand, OCS fraction (Eclipse)."""
-    return _sweep(
-        lambda p: CombinedWorkload.intensive(p), "eclipse", ocs, radices, n_trials, seed
-    )
+    return _figure("fig10", ocs, radices, n_trials, seed)
 
 
 def figure11(
     ocs: str,
     radices: "tuple[int, ...]" = PAPER_RADICES,
-    skew_counts: "tuple[int, ...]" = (1, 2, 3, 4, 5, 6),
+    skew_counts: "tuple[int, ...]" = FIG11_SKEW_COUNTS,
     n_trials: "int | None" = None,
     seed: int = DEFAULT_SEED,
 ) -> "list[FigurePoint]":
@@ -173,176 +148,7 @@ def figure11(
 
     One :class:`FigurePoint` per (radix, k), with ``skewed_ports`` set.
     """
-    points = []
-    for n_ports in radices:
-        params = params_for(ocs, n_ports)
-        for k in skew_counts:
-            result = run_comparison(
-                ExperimentConfig(
-                    workload=VaryingSkewWorkload.for_params(params, n_skewed_ports=k),
-                    params=params,
-                    scheduler="solstice",
-                    n_trials=n_trials,
-                    seed=seed,
-                )
-            )
-            points.append(FigurePoint(n_ports=n_ports, result=result, skewed_ports=k))
-    return points
-
-
-#: Default fault-rate sweep of the degradation curve.
-DEFAULT_FAULT_RATES: "tuple[float, ...]" = (0.0, 0.05, 0.1, 0.2, 0.4)
-
-
-@dataclass(frozen=True)
-class DegradationPoint:
-    """One fault rate of the degradation curve (trial means).
-
-    ``h_completion``/``cp_completion`` are completion times (ms) under a
-    uniform :meth:`~repro.faults.plan.FaultPlan.uniform` plan at
-    ``fault_rate``; ``released_composite`` is the mean volume (Mb) the
-    cp-Switch failed over from dead composite paths to regular paths.
-    """
-
-    fault_rate: float
-    h_completion: float
-    cp_completion: float
-    released_composite: float
-    n_ports: int
-
-    @property
-    def cp_advantage(self) -> float:
-        """How much faster the cp-Switch finishes (h / cp; > 1 = cp wins)."""
-        return self.h_completion / self.cp_completion if self.cp_completion else float("inf")
-
-
-def degradation_curve(
-    ocs: str,
-    radix: int = 32,
-    fault_rates: "tuple[float, ...]" = DEFAULT_FAULT_RATES,
-    n_trials: "int | None" = None,
-    seed: int = DEFAULT_SEED,
-) -> "list[DegradationPoint]":
-    """h-Switch vs cp-Switch completion time versus hardware fault rate.
-
-    The robustness counterpart of Figure 5: the paper's skewed workload and
-    Solstice pairing, executed under a uniform fault plan whose severity
-    sweeps ``fault_rates`` (reconfiguration failures/stragglers, circuit
-    setup failures, composite-port outages and EPS degradation all at the
-    same rate — see :meth:`repro.faults.plan.FaultPlan.uniform`).  At rate
-    0 the curve reproduces the fault-free gap bit-identically; as the rate
-    grows, dead composite ports push the cp-Switch back toward h-Switch
-    behaviour (``released_composite`` rises) while both switches' absolute
-    completion times climb.  Demand matrices are shared across the sweep,
-    so movement along the x-axis is fault-driven, not workload-driven.
-    """
-    params = params_for(ocs, radix)
-    workload = SkewedWorkload.for_params(params)
-    scheduler = SolsticeScheduler()
-    resolved_trials = n_trials if n_trials is not None else default_trials()
-    demands = [
-        workload.generate(radix, rng).demand
-        for rng in spawn_rngs(seed, resolved_trials)
-    ]
-    points = []
-    for rate_index, rate in enumerate(fault_rates):
-        h_times, cp_times, released = [], [], []
-        for trial, demand in enumerate(demands):
-            # One fault realization per (rate, trial), reproducible from
-            # the root seed.
-            plan = FaultPlan.uniform(rate, seed=seed + 7919 * rate_index + trial)
-            h_result, cp_result = fault_trial(demand, scheduler, params, plan)
-            h_times.append(h_result.completion_time)
-            cp_times.append(cp_result.completion_time)
-            released.append(cp_result.released_composite)
-        points.append(
-            DegradationPoint(
-                fault_rate=float(rate),
-                h_completion=float(np.mean(h_times)),
-                cp_completion=float(np.mean(cp_times)),
-                released_composite=float(np.mean(released)),
-                n_ports=radix,
-            )
-        )
-    return points
-
-
-@dataclass(frozen=True)
-class ReroutePoint:
-    """One outage rate of the fast-reroute comparison (trial means).
-
-    ``degrade_stranded``/``reroute_stranded`` are the mean volumes (Mb)
-    left undelivered at the schedule-makespan horizon without/with
-    fast-reroute; ``swaps`` is the mean number of mid-run backup swaps and
-    ``recovery_ms`` the mean worst-case detection-to-resumption latency of
-    the trials that actually swapped.
-    """
-
-    fault_rate: float
-    degrade_stranded: float
-    reroute_stranded: float
-    swaps: float
-    recovery_ms: float
-    n_ports: int
-
-    @property
-    def stranded_delta(self) -> float:
-        """Stranded volume (Mb) fast-reroute recovered within the window."""
-        return self.degrade_stranded - self.reroute_stranded
-
-
-def reroute_curve(
-    ocs: str,
-    radix: int = 32,
-    fault_rates: "tuple[float, ...]" = DEFAULT_FAULT_RATES,
-    n_trials: "int | None" = None,
-    seed: int = DEFAULT_SEED,
-) -> "list[ReroutePoint]":
-    """Fast-reroute vs degrade-to-EPS stranded volume versus outage rate.
-
-    The recovery counterpart of :func:`degradation_curve`: the same
-    workload/scheduler pairing and the same per-(rate, trial) plan seed
-    formula, but with an *outage-only* plan
-    (:func:`repro.analysis.robustness.outage_plan`) so the two arms differ
-    only in how a dead composite port is handled — released to the EPS
-    (seed behaviour) or hot-swapped to the precomputed backup.  At rate 0
-    the arms are bit-identical and both strand whatever the makespan
-    horizon leaves; as the rate grows the degrade arm strands more while
-    fast-reroute re-parks the orphaned demand onto surviving grants.
-    """
-    from repro.analysis.robustness import outage_plan, reroute_trial
-
-    params = params_for(ocs, radix)
-    workload = SkewedWorkload.for_params(params)
-    scheduler = SolsticeScheduler()
-    resolved_trials = n_trials if n_trials is not None else default_trials()
-    demands = [
-        workload.generate(radix, rng).demand
-        for rng in spawn_rngs(seed, resolved_trials)
-    ]
-    points = []
-    for rate_index, rate in enumerate(fault_rates):
-        degrade_stranded, reroute_stranded, swaps, recoveries = [], [], [], []
-        for trial, demand in enumerate(demands):
-            plan = outage_plan(rate, seed=seed + 7919 * rate_index + trial)
-            degrade, reroute = reroute_trial(demand, scheduler, params, plan)
-            degrade_stranded.append(degrade.stranded_volume)
-            reroute_stranded.append(reroute.stranded_volume)
-            outcome = reroute.reroute
-            swaps.append(outcome.n_swaps if outcome is not None else 0)
-            if outcome is not None and outcome.n_swaps:
-                recoveries.append(outcome.recovery_ms)
-        points.append(
-            ReroutePoint(
-                fault_rate=float(rate),
-                degrade_stranded=float(np.mean(degrade_stranded)),
-                reroute_stranded=float(np.mean(reroute_stranded)),
-                swaps=float(np.mean(swaps)),
-                recovery_ms=float(np.mean(recoveries)) if recoveries else 0.0,
-                n_ports=radix,
-            )
-        )
-    return points
+    return _figure("fig11", ocs, radices, n_trials, seed, skew_counts=skew_counts)
 
 
 # ---------------------------------------------------------------------- #
@@ -366,25 +172,21 @@ def runtime_table(
     workload:
         ``"typical"`` (§3.3) or ``"intensive"`` (§3.4).
     """
-    if workload == "typical":
-        factory = CombinedWorkload.typical
-    elif workload == "intensive":
-        factory = CombinedWorkload.intensive
-    else:
+    if workload not in ("typical", "intensive"):
         raise ValueError(f"unknown workload {workload!r}; expected 'typical' or 'intensive'")
+    trials = n_trials if n_trials is not None else default_trials()
     rows = []
     for n_ports in radices:
         per_ocs = {}
         for ocs in ("slow", "fast"):
-            params = params_for(ocs, n_ports)
-            per_ocs[ocs] = run_comparison(
-                ExperimentConfig(
-                    workload=factory(params),
-                    params=params,
-                    scheduler=scheduler,
-                    n_trials=n_trials,
-                    seed=seed,
-                )
+            specs = compare_specs(
+                workload=workload,
+                ocs=ocs,
+                radix=n_ports,
+                scheduler=scheduler,
+                trials=trials,
+                seed=seed,
             )
+            per_ocs[ocs] = single_comparison(specs, _run(specs))
         rows.append(runtime_row(n_ports, per_ocs["slow"], per_ocs["fast"]))
     return rows

@@ -25,8 +25,8 @@ Hardware robustness (:func:`fault_trial`): the complementary question —
 perfect knowledge, imperfect *fabric*.  A :class:`~repro.faults.plan.FaultPlan`
 is injected into the execution of both switches' schedules, and the h vs cp
 completion-time gap under growing fault rates is the degradation curve of
-``python -m repro robustness`` and
-:func:`repro.analysis.figures.degradation_curve`.
+``python -m repro robustness`` (and, with ``--fast-reroute``, the
+fast-reroute-vs-degrade comparison of :func:`reroute_trial`).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import math
 
 import numpy as np
 
+from repro.analysis.experiment import comparison_demand
 from repro.core.scheduler import CpSchedule, CpSwitchScheduler
 from repro.faults.plan import FaultPlan
 from repro.faults.reroute import BackupPlanner
@@ -175,25 +176,21 @@ def robustness_trial(
 # ---------------------------------------------------------------------- #
 
 
-def _sweep_demand(ocs: str, radix: int, seed: int, trial: int) -> np.ndarray:
-    """Demand for trial ``trial`` of a robustness sweep (skewed workload,
-    same per-trial stream as the sequential sweeps use)."""
-    from repro.analysis.experiment import trial_rng
-    from repro.switch.params import ocs_params
-    from repro.workloads import SkewedWorkload
-
-    params = ocs_params(ocs, radix)
-    workload = SkewedWorkload.for_params(params)
-    return workload.generate(radix, trial_rng(seed, trial)).demand
-
-
 def robustness_demand(*, ocs: str, radix: int, seed: int = 2016, trial: int = 0, **_ignored) -> np.ndarray:
-    """Quarantine hook: the demand matrix a robustness sweep trial uses.
+    """The demand matrix a robustness sweep trial uses: the skewed
+    workload's trial ``trial`` — Figure 5's demand.
 
-    Extra kwargs (``error``, ``rate``, …) are accepted and ignored so the
-    same kwargs dict drives both the trial and its reproducer.
+    Also the quarantine hook: extra kwargs (``error``, ``rate``, …) are
+    accepted and ignored so the same kwargs dict drives both the trial and
+    its reproducer.
     """
-    return _sweep_demand(ocs, radix, seed, trial)
+    return comparison_demand(workload="skewed", ocs=ocs, radix=radix, seed=seed, trial=trial)
+
+
+def _plan_seed(seed: int, rate_index: int, trial: int) -> int:
+    """Fault-plan seed: one realization per (rate, trial) of a sweep,
+    reproducible from its root seed."""
+    return seed + 7919 * rate_index + trial
 
 
 def error_trial(
@@ -208,7 +205,7 @@ def error_trial(
     from repro.switch.params import ocs_params
 
     params = ocs_params(ocs, radix)
-    demand = _sweep_demand(ocs, radix, seed, trial)
+    demand = robustness_demand(ocs=ocs, radix=radix, seed=seed, trial=trial)
     h_result, cp_result = robustness_trial(
         demand,
         SolsticeScheduler(),
@@ -238,16 +235,17 @@ def fault_rate_trial(
     """One journaled hardware-fault trial (JSON in, JSON out).
 
     Executes both switches' schedules under a uniform fault plan at
-    ``rate``; the plan seed matches
-    :func:`repro.analysis.figures.degradation_curve` exactly, so journaled
-    and sequential sweeps agree bit-for-bit.
+    ``rate`` (:meth:`~repro.faults.plan.FaultPlan.uniform`: reconfiguration
+    failures/stragglers, circuit setup failures, composite-port outages and
+    EPS degradation all at that rate).  Every rate of a sweep sees the same
+    demands, so movement along the rate axis is fault-driven.
     """
     from repro.hybrid.solstice import SolsticeScheduler
     from repro.switch.params import ocs_params
 
     params = ocs_params(ocs, radix)
-    demand = _sweep_demand(ocs, radix, seed, trial)
-    plan = FaultPlan.uniform(rate, seed=seed + 7919 * rate_index + trial)
+    demand = robustness_demand(ocs=ocs, radix=radix, seed=seed, trial=trial)
+    plan = FaultPlan.uniform(rate, seed=_plan_seed(seed, rate_index, trial))
     h_result, cp_result = fault_trial(demand, SolsticeScheduler(), params, plan)
     return {
         "trial": trial,
@@ -313,15 +311,15 @@ def reroute_rate_trial(
     """One journaled fast-reroute-vs-degrade trial (JSON in, JSON out).
 
     Executes the cp-Switch schedule under an outage-only plan at ``rate``
-    with and without fast-reroute; the plan seed matches the fault sweep's
-    formula so journaled and sequential runs agree bit-for-bit.
+    with and without fast-reroute; the plan seed is the fault sweep's, so
+    trial ``t`` at a rate sees the same outage draws in both sweeps.
     """
     from repro.hybrid.solstice import SolsticeScheduler
     from repro.switch.params import ocs_params
 
     params = ocs_params(ocs, radix)
-    demand = _sweep_demand(ocs, radix, seed, trial)
-    plan = outage_plan(rate, seed=seed + 7919 * rate_index + trial)
+    demand = robustness_demand(ocs=ocs, radix=radix, seed=seed, trial=trial)
+    plan = outage_plan(rate, seed=_plan_seed(seed, rate_index, trial))
     degrade, reroute = reroute_trial(demand, SolsticeScheduler(), params, plan)
     outcome = reroute.reroute
     return {

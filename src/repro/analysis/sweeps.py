@@ -1,13 +1,16 @@
-"""Declarative sweep specs: every CLI sweep as journaled trial units.
+"""Declarative sweep specs: every paper experiment as trial units.
 
-This module is the bridge between the experiment layer and the
-crash-tolerant runner (:mod:`repro.runner`): it decomposes each sweep the
-CLI offers — ``compare``, ``figure``, ``robustness`` — into a flat list of
+This module decomposes each sweep — ``compare``, ``figure``,
+``robustness`` — into a flat list of
 :class:`~repro.runner.isolation.TrialSpec` (one per ``(experiment, seed)``
 key, all-JSON kwargs, quarantine demand hook attached) and aggregates the
-journaled payloads back into the same objects the sequential code paths
-produce (:class:`~repro.analysis.experiment.ComparisonAggregate`,
-:class:`~repro.analysis.figures.FigurePoint`, degradation rows).
+trials' payloads into :class:`~repro.analysis.experiment.ComparisonAggregate`
+and :class:`FigurePoint`.  It is the one definition of the paper's
+experiments: the CLI hands the specs to the crash-tolerant runner
+(:mod:`repro.runner`, journaled, subprocess workers), and
+:mod:`repro.analysis.figures` calls the same trial functions on the same
+specs in-process.  A figure's workload and scheduler live only in
+:data:`FIGURE_PAIRINGS`.
 
 Because each trial spec pins its own demand stream
 (:func:`repro.analysis.experiment.trial_rng`), execution order, subprocess
@@ -21,10 +24,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.analysis.experiment import ComparisonAggregate, comparison_from_payloads
-from repro.analysis.figures import FigurePoint
 from repro.runner.isolation import TrialSpec
 
 #: Figure name -> (workload, scheduler) per the paper's §3 pairing.
@@ -48,6 +51,16 @@ _FAULT_FN = "repro.analysis.robustness:fault_rate_trial"
 _REROUTE_FN = "repro.analysis.robustness:reroute_rate_trial"
 _DEADLINE_FN = "repro.analysis.robustness:deadline_trial"
 _ROBUSTNESS_DEMAND_FN = "repro.analysis.robustness:robustness_demand"
+
+
+@dataclass(frozen=True)
+class FigurePoint:
+    """One x-axis point of a figure: a radix (and optionally a skew count)
+    with its aggregated h-vs-cp comparison."""
+
+    n_ports: int
+    result: ComparisonAggregate
+    skewed_ports: "int | None" = None
 
 
 def sweep_fingerprint(kind: str, args: dict) -> str:
@@ -76,6 +89,31 @@ def default_journal_path(kind: str, args: dict) -> Path:
 # ---------------------------------------------------------------------- #
 
 
+def _check_axes(trials: int, radices) -> None:
+    """Reject a sweep no trial of which could run, before any spec exists."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    for radix in radices:
+        if radix < 2:
+            raise ValueError(f"radix must be >= 2, got {radix}")
+
+
+def _point_specs(
+    experiment: str, fn: str, demand_fn: str, trials: int, **kwargs
+) -> "list[TrialSpec]":
+    """The ``trials`` specs of one experiment point; only ``trial`` differs."""
+    return [
+        TrialSpec(
+            experiment=experiment,
+            key=f"{experiment}:{trial:04d}",
+            fn=fn,
+            kwargs={**kwargs, "trial": trial},
+            demand_fn=demand_fn,
+        )
+        for trial in range(trials)
+    ]
+
+
 def compare_specs(
     *,
     workload: str,
@@ -88,26 +126,20 @@ def compare_specs(
     window: "float | None" = None,
 ) -> "list[TrialSpec]":
     """One spec per trial of an h-vs-cp comparison point."""
-    experiment = f"compare-{workload}-{scheduler}-{ocs}-r{radix}"
-    return [
-        TrialSpec(
-            experiment=experiment,
-            key=f"{experiment}:{trial:04d}",
-            fn=_COMPARISON_FN,
-            kwargs={
-                "workload": workload,
-                "ocs": ocs,
-                "radix": radix,
-                "scheduler": scheduler,
-                "seed": seed,
-                "trial": trial,
-                "skewed_ports": skewed_ports,
-                "window": window,
-            },
-            demand_fn=_COMPARISON_DEMAND_FN,
-        )
-        for trial in range(trials)
-    ]
+    _check_axes(trials, (radix,))
+    return _point_specs(
+        f"compare-{workload}-{scheduler}-{ocs}-r{radix}",
+        _COMPARISON_FN,
+        _COMPARISON_DEMAND_FN,
+        trials,
+        workload=workload,
+        ocs=ocs,
+        radix=radix,
+        scheduler=scheduler,
+        seed=seed,
+        skewed_ports=skewed_ports,
+        window=window,
+    )
 
 
 def figure_specs(
@@ -122,31 +154,24 @@ def figure_specs(
     """Specs of one of the paper's figure sweeps (trial granularity)."""
     if name not in FIGURE_PAIRINGS:
         raise ValueError(f"unknown figure {name!r}; expected one of {sorted(FIGURE_PAIRINGS)}")
+    _check_axes(trials, radices)
     workload, scheduler = FIGURE_PAIRINGS[name]
     specs: "list[TrialSpec]" = []
     for radix in radices:
-        counts = skew_counts if name == "fig11" else (1,)
-        for k in counts:
-            experiment = f"{name}-r{radix}" + (f"-k{k}" if name == "fig11" else "")
-            for trial in range(trials):
-                specs.append(
-                    TrialSpec(
-                        experiment=experiment,
-                        key=f"{experiment}:{trial:04d}",
-                        fn=_COMPARISON_FN,
-                        kwargs={
-                            "workload": workload,
-                            "ocs": ocs,
-                            "radix": radix,
-                            "scheduler": scheduler,
-                            "seed": seed,
-                            "trial": trial,
-                            "skewed_ports": k,
-                            "window": None,
-                        },
-                        demand_fn=_COMPARISON_DEMAND_FN,
-                    )
-                )
+        for k in skew_counts if name == "fig11" else (1,):
+            specs += _point_specs(
+                f"{name}-r{radix}" + (f"-k{k}" if name == "fig11" else ""),
+                _COMPARISON_FN,
+                _COMPARISON_DEMAND_FN,
+                trials,
+                workload=workload,
+                ocs=ocs,
+                radix=radix,
+                scheduler=scheduler,
+                seed=seed,
+                skewed_ports=k,
+                window=None,
+            )
     return specs
 
 
@@ -164,82 +189,39 @@ def robustness_specs(
     """Specs of the robustness command's sweeps (fault + error, with
     ``reroute`` a fast-reroute-vs-degrade arm per fault rate, and with
     ``deadlines`` a deadline-aware anytime-controller arm per value in ms)."""
+    _check_axes(trials, (radix,))
+    point = {"ocs": ocs, "radix": radix, "seed": seed}
     specs: "list[TrialSpec]" = []
     for deadline_ms in deadlines:
-        experiment = f"deadline-{ocs}-r{radix}@{deadline_ms:g}ms"
-        for trial in range(trials):
-            specs.append(
-                TrialSpec(
-                    experiment=experiment,
-                    key=f"{experiment}:{trial:04d}",
-                    fn=_DEADLINE_FN,
-                    kwargs={
-                        "ocs": ocs,
-                        "radix": radix,
-                        "seed": seed,
-                        "trial": trial,
-                        "deadline_ms": float(deadline_ms),
-                    },
-                    demand_fn=_ROBUSTNESS_DEMAND_FN,
-                )
-            )
-    if reroute:
+        specs += _point_specs(
+            f"deadline-{ocs}-r{radix}@{deadline_ms:g}ms",
+            _DEADLINE_FN,
+            _ROBUSTNESS_DEMAND_FN,
+            trials,
+            **point,
+            deadline_ms=float(deadline_ms),
+        )
+    arms = ([("reroute", _REROUTE_FN)] if reroute else []) + [("fault", _FAULT_FN)]
+    for arm, fn in arms:
         for rate_index, rate in enumerate(fault_rates):
-            experiment = f"reroute-{ocs}-r{radix}@{rate:g}"
-            for trial in range(trials):
-                specs.append(
-                    TrialSpec(
-                        experiment=experiment,
-                        key=f"{experiment}:{trial:04d}",
-                        fn=_REROUTE_FN,
-                        kwargs={
-                            "ocs": ocs,
-                            "radix": radix,
-                            "seed": seed,
-                            "trial": trial,
-                            "rate": float(rate),
-                            "rate_index": rate_index,
-                        },
-                        demand_fn=_ROBUSTNESS_DEMAND_FN,
-                    )
-                )
-    for rate_index, rate in enumerate(fault_rates):
-        experiment = f"fault-{ocs}-r{radix}@{rate:g}"
-        for trial in range(trials):
-            specs.append(
-                TrialSpec(
-                    experiment=experiment,
-                    key=f"{experiment}:{trial:04d}",
-                    fn=_FAULT_FN,
-                    kwargs={
-                        "ocs": ocs,
-                        "radix": radix,
-                        "seed": seed,
-                        "trial": trial,
-                        "rate": float(rate),
-                        "rate_index": rate_index,
-                    },
-                    demand_fn=_ROBUSTNESS_DEMAND_FN,
-                )
+            specs += _point_specs(
+                f"{arm}-{ocs}-r{radix}@{rate:g}",
+                fn,
+                _ROBUSTNESS_DEMAND_FN,
+                trials,
+                **point,
+                rate=float(rate),
+                rate_index=rate_index,
             )
     for error in error_rates:
-        experiment = f"error-{ocs}-r{radix}@{error:g}"
-        for trial in range(trials):
-            specs.append(
-                TrialSpec(
-                    experiment=experiment,
-                    key=f"{experiment}:{trial:04d}",
-                    fn=_ERROR_FN,
-                    kwargs={
-                        "ocs": ocs,
-                        "radix": radix,
-                        "seed": seed,
-                        "trial": trial,
-                        "error": float(error),
-                    },
-                    demand_fn=_ROBUSTNESS_DEMAND_FN,
-                )
-            )
+        specs += _point_specs(
+            f"error-{ocs}-r{radix}@{error:g}",
+            _ERROR_FN,
+            _ROBUSTNESS_DEMAND_FN,
+            trials,
+            **point,
+            error=float(error),
+        )
     return specs
 
 

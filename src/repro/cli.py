@@ -172,6 +172,24 @@ def _check_positive_budget(value, flag: str, unit: str = "seconds"):
     return value
 
 
+def _parse_radices(text: str, command: str) -> "tuple[int, ...]":
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise SystemExit(
+            f"{command}: --radices must be comma-separated integers, got {text!r}"
+        ) from None
+
+
+def _build_specs(command: str, build, *args, **kwargs):
+    """A sweep's trial specs; a bad axis (``--trials 0``, a radix below 2)
+    exits with one line before any trial runs or is journaled."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise SystemExit(f"{command}: {exc}") from None
+
+
 def _sweep_config(args) -> SweepConfig:
     retries = getattr(args, "retries", 2)
     if retries < 0:
@@ -255,7 +273,7 @@ def cmd_compare(args) -> int:
         "seed": args.seed,
         "skewed_ports": args.skewed_ports,
     }
-    specs = compare_specs(**sweep_args)
+    specs = _build_specs("compare", compare_specs, **sweep_args)
     result, _journal = _run_sweep(args, "compare", sweep_args, specs)
     if not result.completed:
         print("error: every trial failed; nothing to aggregate", file=sys.stderr)
@@ -295,7 +313,7 @@ def _print_figure(sweep_args: dict, specs, completed: dict) -> None:
 
 
 def cmd_figure(args) -> int:
-    radices = tuple(int(part) for part in args.radices.split(","))
+    radices = _parse_radices(args.radices, "figure")
     sweep_args = {
         "name": args.name,
         "ocs": args.ocs,
@@ -303,8 +321,14 @@ def cmd_figure(args) -> int:
         "trials": args.trials,
         "seed": args.seed,
     }
-    specs = figure_specs(
-        args.name, ocs=args.ocs, radices=radices, trials=args.trials, seed=args.seed
+    specs = _build_specs(
+        "figure",
+        figure_specs,
+        args.name,
+        ocs=args.ocs,
+        radices=radices,
+        trials=args.trials,
+        seed=args.seed,
     )
     result, _journal = _run_sweep(args, "figure", sweep_args, specs)
     if not result.completed:
@@ -529,7 +553,9 @@ def cmd_robustness(args) -> int:
         "fast_reroute": bool(args.fast_reroute),
         "deadlines": list(deadlines),
     }
-    specs = robustness_specs(
+    specs = _build_specs(
+        "robustness",
+        robustness_specs,
         ocs=args.ocs,
         radix=args.radix,
         trials=args.trials,
@@ -816,13 +842,7 @@ def cmd_obs_export(args) -> int:
 
 
 def _parse_point_axes(args) -> "tuple[tuple[int, ...], tuple[str, ...]]":
-    try:
-        radices = tuple(int(part) for part in args.radices.split(","))
-    except ValueError:
-        raise SystemExit(
-            f"obs baseline: --radices must be comma-separated integers, "
-            f"got {args.radices!r}"
-        ) from None
+    radices = _parse_radices(args.radices, "obs baseline")
     schedulers = tuple(part.strip() for part in args.schedulers.split(","))
     for scheduler in schedulers:
         if scheduler not in ("solstice", "eclipse"):

@@ -24,8 +24,8 @@ This module brings that pattern to cp-Switch scheduling:
 
 Planning is deliberately **incremental** (cf. *Costly Circuits, Submodular
 Schedules*: cheap repair beats recomputation).  A full re-schedule per
-backup re-runs the inner h-Switch scheduler once per granted port, which
-measures at several *hundred* percent of the primary ``h_schedule`` cost at
+backup would re-run the inner h-Switch scheduler once per granted port; it
+measured at several *hundred* percent of the primary ``h_schedule`` cost at
 radix 128 — the orphaned entries are individually small, so the repair
 schedule degenerates into one circuit per entry, exactly the regime
 composite paths exist to avoid.  The incremental backup instead re-runs
@@ -33,8 +33,7 @@ only Algorithm 1's demand reduction with the dead port blocked (so the
 *other* direction's row/column qualification is judged against the full
 demand, not the orphan delta) and reuses the primary schedule's surviving
 grants to serve the re-parked demand: measured well under 10 % of
-``h_schedule``.  ``full_reschedule=True`` keeps the expensive
-replace-the-tail mode available for experiments.
+``h_schedule``.
 
 No entropy is consumed at plan or swap time, and a run in which no outage
 fires never invokes the runtime's repair path — fault-free executions with
@@ -83,32 +82,19 @@ class BackupSchedule:
     blocked_o2m, blocked_m2o:
         The composite ports this backup assumes unusable (baseline dead
         ports plus the failure class itself).
-    entries:
-        Replacement configurations for the pending tail.  Empty for
-        incremental backups (the stripped primary tail is reused); a
-        ``full_reschedule`` planner fills it with a fresh
-        :class:`~repro.core.scheduler.CompositeScheduleEntry` sequence.
-    replace:
-        Whether ``entries`` replaces the pending tail (``True`` only for
-        ``full_reschedule`` backups).
     """
 
     key: str
     filtered: np.ndarray
     blocked_o2m: "frozenset[int]" = frozenset()
     blocked_m2o: "frozenset[int]" = frozenset()
-    entries: tuple = ()
-    replace: bool = False
 
     def __post_init__(self) -> None:
         filtered = np.asarray(self.filtered, dtype=np.float64)
         filtered.setflags(write=False)
         object.__setattr__(self, "filtered", filtered)
-        object.__setattr__(self, "entries", tuple(self.entries))
         object.__setattr__(self, "blocked_o2m", frozenset(self.blocked_o2m))
         object.__setattr__(self, "blocked_m2o", frozenset(self.blocked_m2o))
-        if self.replace and not self.entries and self.key != FALLBACK_KEY:
-            raise ValueError("a replace-mode backup needs replacement entries")
 
     @property
     def parkable_volume(self) -> float:
@@ -259,18 +245,10 @@ class BackupPlanner:
     scheduler:
         The :class:`~repro.core.scheduler.CpSwitchScheduler` that produced
         the primary (its :class:`~repro.core.config.FilterConfig` drives
-        the backup reductions; ``full_reschedule`` also reuses its inner
-        h-Switch scheduler).
-    full_reschedule:
-        Compute each backup as a complete replacement schedule
-        (``scheduler.schedule`` with the failure class blocked) instead of
-        the incremental reduction-only repair.  Expensive — the orphaned
-        entries are small, so the inner scheduler burns one circuit per
-        entry; kept for experiments, off by default.
+        the backup reductions).
     """
 
     scheduler: "object"
-    full_reschedule: bool = False
 
     def plan(
         self,
@@ -309,7 +287,7 @@ class BackupPlanner:
                 blocked_o2m=base_o2m,
                 blocked_m2o=base_m2o,
             )
-            span.set(armed=len(per_port), full_reschedule=self.full_reschedule)
+            span.set(armed=len(per_port))
         elapsed = time.perf_counter() - started
         if obs.active():
             obs.get_metrics().counter(
@@ -336,21 +314,6 @@ class BackupPlanner:
     ) -> BackupSchedule:
         blocked_o2m = base_o2m | ({port} if kind == "o2m" else frozenset())
         blocked_m2o = base_m2o | ({port} if kind == "m2o" else frozenset())
-        if self.full_reschedule:
-            schedule = self.scheduler.schedule(
-                demand,
-                params,
-                blocked_o2m=blocked_o2m or None,
-                blocked_m2o=blocked_m2o or None,
-            )
-            return BackupSchedule(
-                key=backup_key(kind, port),
-                filtered=schedule.reduction.filtered,
-                blocked_o2m=blocked_o2m,
-                blocked_m2o=blocked_m2o,
-                entries=schedule.entries,
-                replace=True,
-            )
         # Incremental repair: re-run only the Algorithm 1 reduction with
         # the failure class blocked.  The full demand matrix is passed so
         # row/column qualification keeps its original context — re-reducing
@@ -458,10 +421,8 @@ class RerouteRuntime:
 
         Called right after ``_surviving_composites`` dropped (and released)
         the dead grants of the configuration at ``pending[index]``.
-        Returns ``(pending, composites_for, replace_swapped)`` — the
-        (possibly respliced) pending list, the (possibly stripped/switched)
-        composites accessor, and whether a replace-mode backup reset the
-        tail.
+        Returns the composites accessor for the pending tail, stripped of
+        dead grants.
         """
         injector, engine = self._injector, self._engine
         self._dead_keys = {("o2m", p) for p in injector.dead_o2m} | {
@@ -471,7 +432,7 @@ class RerouteRuntime:
             injector.dead_o2m, injector.dead_m2o, self._active_key
         )
         if backup is None:
-            return pending, composites_for, False
+            return composites_for
         self._swapped = True
         self._active_key = backup.key
         detected = engine.clock
@@ -482,20 +443,9 @@ class RerouteRuntime:
         #    occurred in an already-executed configuration cannot serve
         #    anything again, so parking demand against it would strand the
         #    demand until the final drain.
-        if backup.replace:
-            tail = list(backup.entries)
-            remaining = {
-                (s.kind, s.port)
-                for e in tail
-                for s in _base_composites(e)
-            }
-        else:
-            tail = None
-            remaining = {
-                (s.kind, s.port)
-                for e in pending[index + 1 :]
-                for s in composites_for(e)
-            }
+        remaining = {
+            (s.kind, s.port) for e in pending[index + 1 :] for s in composites_for(e)
+        }
         remaining |= {(s.kind, s.port) for s in alive_composites}
         remaining -= self._dead_keys
         n = engine.n
@@ -508,34 +458,27 @@ class RerouteRuntime:
                 col_covered[g_port] = True
         covered = row_covered[:, None] | col_covered[None, :]
 
-        # 2. Consolidate.  Replace-mode resets all parking for its fresh
-        #    tail.  The incremental repair leaves covered parked demand
-        #    exactly where the primary put it (its grants still serve it)
-        #    and *abandons* to the EPS only the composite residual no
-        #    surviving grant will ever cover again — otherwise that volume
-        #    sits parked and unservable until the horizon.  The dead
-        #    row/column itself was already released by the engine, so the
-        #    orphans are on the regular paths and step 3 re-parks only
-        #    them (covered parked cells have no regular residual to take).
-        if backup.replace:
-            abandoned = engine.merge_composite_into_regular()
-        else:
-            abandoned = engine.merge_composite_into_regular(mask=~covered)
+        # 2. Consolidate.  Covered parked demand stays exactly where the
+        #    primary put it (its grants still serve it); only the composite
+        #    residual no surviving grant will ever cover again is
+        #    *abandoned* to the EPS — otherwise that volume sits parked and
+        #    unservable until the horizon.  The dead row/column itself was
+        #    already released by the engine, so the orphans are on the
+        #    regular paths and step 3 re-parks only them (covered parked
+        #    cells have no regular residual to take).
+        abandoned = engine.merge_composite_into_regular(mask=~covered)
 
         # 3. Re-park the orphans the backup can still serve, capped by the
         #    surviving grants' remaining service capacity.
         parkable = np.where(covered, backup.filtered, 0.0)
         take = np.minimum(parkable, engine.regular)
         take = self._cap_to_capacity(
-            take, pending, index, alive_composites, tail, composites_for
+            take, pending, index, alive_composites, composites_for
         )
         carried = engine.repark_composite(take)
 
-        # 4. Re-splice the pending tail.
-        if backup.replace:
-            pending = pending[: index + 1] + tail
-            composites_for = self.strip(_base_composites)
-        elif not getattr(composites_for, "__wrapped_by_reroute__", False):
+        # 4. Strip the dead grants from the pending tail.
+        if not getattr(composites_for, "__wrapped_by_reroute__", False):
             composites_for = self.strip(composites_for)
 
         # 5. Recovery bookkeeping: which surviving grants cover the
@@ -570,7 +513,6 @@ class RerouteRuntime:
                 released_mb=released,
                 carried_mb=carried,
                 abandoned_mb=abandoned,
-                replace=backup.replace,
             )
             metrics = obs.get_metrics()
             metrics.counter(
@@ -580,11 +522,9 @@ class RerouteRuntime:
                 "reroute_reparked_mb_total",
                 "volume (Mb) re-parked onto surviving composite paths",
             ).inc(carried)
-        return pending, composites_for, backup.replace
+        return composites_for
 
-    def _cap_to_capacity(
-        self, take, pending, index, alive_composites, tail, composites_for
-    ):
+    def _cap_to_capacity(self, take, pending, index, alive_composites, composites_for):
         """Cap the re-parked volume by what surviving grants can still serve.
 
         Demand parked on a composite path is only served while a covering
@@ -604,10 +544,8 @@ class RerouteRuntime:
         rate = engine.params.ocs_rate
         row_ms = np.zeros(n)
         col_ms = np.zeros(n)
-        entries = tail if tail is not None else pending[index + 1 :]
-        accessor = _base_composites if tail is not None else composites_for
-        for entry in entries:
-            for grant in accessor(entry):
+        for entry in pending[index + 1 :]:
+            for grant in composites_for(entry):
                 if (grant.kind, grant.port) in self._dead_keys:
                     continue
                 if grant.kind == "o2m":
@@ -689,15 +627,3 @@ class RerouteRuntime:
         return RerouteOutcome(
             swaps=tuple(events), backups_armed=self.backups.n_armed
         )
-
-
-def _base_composites(entry):
-    """Base-schedule composites accessor (for replace-mode backup tails)."""
-    from repro.sim.engine import CompositeService
-
-    services = []
-    if entry.o2m_port is not None:
-        services.append(CompositeService(kind="o2m", port=entry.o2m_port))
-    if entry.m2o_port is not None:
-        services.append(CompositeService(kind="m2o", port=entry.m2o_port))
-    return services

@@ -204,10 +204,7 @@ def _run(
         return min(duration, max(0.0, horizon - engine.clock))
 
     truncated = False
-    pending = list(entries)
-    index = 0
-    while index < len(pending):
-        entry = pending[index]
+    for index, entry in enumerate(entries):
         if horizon is not None and engine.clock >= horizon:
             truncated = True
             break
@@ -231,8 +228,8 @@ def _run(
                     # swap to the matching precomputed backup at this phase
                     # boundary.  The current configuration keeps running
                     # with its surviving grants.
-                    pending, composites_for, _ = reroute.on_outage(
-                        pending, index, composites, composites_for
+                    composites_for = reroute.on_outage(
+                        entries, index, composites, composites_for
                     )
             if reroute is not None:
                 reroute.note_hold(composites)
@@ -247,7 +244,6 @@ def _run(
             composites=composites,
             eps_port_scale=eps_scale,
         )
-        index += 1
     if horizon is not None and engine.clock >= horizon:
         truncated = True
 

@@ -121,6 +121,30 @@ class TestRunComparison:
         with pytest.raises(ValueError, match="REPRO_SEEDS must be an integer.*'abc'"):
             default_trials()
 
+    @pytest.mark.parametrize("n_trials", [0, -1])
+    def test_rejects_fewer_than_one_trial(self, n_trials):
+        # Zero trials would aggregate to nan +- 0 (n=0) for every metric.
+        params = fast_ocs_params(16)
+        config = ExperimentConfig(
+            workload=SkewedWorkload.for_params(params), params=params, n_trials=n_trials
+        )
+        with pytest.raises(ValueError, match=f"n_trials must be >= 1, got {n_trials}"):
+            run_comparison(config)
+
+    def test_benchmark_trials_share_the_env_rule(self, monkeypatch):
+        from benchmarks.common import trials
+
+        monkeypatch.delenv("REPRO_SEEDS", raising=False)
+        assert trials() == 2
+        monkeypatch.setenv("REPRO_SEEDS", "3")
+        assert trials() == 3
+        monkeypatch.setenv("REPRO_SEEDS", "0")
+        with pytest.raises(ValueError, match="REPRO_SEEDS must be >= 1"):
+            trials()
+        monkeypatch.setenv("REPRO_SEEDS", "abc")
+        with pytest.raises(ValueError, match="REPRO_SEEDS must be an integer"):
+            trials()
+
     def test_unknown_scheduler_rejected(self):
         params = fast_ocs_params(16)
         config = ExperimentConfig(

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
+from repro.analysis.experiment import comparison_trial
 from repro.analysis.figures import (
     figure5,
     figure6,
@@ -11,6 +14,7 @@ from repro.analysis.figures import (
     params_for,
     runtime_table,
 )
+from repro.analysis.sweeps import comparison_points, figure_specs
 
 TINY = dict(radices=(16,), n_trials=1, seed=1)
 
@@ -47,6 +51,43 @@ class TestFigureFunctions:
         points = figure5("fast", radices=(16, 24), n_trials=1, seed=1)
         assert [p.n_ports for p in points] == [16, 24]
 
+    def test_zero_trials_rejected(self):
+        # Zero trials would aggregate to nan +- 0 (n=0) for every metric.
+        with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+            figure5("fast", radices=(16,), n_trials=0)
+
+
+def _deterministic(point) -> dict:
+    """A figure point minus its scheduler wall times (host timing)."""
+    fields = asdict(point)
+    fields["result"] = {
+        key: value
+        for key, value in fields["result"].items()
+        if not key.endswith("_sched_seconds")
+    }
+    return fields
+
+
+class TestLibraryMatchesCli:
+    """``figureN`` and ``repro figure figN`` must run one experiment: the
+    library's points equal the CLI's trial unit aggregated by
+    :func:`comparison_points`, field for field."""
+
+    @pytest.mark.parametrize(
+        "name, figure, extra",
+        [
+            ("fig5", figure5, {}),
+            ("fig6", figure6, {}),
+            ("fig11", figure11, {"skew_counts": (1, 2)}),
+        ],
+    )
+    def test_same_points(self, name, figure, extra):
+        library = figure("fast", radices=(16,), n_trials=2, seed=1, **extra)
+        specs = figure_specs(name, ocs="fast", radices=(16,), trials=2, seed=1, **extra)
+        completed = {spec.key: comparison_trial(**spec.kwargs) for spec in specs}
+        cli = [point for _, point in comparison_points(specs, completed)]
+        assert [_deterministic(p) for p in library] == [_deterministic(p) for p in cli]
+
 
 class TestRuntimeTable:
     def test_rows_per_radix(self):
@@ -64,3 +105,7 @@ class TestRuntimeTable:
     def test_unknown_workload(self):
         with pytest.raises(ValueError):
             runtime_table("solstice", workload="weird", radices=(16,), n_trials=1)
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+            runtime_table("solstice", radices=(16,), n_trials=0)

@@ -162,6 +162,46 @@ class TestBudgetValidation:
             )
 
 
+class TestSweepAxisValidation:
+    """--trials below 1, a radix below 2 and an unparseable --radices exit
+    with one line before any trial runs, and nothing is journaled."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compare", "--radix", "16", "--trials", "0"], "compare: trials must be >= 1, got 0"),
+            (["figure", "fig5", "--radices", "16", "--trials", "0"], "figure: trials must be >= 1, got 0"),
+            (["robustness", "--radix", "16", "--trials", "0"], "robustness: trials must be >= 1, got 0"),
+            (["sweep", "compare", "--radix", "16", "--trials", "-2"], "compare: trials must be >= 1, got -2"),
+            (["compare", "--radix", "1", "--trials", "1"], "compare: radix must be >= 2, got 1"),
+            (["figure", "fig5", "--radices", "0", "--trials", "1"], "figure: radix must be >= 2, got 0"),
+            (["figure", "fig6", "--radices", "16,1", "--trials", "1"], "figure: radix must be >= 2, got 1"),
+            (["robustness", "--radix", "1", "--trials", "1"], "robustness: radix must be >= 2, got 1"),
+            (
+                ["figure", "fig5", "--radices", "16,x", "--trials", "1"],
+                "figure: --radices must be comma-separated integers, got '16,x'",
+            ),
+        ],
+        ids=[
+            "compare-trials-0",
+            "figure-trials-0",
+            "robustness-trials-0",
+            "sweep-compare-trials-negative",
+            "compare-radix-1",
+            "figure-radix-0",
+            "figure-radix-1-in-list",
+            "robustness-radix-1",
+            "figure-radices-unparseable",
+        ],
+    )
+    def test_rejected_before_any_trial(self, argv, message, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RUN_DIR", str(tmp_path / "runs"))
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == message
+        assert not (tmp_path / "runs").exists()
+
+
 class TestDemandValidation:
     """Satellite: _load_demand rejects bad files with one actionable line."""
 

@@ -108,10 +108,6 @@ class TestBackupSchedule:
         backup = BackupSchedule(key="o2m:0", filtered=np.full((3, 3), 2.0))
         assert backup.parkable_volume == pytest.approx(18.0)
 
-    def test_replace_requires_entries(self):
-        with pytest.raises(ValueError, match="replace"):
-            BackupSchedule(key="o2m:0", filtered=np.zeros((4, 4)), replace=True)
-
 
 class TestBackupSetSelect:
     def _set(self):
@@ -405,24 +401,6 @@ class TestSwapSemantics:
             FALLBACK_KEY,
             *(backup_key("m2o", p) for p in m2o_ports[:2]),
         )
-
-    def test_full_reschedule_mode_swaps(self):
-        demand, cp_schedule, scheduler, _ = plan_backups()
-        backups = BackupPlanner(scheduler, full_reschedule=True).plan(
-            demand, cp_schedule, PARAMS
-        )
-        kill = sorted(backups.per_port)[-1]
-        assert backups.per_port[kill].replace
-        reroute = simulate_cp(
-            demand,
-            cp_schedule,
-            PARAMS,
-            horizon=cp_schedule.makespan,
-            faults=killer(*kill),
-            backups=backups,
-        )
-        reroute.check_conservation()
-        assert reroute.reroute.n_swaps == 1
 
 
 class TestRerouteTrials:

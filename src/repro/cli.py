@@ -16,8 +16,8 @@ Gives the library a no-code surface for the common workflows:
 * ``sweep``    — the same sweeps under explicit journal control, plus
   ``sweep --resume <journal>`` to finish an interrupted run;
 * ``serve``    — the continuous scheduling service loop: async arrival
-  ingestion into the closed-loop epoch controller, per-epoch auxiliary
-  stages sharded across a warm worker pool, drain-on-SIGTERM.
+  ingestion into the closed-loop epoch controller, advisory scheduler
+  arms sharded across a warm worker pool, drain-on-SIGTERM.
 
 Resilient execution
 -------------------
@@ -86,15 +86,13 @@ from repro.obs.summarize import (
     load_trace_or_snapshot,
     render_summary,
 )
+from repro.service.stages import DEFAULT_ARMS
 from repro.sim import simulate_cp, simulate_hybrid
 from repro.switch.params import SwitchParams, ocs_params
 from repro.utils.fileio import atomic_write_json, atomic_write_text
 from repro.utils.validation import check_demand_matrix
 
 WORKLOADS = ("skewed", "background", "typical", "intensive", "varying")
-
-#: Default sharded arms for `serve` (import-light: keep cli startup cheap).
-DEFAULT_SERVICE_ARMS = ("eclipse", "tdm")
 
 
 def _params(args) -> SwitchParams:
@@ -657,7 +655,6 @@ def cmd_serve(args) -> int:
         queue_depth=args.queue_depth,
         epoch_interval_s=args.interval,
         arms=arms,
-        shard_backups=use_cp and not args.no_backups,
         drain=not args.no_drain,
         telemetry_port=args.telemetry_port,
         telemetry_host=args.telemetry_host,
@@ -1159,11 +1156,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--queue-depth", type=int, default=4, metavar="N")
     serve.add_argument(
-        "--arms", default=",".join(DEFAULT_SERVICE_ARMS), metavar="NAMES",
+        "--arms", default=",".join(DEFAULT_ARMS), metavar="NAMES",
         help="comma-separated independent scheduler arms to shard each epoch "
         "('' disables)",
     )
-    serve.add_argument("--no-backups", action="store_true", help="skip the sharded backup-planning stage")
     serve.add_argument(
         "--max-backlog", type=float, metavar="MB",
         help="backpressure threshold (see controller overflow policy)",

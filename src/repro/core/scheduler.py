@@ -23,6 +23,7 @@ back to the EPS afterwards; the simulator handles that).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Collection
 
 import numpy as np
 
@@ -222,43 +223,11 @@ class CpSwitchScheduler:
         # Steps 3-4: interpret each permutation; schedule within composite
         # paths under the reserved EPS budget Ce*.
         with obs.profiled("cpsched.interpret") as interpret_span:
-            eps_budget = params.effective_eps_budget
-            filtered = reduction.filtered.copy()
-            entries: list[CompositeScheduleEntry] = []
-            for item in reduced_schedule:
-                if (
-                    self.budget is not None
-                    and not self.budget.checkpoint("cpsched.interpret")
-                    and self.budget.overdrawn()
-                ):
-                    # Interpretation is O(n) per configuration — cheap
-                    # enough to finish for the prefix the budget already
-                    # paid for — so it only truncates on a hard overdraft.
-                    # The parked demand the dropped configurations would
-                    # have served merges back for the EPS drain.
-                    break
-                previous = filtered.copy()
-                divided = divide_by_type(item.permutation)
-                if divided.o2m_port is not None:
-                    r = divided.o2m_port
-                    filtered[r, :] = cpsched(
-                        filtered[r, :], item.duration, params.ocs_rate, eps_budget
-                    )
-                if divided.m2o_port is not None:
-                    c = divided.m2o_port
-                    filtered[:, c] = cpsched(
-                        filtered[:, c], item.duration, params.ocs_rate, eps_budget
-                    )
-                entries.append(
-                    CompositeScheduleEntry(
-                        regular=divided.regular,
-                        duration=item.duration,
-                        composite_served=previous - filtered,
-                        o2m_port=divided.o2m_port,
-                        m2o_port=divided.m2o_port,
-                    )
-                )
-            interpret_span.set(configs=len(entries))
+            cp_schedule = interpret(
+                reduced_schedule, reduction, params, budget=self.budget
+            )
+            interpret_span.set(configs=len(cp_schedule.entries))
+        entries = cp_schedule.entries
 
         if obs.active():
             # Schedule-quality audit: what Algorithm 4 decided, not how
@@ -274,7 +243,7 @@ class CpSwitchScheduler:
                 o2m_grants=o2m_grants,
                 m2o_grants=m2o_grants,
                 composite_mb=composite_mb,
-                residual_mb=float(filtered.sum()),
+                residual_mb=float(cp_schedule.filtered_residual.sum()),
             )
             metrics = obs.get_metrics()
             metrics.counter(
@@ -293,10 +262,69 @@ class CpSwitchScheduler:
                 "volume (Mb) scheduled onto composite paths",
             ).inc(composite_mb)
 
-        return CpSchedule(
-            entries=tuple(entries),
-            reconfig_delay=params.reconfig_delay,
-            reduction=reduction,
-            filtered_residual=filtered,
-            reduced_schedule=reduced_schedule,
+        return cp_schedule
+
+
+def interpret(
+    reduced_schedule: Schedule,
+    reduction: ReducedDemand,
+    params: SwitchParams,
+    *,
+    dead_o2m: "Collection[int]" = (),
+    dead_m2o: "Collection[int]" = (),
+    budget=None,
+) -> CpSchedule:
+    """Algorithm 4 steps 3-4: interpret a reduced-space schedule.
+
+    Each permutation is split by DivideByType (Algorithm 3); each composite
+    grant then serves the filtered demand ``reduction.filtered`` with
+    CPSched (Algorithm 2) under the reserved EPS budget Ce*.
+
+    Grants on ``dead_o2m`` / ``dead_m2o`` ports are stripped: the entry
+    keeps its regular circuits and serves nothing over that composite path.
+    ``budget`` (a :class:`~repro.service.deadline.DeadlineBudget`) is polled
+    before each configuration and truncates only on a hard overdraft.
+    """
+    eps_budget = params.effective_eps_budget
+    filtered = reduction.filtered.copy()
+    entries: list[CompositeScheduleEntry] = []
+    for item in reduced_schedule:
+        if (
+            budget is not None
+            and not budget.checkpoint("cpsched.interpret")
+            and budget.overdrawn()
+        ):
+            # Interpretation is O(n) per configuration — cheap enough to
+            # finish for the prefix the budget already paid for — so it
+            # only truncates on a hard overdraft.  The parked demand the
+            # dropped configurations would have served merges back for the
+            # EPS drain.
+            break
+        previous = filtered.copy()
+        divided = divide_by_type(item.permutation)
+        o2m_port = None if divided.o2m_port in dead_o2m else divided.o2m_port
+        m2o_port = None if divided.m2o_port in dead_m2o else divided.m2o_port
+        if o2m_port is not None:
+            filtered[o2m_port, :] = cpsched(
+                filtered[o2m_port, :], item.duration, params.ocs_rate, eps_budget
+            )
+        if m2o_port is not None:
+            filtered[:, m2o_port] = cpsched(
+                filtered[:, m2o_port], item.duration, params.ocs_rate, eps_budget
+            )
+        entries.append(
+            CompositeScheduleEntry(
+                regular=divided.regular,
+                duration=item.duration,
+                composite_served=previous - filtered,
+                o2m_port=o2m_port,
+                m2o_port=m2o_port,
+            )
         )
+    return CpSchedule(
+        entries=tuple(entries),
+        reconfig_delay=params.reconfig_delay,
+        reduction=reduction,
+        filtered_residual=filtered,
+        reduced_schedule=reduced_schedule,
+    )

@@ -8,8 +8,7 @@ while it runs.  This module provides the three live pieces:
   ``GET /metrics`` (OpenMetrics text from a lock-consistent
   :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`), ``GET /healthz``
   (heartbeat freshness + drain state; 503 when stale) and ``GET /status``
-  (one JSON object: epoch, backlog, fallback level, pool liveness, burn
-  rates);
+  (the service's status snapshot — the same dict its heartbeat carries);
 * :class:`BurnRateTracker` — rolling multi-window SLO miss-rate gauges
   (``service_slo_burn_rate{window=...}``), judged on an injectable
   monotonic clock;
@@ -33,16 +32,12 @@ from pathlib import Path
 
 from repro.obs.export import render_openmetrics
 from repro.obs.incidents import EpochFrame, FlightRecorder
+from repro.runner.heartbeat import stale_after_s
 
 #: Default burn-rate windows: (label, seconds).  The classic multi-window
 #: pair — a fast window that detects an active burn and a slow one that
 #: filters blips — scaled to epoch cadence.
 DEFAULT_BURN_WINDOWS: "tuple[tuple[str, float], ...]" = (("1m", 60.0), ("10m", 600.0))
-
-#: /healthz flags the service stale when nothing has touched the telemetry
-#: plane for this many seconds (the service heartbeat ticker touches it
-#: every beat, so a healthy service stays far inside the horizon).
-DEFAULT_STALE_AFTER_S: float = 5.0
 
 #: Content type Prometheus expects from an OpenMetrics endpoint.
 OPENMETRICS_CONTENT_TYPE = "application/openmetrics-text; version=1.0.0; charset=utf-8"
@@ -202,10 +197,11 @@ class TelemetryServer:
 class LiveTelemetry:
     """The service's live telemetry plane: scrape + burn rates + recorder.
 
-    The service calls :meth:`on_epoch` once per epoch (loop thread),
-    :meth:`touch` from its heartbeat ticker (so /healthz freshness tracks
-    the same signal ``obs watch`` judges), and :meth:`set_draining` on
-    stop.  The scrape endpoints read through thread-safe snapshots.
+    The service calls :meth:`on_epoch` once per epoch (loop thread) and
+    :meth:`touch` on every liveness beat.  ``/status`` serves
+    ``status_fn()`` — the service's status snapshot, which merges in
+    :attr:`status_fields` — and ``/healthz`` judges the beat by the
+    heartbeat staleness rule (:func:`~repro.runner.heartbeat.stale_after_s`).
     """
 
     def __init__(
@@ -215,25 +211,24 @@ class LiveTelemetry:
         port: "int | None" = 0,
         host: str = "127.0.0.1",
         recorder: "FlightRecorder | None" = None,
-        burn_windows: "tuple[tuple[str, float], ...]" = DEFAULT_BURN_WINDOWS,
-        stale_after_s: float = DEFAULT_STALE_AFTER_S,
+        status_fn=dict,
         mono_clock=time.monotonic,
-        pool_status_fn=None,
     ) -> None:
         self.registry = registry
         self.recorder = recorder
-        self.burn = BurnRateTracker(burn_windows, mono_clock=mono_clock)
-        self.stale_after_s = float(stale_after_s)
+        self.burn = BurnRateTracker(mono_clock=mono_clock)
+        self._status_fn = status_fn
         self._mono = mono_clock
-        self._pool_status_fn = pool_status_fn
         self._lock = threading.Lock()
         self._last_touch = mono_clock()
-        self._draining = False
-        self._state: dict = {"epoch": None, "epochs_done": 0}
+        #: This plane's keys of the service status as of the last epoch:
+        #: ``slo_burn_rate``, plus ``incidents`` with a recorder.  Replaced
+        #: wholesale by :meth:`on_epoch`, so readers see a complete dict.
+        self.status_fields: dict = self._fields(self.burn.rates())
         self.server = (
             TelemetryServer(
                 metrics_fn=self.render_metrics,
-                status_fn=self.status,
+                status_fn=status_fn,
                 health_fn=self.health,
                 host=host,
                 port=port,
@@ -260,13 +255,9 @@ class LiveTelemetry:
         return self.server.port if self.server is not None else None
 
     def touch(self) -> None:
-        """Mark the service alive (called from the heartbeat ticker)."""
+        """Mark the service alive (called on every liveness beat)."""
         with self._lock:
             self._last_touch = self._mono()
-
-    def set_draining(self, draining: bool) -> None:
-        with self._lock:
-            self._draining = bool(draining)
 
     def on_epoch(
         self,
@@ -280,31 +271,29 @@ class LiveTelemetry:
         """Fold one finished epoch in; returns incident bundles written."""
         self.burn.record(bool(outcome.get("slo_violation")))
         rates = self.burn.publish(self.registry)
-        with self._lock:
-            self._last_touch = self._mono()
-            self._state = {
-                "epoch": epoch,
-                "epochs_done": int(self._state.get("epochs_done", 0)) + 1,
-                "backlog_mb": report.get("backlog_after", 0.0),
-                "fallback_level": report.get("fallback_level", 0),
-                "deadline_hit": report.get("deadline_hit", False),
-                "reroute_swaps": report.get("reroute_swaps", 0),
-                "epoch_latency_s": outcome.get("epoch_latency_s", 0.0),
-                "slo_violations": int(self._state.get("slo_violations", 0))
-                + (1 if outcome.get("slo_violation") else 0),
+        written: "list[Path]" = []
+        if self.recorder is not None:
+            frame = EpochFrame(
+                epoch=epoch,
+                report=report,
+                outcome=outcome,
+                records=list(records or []),
+                worker_deaths=list(worker_deaths or []),
+            )
+            written = self.recorder.observe_epoch(
+                frame, metrics_snapshot=self.registry.snapshot()
+            )
+        self.status_fields = self._fields(rates)
+        return written
+
+    def _fields(self, rates: "dict[str, float]") -> dict:
+        fields: dict = {"slo_burn_rate": rates}
+        if self.recorder is not None:
+            fields["incidents"] = {
+                "triggered": dict(self.recorder.triggered),
+                "bundles_written": len(self.recorder.bundles_written),
             }
-        if self.recorder is None:
-            return []
-        frame = EpochFrame(
-            epoch=epoch,
-            report=report,
-            outcome=outcome,
-            records=list(records or []),
-            worker_deaths=list(worker_deaths or []),
-        )
-        return self.recorder.observe_epoch(
-            frame, metrics_snapshot=self.registry.snapshot()
-        )
+        return fields
 
     # ------------------------------------------------------------------ #
     # endpoints (scrape side)
@@ -314,35 +303,18 @@ class LiveTelemetry:
         """OpenMetrics text of the registry (snapshot under its lock)."""
         return render_openmetrics(self.registry.snapshot())
 
-    def status(self) -> dict:
-        with self._lock:
-            state = dict(self._state)
-            draining = self._draining
-        state["draining"] = draining
-        state["slo_burn_rate"] = self.burn.rates()
-        if self._pool_status_fn is not None:
-            try:
-                state["workers"] = self._pool_status_fn()
-            except Exception:  # noqa: BLE001 — liveness probe must not 500
-                state["workers"] = None
-        if self.recorder is not None:
-            state["incidents"] = {
-                "triggered": dict(self.recorder.triggered),
-                "bundles_written": len(self.recorder.bundles_written),
-            }
-        return state
-
     def health(self) -> "tuple[int, dict]":
         """(HTTP status, payload) for /healthz: 200 fresh, 503 stale."""
         now = self._mono()
         with self._lock:
             idle = max(0.0, now - self._last_touch)
-            draining = self._draining
-        stale = idle > self.stale_after_s
+        horizon = stale_after_s()
+        stale = idle > horizon
+        draining = bool(self._status_fn().get("draining", False))
         payload = {
             "status": "stale" if stale else ("draining" if draining else "ok"),
             "heartbeat_idle_s": idle,
-            "stale_after_s": self.stale_after_s,
+            "stale_after_s": horizon,
             "draining": draining,
         }
         return (503 if stale else 200), payload

@@ -13,8 +13,8 @@ two into one status report:
 * stragglers — in-flight trials older than a duration percentile of the
   completed population (default p95), plus trials whose heartbeat has gone
   ``STALE`` (idle for more than 3× the interval the beat itself declares;
-  see :data:`STALE_INTERVAL_MULTIPLIER`), which is how a hung *or crashed*
-  worker shows up before its timeout fires.  Every unsettled heartbeat is
+  see :func:`repro.runner.heartbeat.stale_after_s`), which is how a hung
+  *or crashed* worker shows up before its timeout fires.  Every unsettled heartbeat is
   treated as live — no phase filter — so a worker that died mid-phase still
   renders, flagged, instead of silently vanishing from the report.
 
@@ -30,7 +30,12 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.runner.heartbeat import heartbeat_dir, read_heartbeats
+from repro.runner.heartbeat import (
+    STALE_INTERVAL_MULTIPLIER,
+    heartbeat_dir,
+    read_heartbeats,
+    stale_after_s,
+)
 from repro.runner.journal import RunJournal
 
 #: In-flight trials older than this percentile of completed durations are
@@ -44,12 +49,6 @@ MIN_COMPLETED_FOR_STRAGGLERS: int = 3
 #: refresh cadence (records written before ``interval_s`` existed).
 STALE_AFTER_S: float = 15.0
 
-#: A heartbeat idle for more than this multiple of its *declared* refresh
-#: interval is stale: the writer promised a beat every ``interval_s`` and
-#: has missed three in a row, so the worker is hung or dead — either way
-#: it must not render as healthily running forever.
-STALE_INTERVAL_MULTIPLIER: float = 3.0
-
 
 def _stale_horizon_s(beat: dict) -> float:
     """Idle time beyond which ``beat`` counts as stale."""
@@ -59,7 +58,7 @@ def _stale_horizon_s(beat: dict) -> float:
         return STALE_AFTER_S
     if interval <= 0:
         return STALE_AFTER_S
-    return STALE_INTERVAL_MULTIPLIER * interval
+    return stale_after_s(interval)
 
 
 def _elapsed_s(
@@ -98,6 +97,17 @@ class TrialStatus:
     deadline_miss_rate: "float | None" = None
 
 
+#: The keys of the service's status snapshot that ``watch`` renders; the
+#: ``service`` heartbeat carries them as extras (``SchedulingService.status``).
+SERVICE_STATUS_KEYS = (
+    "epoch",
+    "epochs_done",
+    "backlog_mb",
+    "fallback_level",
+    "slo_burn_rate",
+)
+
+
 @dataclass
 class ServiceStatus:
     """A running scheduling service as seen through its heartbeat + journal.
@@ -105,14 +115,15 @@ class ServiceStatus:
     A service journal has no sweep header and no trial specs — progress is
     an open-ended epoch counter, and liveness is the ``service`` heartbeat
     the loop's ticker keeps fresh (same monotonic staleness contract as
-    trial beats).
+    trial beats).  The first five fields are keys of the service's status
+    snapshot (:data:`SERVICE_STATUS_KEYS`).
     """
 
     epoch: "int | None" = None
     epochs_done: int = 0
     backlog_mb: "float | None" = None
     fallback_level: "int | None" = None
-    burn_rates: "dict | None" = None
+    slo_burn_rate: "dict | None" = None
     has_beat: bool = False
     idle_s: "float | None" = None
     stale: bool = False
@@ -305,18 +316,14 @@ def _collect_service_state(
         )
         status.stale_after_s = _stale_horizon_s(beat)
         status.stale = status.idle_s > status.stale_after_s
-        # The ticker's advisory extras beat the journal: they refresh every
-        # beat, the journal only at each atomic rewrite.
-        if isinstance(beat.get("service_epoch"), int):
-            status.epoch = int(beat["service_epoch"])
-        if isinstance(beat.get("epochs_done"), int):
-            status.epochs_done = max(status.epochs_done, int(beat["epochs_done"]))
-        if isinstance(beat.get("backlog_mb"), (int, float)):
-            status.backlog_mb = float(beat["backlog_mb"])
-        if isinstance(beat.get("fallback_level"), int):
-            status.fallback_level = int(beat["fallback_level"])
-        if isinstance(beat.get("slo_burn_rate"), dict):
-            status.burn_rates = dict(beat["slo_burn_rate"])
+        # The beat carries the service's status snapshot.  It refreshes
+        # once a second and the journal every epoch, so the snapshot wins
+        # unless the journal is further along (a run shorter than a beat).
+        beat_done = beat.get("epochs_done")
+        if isinstance(beat_done, int) and beat_done >= status.epochs_done:
+            for key in SERVICE_STATUS_KEYS:
+                if beat.get(key) is not None:
+                    setattr(status, key, beat[key])
 
     return WatchState(
         sweep="service",
@@ -368,9 +375,9 @@ def _render_service(state: WatchState) -> str:
     if status.fallback_level is not None:
         row += f", fallback L{status.fallback_level}"
     lines.append(row)
-    if status.burn_rates:
+    if status.slo_burn_rate:
         rates = ", ".join(
-            f"{label} {float(rate):.0%}" for label, rate in status.burn_rates.items()
+            f"{label} {float(rate):.0%}" for label, rate in status.slo_burn_rate.items()
         )
         lines.append(f"  slo burn rate: {rates}")
     if not status.has_beat:

@@ -33,9 +33,9 @@ field                   meaning
                         staleness on: an NTP step forward must not flag
                         every in-flight trial STALE, and a step backward
                         must not make a wedged trial look fresh
-``interval_s``          the writer's declared refresh cadence; ``obs watch``
-                        flags a beat idle for more than 3× this as ``STALE``
-                        (a crashed worker must not render as running forever)
+``interval_s``          the writer's declared refresh cadence; a beat idle
+                        for more than 3× this is stale (:func:`stale_after_s`
+                        — a crashed worker must not render as running forever)
 ======================  ======================================================
 
 On Linux ``time.monotonic()`` is ``CLOCK_MONOTONIC`` — a single
@@ -71,6 +71,22 @@ HEARTBEAT_FORMAT: int = 1
 
 #: Seconds between worker-side progress ticks.
 TICK_INTERVAL_S: float = 1.0
+
+#: A beat idle for more than this multiple of its *declared* refresh
+#: interval is stale: the writer promised a beat every ``interval_s`` and
+#: has missed three in a row, so it is hung or dead — either way it must
+#: not render as healthily running forever.
+STALE_INTERVAL_MULTIPLIER: float = 3.0
+
+
+def stale_after_s(interval_s: float = TICK_INTERVAL_S) -> float:
+    """Idle seconds after which a beat declaring ``interval_s`` is stale.
+
+    The one staleness rule: ``repro obs watch`` judges heartbeat files by
+    it, and the service's ``/healthz`` judges the same beat by it.
+    """
+    return STALE_INTERVAL_MULTIPLIER * float(interval_s)
+
 
 _SAFE_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._:-"
@@ -191,11 +207,14 @@ class HeartbeatTicker:
     closed-span count and ``last_progress`` timestamp, which is what lets
     ``obs watch`` tell a slow-but-alive trial from a hung one.  The thread
     is a daemon, so a worker that is SIGKILLed never leaks it.
+
+    With ``directory=None`` the ticker still calls ``status_fn`` every beat
+    but writes no file (a liveness beat with nowhere to record it).
     """
 
     def __init__(
         self,
-        directory: "str | Path",
+        directory: "str | Path | None",
         key: str,
         *,
         experiment: str = "",
@@ -203,7 +222,7 @@ class HeartbeatTicker:
         interval_s: float = TICK_INTERVAL_S,
         status_fn: "Callable[[], dict] | None" = None,
     ) -> None:
-        self._directory = Path(directory)
+        self._directory = Path(directory) if directory is not None else None
         self._key = key
         self._experiment = experiment
         self._attempt = attempt
@@ -223,6 +242,8 @@ class HeartbeatTicker:
                 extra = self._status_fn()
             except Exception:
                 extra = None
+        if self._directory is None:
+            return
         write_heartbeat(
             self._directory,
             self._key,

@@ -8,7 +8,7 @@ and the anytime wrapper that make that guarantee explicit;
 :mod:`repro.service.loop` wraps the epoch controller into the continuous
 asyncio loop a deployment would operate (ingestion, monotonic epoch
 clock, warm-worker stage sharding, drain-on-stop), and
-:mod:`repro.service.stages` holds the pool-addressable per-epoch stages.
+:mod:`repro.service.stages` holds the pool-addressable advisory arms.
 """
 
 from repro.service.deadline import (

@@ -51,10 +51,13 @@ from typing import Callable
 import numpy as np
 
 from repro import obs
-from repro.core.divide import divide_by_type
 from repro.core.reduction import ReducedDemand, reduce_with_config
-from repro.core.scheduler import CompositeScheduleEntry, CpSchedule, CpSwitchScheduler
-from repro.core.cpsched import cpsched
+from repro.core.scheduler import (
+    CompositeScheduleEntry,
+    CpSchedule,
+    CpSwitchScheduler,
+    interpret,
+)
 from repro.faults.reroute import _granted_ports
 from repro.hybrid.schedule import Schedule
 from repro.hybrid.tdm import TdmScheduler
@@ -480,8 +483,9 @@ class AnytimeScheduler:
         blocked_o2m,
         blocked_m2o,
     ) -> "tuple[CpSchedule, int]":
-        """L2: re-run Algorithm 4 steps 3–4 over the previous reduced-space
-        schedule against the *current* demand.
+        """L2: re-run Algorithm 4 steps 3–4
+        (:func:`~repro.core.scheduler.interpret`) over the previous
+        reduced-space schedule against the *current* demand.
 
         The expensive part of the pipeline is the inner h-Switch call; the
         reduction (O(n²)) and the interpretation (O(n) per configuration)
@@ -507,45 +511,10 @@ class AnytimeScheduler:
             for kind, port in _granted_ports(prev.entries)
             if port in (dead_o2m if kind == "o2m" else dead_m2o)
         )
-        eps_budget = params.effective_eps_budget
-        filtered = reduction.filtered.copy()
-        entries: "list[CompositeScheduleEntry]" = []
-        for item in prev.reduced_schedule:
-            previous = filtered.copy()
-            divided = divide_by_type(item.permutation)
-            o2m_port = divided.o2m_port
-            if o2m_port is not None and o2m_port in dead_o2m:
-                o2m_port = None
-            m2o_port = divided.m2o_port
-            if m2o_port is not None and m2o_port in dead_m2o:
-                m2o_port = None
-            if o2m_port is not None:
-                filtered[o2m_port, :] = cpsched(
-                    filtered[o2m_port, :], item.duration, params.ocs_rate, eps_budget
-                )
-            if m2o_port is not None:
-                filtered[:, m2o_port] = cpsched(
-                    filtered[:, m2o_port], item.duration, params.ocs_rate, eps_budget
-                )
-            entries.append(
-                CompositeScheduleEntry(
-                    regular=divided.regular,
-                    duration=item.duration,
-                    composite_served=previous - filtered,
-                    o2m_port=o2m_port,
-                    m2o_port=m2o_port,
-                )
-            )
-        return (
-            CpSchedule(
-                entries=tuple(entries),
-                reconfig_delay=params.reconfig_delay,
-                reduction=reduction,
-                filtered_residual=filtered,
-                reduced_schedule=prev.reduced_schedule,
-            ),
-            stripped,
+        schedule = interpret(
+            prev.reduced_schedule, reduction, params, dead_o2m=dead_o2m, dead_m2o=dead_m2o
         )
+        return schedule, stripped
 
     def _tdm_schedule(self, demand: np.ndarray, params: SwitchParams) -> CpSchedule:
         """L3: wrap a TDM round-robin schedule into cp-Switch form."""

@@ -13,8 +13,7 @@ wraps it into the long-running loop a deployment would actually operate
 * an **epoch task** fires on a monotonic epoch clock, offers the next
   batch, and runs the controller's schedule/execute step — inline
   deadline budget, anytime fallback ladder, backpressure ledger and all;
-* the per-epoch **auxiliary heavy stages** (independent scheduler arms
-  and fast-reroute backup planning — see
+* the per-epoch **advisory scheduler arms** (see
   :mod:`repro.service.stages`) are sharded across a warm
   :class:`~repro.runner.pool.WorkerPool` and overlap with the inline
   epoch execution; a worker death respawns the worker and retries the
@@ -27,6 +26,11 @@ Two drivers share one code path for the controller calls:
   issues the *identical* ``offer``/``run_epoch`` sequence and is
   therefore bit-identical to :meth:`EpochController.run`.
 
+Both close every epoch through :meth:`SchedulingService._close_epoch`,
+which computes each per-epoch fact once — latency, SLO reasons, metrics,
+the status snapshot (:meth:`SchedulingService.status`) and the flight
+recorder's frame.
+
 Shutdown is drain-by-default: :meth:`request_stop` (or the CLI's SIGTERM
 handler) stops ingestion at the next batch boundary, the epoch task
 finishes everything already queued, workers are joined, and the final
@@ -36,6 +40,7 @@ finishes everything already queued, workers are joined, and the final
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -78,17 +83,12 @@ class ServiceConfig:
     arms:
         Independent scheduler arms sharded each epoch (names accepted by
         :func:`repro.hybrid.base.make_scheduler`); empty disables.
-    shard_backups:
-        Also shard a fast-reroute backup-planning stage each epoch.
     stage_retries / stage_timeout_s:
         Pool crash-retry budget and per-stage wall-clock budget.
     drain:
         On stop: finish every batch already queued (``True``, default) or
         abandon the queue immediately (``False`` — abandoned batches are
         counted, never silently lost).
-    heartbeat:
-        Keep a ``service`` heartbeat fresh next to the controller's
-        journal (monotonic-tick contract; a no-op without a journal path).
     telemetry_port:
         Bind the live telemetry HTTP server (``/metrics``, ``/healthz``,
         ``/status``) on this port; ``0`` picks an ephemeral port (read
@@ -113,11 +113,9 @@ class ServiceConfig:
     queue_depth: int = 4
     epoch_interval_s: float = 0.0
     arms: "tuple[str, ...]" = DEFAULT_ARMS
-    shard_backups: bool = True
     stage_retries: int = 1
     stage_timeout_s: "float | None" = None
     drain: bool = True
-    heartbeat: bool = True
     telemetry_port: "int | None" = None
     telemetry_host: str = "127.0.0.1"
     incidents_dir: "str | Path | None" = None
@@ -150,7 +148,14 @@ class ServiceConfig:
 
 @dataclass(frozen=True)
 class EpochOutcome:
-    """One service epoch: the controller's report plus the sharded stages."""
+    """One service epoch: the controller's report plus the sharded stages.
+
+    ``epoch_latency_s`` runs from just before ``offer`` to the end of
+    ``run_epoch`` (and of the sharded stages).  ``slo_reasons`` names the
+    objectives the epoch missed: ``schedule_deadline`` (the anytime ladder
+    ran out of budget) and/or ``epoch_overrun`` (the epoch took longer than
+    ``epoch_interval_s``).
+    """
 
     report: EpochReport
     arms: "tuple[dict, ...]" = ()
@@ -158,7 +163,11 @@ class EpochOutcome:
     stage_retries: int = 0
     shard_pids: "tuple[int, ...]" = ()
     epoch_latency_s: float = 0.0
-    slo_violation: bool = False
+    slo_reasons: "tuple[str, ...]" = ()
+
+    @property
+    def slo_violation(self) -> bool:
+        return bool(self.slo_reasons)
 
 
 @dataclass
@@ -212,9 +221,14 @@ class SchedulingService:
         #: ``telemetry_port`` / ``incidents_dir`` configured.  Smokes read
         #: ``service.telemetry.port`` to find the ephemeral scrape port.
         self.telemetry = None
-        # Advisory heartbeat extras, replaced wholesale each epoch so the
-        # ticker thread always reads a complete dict (no partial updates).
-        self._hb_status: dict = {"service_epoch": None, "epochs_done": 0}
+        self._pool: "WorkerPool | None" = None
+        # The per-epoch part of status(), replaced wholesale at each epoch
+        # close so the beat thread always reads a complete dict.
+        self._status: dict = {"epoch": None, "epochs_done": 0}
+        # Len-watermarks of the tracer buffer and the pool's death log: the
+        # tail past each mark is what the current epoch added.
+        self._trace_mark = 0
+        self._death_mark = 0
 
     # ------------------------------------------------------------------ #
 
@@ -222,16 +236,33 @@ class SchedulingService:
         """Ask the loop to stop at the next batch boundary (thread-safe-ish:
         call from the loop thread or a signal handler on the loop)."""
         self._stop_requested = True
-        if self.telemetry is not None:
-            self.telemetry.set_draining(True)
         if self._stop_event is not None:
             self._stop_event.set()
 
+    def status(self) -> dict:
+        """The service's status snapshot.
+
+        The heartbeat's extras, ``GET /status`` and ``repro obs watch`` all
+        read these keys (table in docs/service.md).  Safe to call from any
+        thread.
+        """
+        status = dict(self._status)
+        status["draining"] = self._stop_requested
+        telemetry, pool = self.telemetry, self._pool
+        if telemetry is not None:
+            status.update(telemetry.status_fields)
+        if pool is not None:
+            try:
+                status["workers"] = pool.liveness()
+            except Exception:  # noqa: BLE001 — a liveness probe must not fail
+                status["workers"] = None
+        return status
+
     # ------------------------------------------------------------------ #
-    # live telemetry plane
+    # per-run liveness plane
     # ------------------------------------------------------------------ #
 
-    def _build_telemetry(self, pool: "WorkerPool | None" = None):
+    def _build_telemetry(self):
         """Construct the :class:`~repro.obs.live.LiveTelemetry` facade, or
         ``None`` when the config leaves the whole plane off (the default —
         nothing below this line runs on the untelemetered path)."""
@@ -255,68 +286,53 @@ class SchedulingService:
             port=config.telemetry_port,
             host=config.telemetry_host,
             recorder=recorder,
-            pool_status_fn=pool.liveness if pool is not None else None,
+            status_fn=self.status,
         )
 
-    def _heartbeat_status(self) -> dict:
-        """Advisory extras for the service heartbeat (ticker thread)."""
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.touch()  # /healthz freshness rides the same beat
-        return dict(self._hb_status)
+    def _beat(self) -> dict:
+        """One liveness beat (ticker thread): keeps ``/healthz`` fresh and
+        returns the status snapshot as the heartbeat's extras."""
+        if self.telemetry is not None:
+            self.telemetry.touch()
+        return self.status()
 
-    def _slo_reasons(self, report: EpochReport, latency_s: float) -> "list[str]":
-        reasons: "list[str]" = []
-        if report.deadline_hit:
-            reasons.append("schedule_deadline")
-        if (
-            self.config.epoch_interval_s > 0
-            and latency_s > self.config.epoch_interval_s
-        ):
-            reasons.append("epoch_overrun")
-        return reasons
-
-    def _note_epoch(
-        self,
-        epoch: int,
-        outcome: EpochOutcome,
-        *,
-        records: "list[dict]",
-        deaths: "list[dict]",
-    ) -> "list[str]":
-        """Update heartbeat extras + feed the telemetry plane one epoch.
-
-        Returns the incident-bundle paths the flight recorder wrote (as
-        strings, ready for :attr:`ServiceReport.incident_bundles`).
-        """
-        report = outcome.report
-        status = {
-            "service_epoch": epoch,
-            "epochs_done": int(self._hb_status.get("epochs_done", 0)) + 1,
-            "backlog_mb": report.backlog_after,
-            "fallback_level": report.fallback_level,
-        }
-        telemetry = self.telemetry
-        if telemetry is None:
-            self._hb_status = status
-            return []
-        paths = telemetry.on_epoch(
-            epoch=epoch,
-            report=asdict(report),
-            outcome={
-                "slo_violation": outcome.slo_violation,
-                "slo_reasons": self._slo_reasons(report, outcome.epoch_latency_s),
-                "epoch_latency_s": outcome.epoch_latency_s,
-                "stage_failures": outcome.stage_failures,
-                "stage_retries": outcome.stage_retries,
-                "shard_pids": list(outcome.shard_pids),
-            },
-            records=records,
-            worker_deaths=deaths,
+    @contextlib.contextmanager
+    def _running(self, pool: "WorkerPool | None" = None):
+        """One run's liveness plane: telemetry, the status snapshot and the
+        beat.  The beat runs whenever the telemetry plane is on or the
+        controller has a journal; it writes a ``service`` heartbeat file
+        only next to a journal."""
+        self._pool = pool
+        self._status = {"epoch": None, "epochs_done": 0}
+        self.telemetry = self._build_telemetry()
+        tracer = obs.get_tracer()
+        self._trace_mark = (
+            len(tracer.records())
+            if self.telemetry is not None and tracer.enabled
+            else 0
         )
-        status["slo_burn_rate"] = telemetry.burn.rates()
-        self._hb_status = status
-        return [str(path) for path in paths]
+        self._death_mark = 0
+        journal = self.controller.journal
+        beat_dir = (
+            heartbeat_dir(journal.path)
+            if journal is not None and journal.path is not None
+            else None
+        )
+        if self.telemetry is not None:
+            self.telemetry.start()
+        ticker = None
+        try:
+            if self.telemetry is not None or beat_dir is not None:
+                ticker = HeartbeatTicker(
+                    beat_dir, "service", experiment="service", status_fn=self._beat
+                ).start()
+            yield
+        finally:
+            if ticker is not None:
+                ticker.stop()
+            if self.telemetry is not None:
+                self.telemetry.stop()
+            self._pool = None
 
     # ------------------------------------------------------------------ #
 
@@ -325,7 +341,7 @@ class SchedulingService:
         if config.n_workers == 0 or float(demand.sum()) <= 0.0:
             return []
         params = self.controller.params
-        tasks = [
+        return [
             StageTask(
                 name=f"arm:{name}",
                 fn="repro.service.stages:scheduler_arm",
@@ -339,21 +355,91 @@ class SchedulingService:
             )
             for name in config.arms
         ]
-        if config.shard_backups and self.controller.use_composite_paths:
-            dead_o2m, dead_m2o = self.controller.dead_composite_ports
-            tasks.append(
-                StageTask(
-                    name="backup",
-                    fn="repro.service.stages:backup_arm",
-                    kwargs={
-                        "demand": demand,
-                        "params": params,
-                        "blocked_o2m": dead_o2m,
-                        "blocked_m2o": dead_m2o,
-                    },
-                )
+
+    def _close_epoch(
+        self,
+        run: ServiceReport,
+        epoch: int,
+        report: EpochReport,
+        start: float,
+        stage_results: "list[StageResult]" = (),
+        retries: int = 0,
+    ) -> None:
+        """Close one epoch (both drivers): outcome, metrics, status, recorder.
+
+        ``start`` is the ``perf_counter`` reading taken just before
+        ``offer``; the latency stops here, before any of the close work.
+        """
+        latency_s = time.perf_counter() - start
+        reasons = []
+        if report.deadline_hit:
+            reasons.append("schedule_deadline")
+        interval_s = self.config.epoch_interval_s
+        if interval_s > 0 and latency_s > interval_s:
+            reasons.append("epoch_overrun")
+        outcome = EpochOutcome(
+            report=report,
+            arms=tuple(r.payload for r in stage_results if r.ok),
+            stage_failures=sum(1 for r in stage_results if not r.ok),
+            stage_retries=retries,
+            shard_pids=tuple(
+                sorted({r.pid for r in stage_results if r.pid is not None})
+            ),
+            epoch_latency_s=latency_s,
+            slo_reasons=tuple(reasons),
+        )
+        run.outcomes.append(outcome)
+        run.slo_violations += outcome.slo_violation
+        run.stage_retries += retries
+        self._publish_epoch(outcome)
+        status = {
+            "epoch": epoch,
+            "epochs_done": len(run.outcomes),
+            "backlog_mb": report.backlog_after,
+            "fallback_level": report.fallback_level,
+            "deadline_hit": report.deadline_hit,
+            "reroute_swaps": report.reroute_swaps,
+            "epoch_latency_s": latency_s,
+            "slo_violations": run.slo_violations,
+        }
+        if self.telemetry is not None:
+            bundles = self.telemetry.on_epoch(
+                epoch=epoch,
+                report=asdict(report),
+                outcome={
+                    "slo_violation": outcome.slo_violation,
+                    "slo_reasons": reasons,
+                    "epoch_latency_s": latency_s,
+                    "stage_failures": outcome.stage_failures,
+                    "stage_retries": retries,
+                    "shard_pids": list(outcome.shard_pids),
+                },
+                records=self._epoch_records(),
+                worker_deaths=self._epoch_deaths(),
             )
-        return tasks
+            run.incident_bundles.extend(str(path) for path in bundles)
+        self._status = status
+
+    def _epoch_records(self) -> "list[dict]":
+        """Trace records closed since the last epoch (absorbed worker blobs
+        included): a non-destructive slice past the watermark."""
+        tracer = obs.get_tracer()
+        if not tracer.enabled:
+            return []
+        records = tracer.records()
+        tail = list(records[self._trace_mark :])
+        self._trace_mark = len(records)
+        return tail
+
+    def _epoch_deaths(self) -> "list[dict]":
+        """Worker deaths logged since the last epoch.  Appends to the death
+        log are GIL-atomic and only ever grow it, so a len-slice is safe."""
+        if self._pool is None:
+            return []
+        log = self._pool.death_log
+        deaths = list(log[self._death_mark : len(log)])
+        self._death_mark += len(deaths)
+        return deaths
 
     def _publish_epoch(self, outcome: EpochOutcome) -> None:
         if not obs.active():
@@ -384,47 +470,17 @@ class SchedulingService:
             "service_slo_violations_total",
             "epochs that missed a service objective (by reason)",
         )
-        if report.deadline_hit:
-            violations.labels(reason="schedule_deadline").inc()
-        if (
-            self.config.epoch_interval_s > 0
-            and outcome.epoch_latency_s > self.config.epoch_interval_s
-        ):
-            violations.labels(reason="epoch_overrun").inc()
+        for reason in outcome.slo_reasons:
+            violations.labels(reason=reason).inc()
 
-    def _outcome(
-        self,
-        report: EpochReport,
-        stage_results: "list[StageResult]",
-        retries: int,
-        latency_s: float,
-    ) -> EpochOutcome:
-        slo = report.deadline_hit or (
-            self.config.epoch_interval_s > 0
-            and latency_s > self.config.epoch_interval_s
-        )
-        return EpochOutcome(
-            report=report,
-            arms=tuple(r.payload for r in stage_results if r.ok),
-            stage_failures=sum(1 for r in stage_results if not r.ok),
-            stage_retries=retries,
-            shard_pids=tuple(
-                sorted({r.pid for r in stage_results if r.pid is not None})
-            ),
-            epoch_latency_s=latency_s,
-            slo_violation=slo,
-        )
-
-    def _finalize(self, report: ServiceReport) -> ServiceReport:
-        report.slo_violations = sum(1 for o in report.outcomes if o.slo_violation)
-        report.stage_retries = sum(o.stage_retries for o in report.outcomes)
-        report.shed_mb = self.controller.shed_volume_total
-        report.parked_mb = self.controller.parked_volume
-        report.backlog_mb = self.controller.voqs.backlog
+    def _finalize(self, run: ServiceReport) -> ServiceReport:
+        run.shed_mb = self.controller.shed_volume_total
+        run.parked_mb = self.controller.parked_volume
+        run.backlog_mb = self.controller.voqs.backlog
         # A service run must never lose a byte: audit the controller's
         # offered = admitted + shed + parked ledger before reporting.
         self.controller.check_conservation()
-        return report
+        return run
 
     # ------------------------------------------------------------------ #
 
@@ -434,46 +490,18 @@ class SchedulingService:
         no worker pool."""
         if self.config.n_epochs is None:
             raise ValueError("run_sync() needs a finite n_epochs")
-        report = ServiceReport()
-        self.telemetry = self._build_telemetry()
-        if self.telemetry is not None:
-            self.telemetry.start()
-        tracer = obs.get_tracer()
-        trace_watermark = (
-            len(tracer.records())
-            if self.telemetry is not None and tracer.enabled
-            else 0
-        )
-        try:
+        run = ServiceReport()
+        with self._running():
             for epoch in range(self.config.n_epochs):
                 if self._stop_requested:
-                    report.stopped_early = True
+                    run.stopped_early = True
                     break
-                report.admitted_mb += self.controller.offer(self.arrivals(epoch))
+                demand = self.arrivals(epoch)
                 start = time.perf_counter()
+                run.admitted_mb += self.controller.offer(demand)
                 epoch_report, _result = self.controller.run_epoch(epoch)
-                outcome = self._outcome(
-                    epoch_report, [], 0, time.perf_counter() - start
-                )
-                report.outcomes.append(outcome)
-                self._publish_epoch(outcome)
-                if self.telemetry is not None and tracer.enabled:
-                    # Non-destructive len-watermark slice: ``records()`` is
-                    # the whole buffer, the tail past the mark is this epoch.
-                    records = tracer.records()
-                    epoch_records = list(records[trace_watermark:])
-                    trace_watermark = len(records)
-                else:
-                    epoch_records = []
-                report.incident_bundles.extend(
-                    self._note_epoch(
-                        epoch, outcome, records=epoch_records, deaths=[]
-                    )
-                )
-        finally:
-            if self.telemetry is not None:
-                self.telemetry.stop()
-        return self._finalize(report)
+                self._close_epoch(run, epoch, epoch_report, start)
+        return self._finalize(run)
 
     async def run(self) -> ServiceReport:
         """Asyncio driver: ingestion + epoch tasks + sharded stages."""
@@ -489,119 +517,80 @@ class SchedulingService:
                 retries=config.stage_retries,
                 timeout_s=config.stage_timeout_s,
             )
-            if config.n_workers > 0 and (config.arms or config.shard_backups)
+            if config.n_workers > 0 and config.arms
             else None
         )
-        self.telemetry = self._build_telemetry(pool)
-        if self.telemetry is not None:
-            self.telemetry.start()
-        tracer = obs.get_tracer()
-        trace_watermark = (
-            len(tracer.records())
-            if self.telemetry is not None and tracer.enabled
-            else 0
-        )
-        death_watermark = len(pool.death_log) if pool is not None else 0
-        ticker = None
-        journal = self.controller.journal
-        if config.heartbeat and journal is not None and journal.path is not None:
-            ticker = HeartbeatTicker(
-                heartbeat_dir(journal.path),
-                "service",
-                experiment="service",
-                status_fn=self._heartbeat_status,
-            ).start()
-
-        report = ServiceReport()
-        ingest = asyncio.ensure_future(self._ingest(queue))
-        start_mono = config.mono_clock()
-        try:
-            epochs_done = 0
-            while True:
-                if self._stop_event.is_set() and not config.drain:
-                    report.drained = False
-                    break
-                batch = await queue.get()
-                if batch is _STREAM_END:
-                    break
-                epoch, demand = batch
-                if config.epoch_interval_s > 0:
-                    # Fire on the monotonic grid: epoch k starts no earlier
-                    # than k intervals after service start (no wall clock —
-                    # an NTP step must never stretch or squeeze an epoch).
-                    delay = (
-                        start_mono
-                        + epochs_done * config.epoch_interval_s
-                        - config.mono_clock()
-                    )
-                    if delay > 0:
-                        await config.async_sleep(delay)
-                start = time.perf_counter()
-                report.admitted_mb += self.controller.offer(demand)
-                snapshot = self.controller.voqs.occupancy.copy()
-                tasks = self._stage_tasks(snapshot, epoch) if pool is not None else []
-                retries_before = pool.tasks_retried if pool is not None else 0
-                stage_future = (
-                    loop.run_in_executor(None, pool.map, tasks) if tasks else None
-                )
-                epoch_report, _result = await loop.run_in_executor(
-                    None, self.controller.run_epoch, epoch
-                )
-                stage_results = await stage_future if stage_future is not None else []
-                # Worker span/metric blobs fold in here, on the loop thread
-                # — the pool never touches the tracer from its own threads.
-                absorb_observations(stage_results)
-                outcome = self._outcome(
-                    epoch_report,
-                    stage_results,
-                    (pool.tasks_retried - retries_before) if pool is not None else 0,
-                    time.perf_counter() - start,
-                )
-                report.outcomes.append(outcome)
-                self._publish_epoch(outcome)
-                if self.telemetry is not None and tracer.enabled:
-                    # Non-destructive len-watermark slice: the tail past the
-                    # mark is everything closed this epoch, absorbed worker
-                    # blobs included (absorb_observations ran just above).
-                    records = tracer.records()
-                    epoch_records = list(records[trace_watermark:])
-                    trace_watermark = len(records)
-                else:
-                    epoch_records = []
-                deaths: "list[dict]" = []
-                if pool is not None:
-                    # Len-slice off the tail: appends are GIL-atomic and
-                    # only ever grow the list.
-                    log = pool.death_log
-                    deaths = list(log[death_watermark : len(log)])
-                    death_watermark += len(deaths)
-                report.incident_bundles.extend(
-                    self._note_epoch(
-                        epoch, outcome, records=epoch_records, deaths=deaths
-                    )
-                )
-                epochs_done += 1
-        finally:
-            if not ingest.done():
-                ingest.cancel()
+        run = ServiceReport()
+        with self._running(pool):
+            ingest = asyncio.ensure_future(self._ingest(queue))
+            start_mono = config.mono_clock()
             try:
-                await ingest
-            except asyncio.CancelledError:
-                pass
-            while not queue.empty():
-                if queue.get_nowait() is not _STREAM_END:
-                    report.abandoned_batches += 1
-            if pool is not None:
-                report.worker_pids = tuple(sorted(pool.pids))
-                report.worker_deaths = pool.worker_deaths
-                pool.close()
-            if ticker is not None:
-                ticker.stop()
-            if self.telemetry is not None:
-                self.telemetry.stop()
-            self._stop_event = None
-        report.stopped_early = self._stop_requested
-        return self._finalize(report)
+                while True:
+                    if self._stop_event.is_set() and not config.drain:
+                        run.drained = False
+                        break
+                    batch = await queue.get()
+                    if batch is _STREAM_END:
+                        break
+                    epoch, demand = batch
+                    if config.epoch_interval_s > 0:
+                        # Fire on the monotonic grid: epoch k starts no
+                        # earlier than k intervals after service start (no
+                        # wall clock — an NTP step must never stretch or
+                        # squeeze an epoch).
+                        delay = (
+                            start_mono
+                            + len(run.outcomes) * config.epoch_interval_s
+                            - config.mono_clock()
+                        )
+                        if delay > 0:
+                            await config.async_sleep(delay)
+                    start = time.perf_counter()
+                    run.admitted_mb += self.controller.offer(demand)
+                    tasks = (
+                        self._stage_tasks(self.controller.voqs.occupancy.copy(), epoch)
+                        if pool is not None
+                        else []
+                    )
+                    retries_before = pool.tasks_retried if pool is not None else 0
+                    stage_future = (
+                        loop.run_in_executor(None, pool.map, tasks) if tasks else None
+                    )
+                    epoch_report, _result = await loop.run_in_executor(
+                        None, self.controller.run_epoch, epoch
+                    )
+                    stage_results = (
+                        await stage_future if stage_future is not None else []
+                    )
+                    # Worker span/metric blobs fold in here, on the loop
+                    # thread — the pool never touches the tracer from its
+                    # own threads.
+                    absorb_observations(stage_results)
+                    self._close_epoch(
+                        run,
+                        epoch,
+                        epoch_report,
+                        start,
+                        stage_results,
+                        (pool.tasks_retried - retries_before) if pool is not None else 0,
+                    )
+            finally:
+                if not ingest.done():
+                    ingest.cancel()
+                try:
+                    await ingest
+                except asyncio.CancelledError:
+                    pass
+                while not queue.empty():
+                    if queue.get_nowait() is not _STREAM_END:
+                        run.abandoned_batches += 1
+                if pool is not None:
+                    run.worker_pids = tuple(sorted(pool.pids))
+                    run.worker_deaths = pool.worker_deaths
+                    pool.close()
+                self._stop_event = None
+        run.stopped_early = self._stop_requested
+        return self._finalize(run)
 
     async def _ingest(self, queue: "asyncio.Queue") -> None:
         """Pull batches from the async arrival stream into the bounded queue."""

@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.config import FilterConfig
-from repro.core.scheduler import CpSwitchScheduler
+from repro.core.reduction import reduce_with_config
+from repro.core.scheduler import CpSwitchScheduler, interpret
 from repro.hybrid.eclipse import EclipseScheduler
 from repro.hybrid.solstice import SolsticeScheduler
 from repro.matching import kernels
@@ -341,6 +342,21 @@ class TestFallbackLadder:
 
 
 class TestWarmReuseDeadPorts:
+    @pytest.mark.parametrize("name", ["solstice", "eclipse"])
+    @given(demand=fuzz_demands(n=N))
+    @settings(max_examples=10, deadline=None)
+    def test_reinterpret_own_demand_reproduces_schedule(self, name, demand):
+        # The L2 rung and Algorithm 4 share one interpretation loop: with no
+        # dead ports, re-interpreting a fresh schedule against the demand it
+        # was built from reproduces its entries exactly.
+        demand = demand + covering_demand()
+        scheduler = make_inner(name)
+        fresh = scheduler.schedule(demand, PARAMS)
+        reduction = reduce_with_config(demand, PARAMS, scheduler.filter_config)
+        assert_schedules_equal(
+            interpret(fresh.reduced_schedule, reduction, PARAMS), fresh
+        )
+
     def test_dead_port_grants_stripped(self):
         clock = TickClock(step=0.0)
         anytime = AnytimeScheduler(make_inner(), deadline_s=2.5, clock=clock)

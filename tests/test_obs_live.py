@@ -19,6 +19,13 @@ from repro.obs.live import (
     TelemetryServer,
 )
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.obs.watch import collect_state
+from repro.runner.heartbeat import (
+    TICK_INTERVAL_S,
+    heartbeat_dir,
+    stale_after_s,
+    write_heartbeat,
+)
 
 
 class FakeMono:
@@ -160,36 +167,48 @@ class TestLiveTelemetry:
 
     def test_on_epoch_updates_status_and_burn(self):
         telemetry = self._telemetry()
+        assert telemetry.status_fields == {
+            "slo_burn_rate": {"1m": 0.0, "10m": 0.0}
+        }
         telemetry.on_epoch(**self._epoch_kwargs(0))
         telemetry.on_epoch(**self._epoch_kwargs(1, outcome={"slo_violation": True}))
-        status = telemetry.status()
-        assert status["epoch"] == 1
-        assert status["epochs_done"] == 2
-        assert status["backlog_mb"] == 2.5
-        assert status["slo_violations"] == 1
-        assert status["slo_burn_rate"]["1m"] == pytest.approx(0.5)
-        assert status["draining"] is False
+        assert telemetry.status_fields["slo_burn_rate"]["1m"] == pytest.approx(0.5)
         # burn gauges landed in the scrapeable registry
         assert "service_slo_burn_rate" in telemetry.render_metrics()
 
     def test_health_goes_stale_then_recovers_on_touch(self):
+        # /healthz judges the beat by the heartbeat rule: stale after 3x
+        # the declared 1 s interval, the horizon ``obs watch`` applies.
         clock = FakeMono()
-        telemetry = self._telemetry(mono_clock=clock, stale_after_s=5.0)
+        telemetry = self._telemetry(mono_clock=clock)
+        clock.now = 2.9
         assert telemetry.health()[0] == 200
-        clock.now = 6.0
+        clock.now = 3.1
         code, payload = telemetry.health()
         assert code == 503 and payload["status"] == "stale"
+        assert payload["stale_after_s"] == stale_after_s(TICK_INTERVAL_S) == 3.0
         telemetry.touch()
         code, payload = telemetry.health()
         assert code == 200 and payload["status"] == "ok"
 
+    def test_healthz_agrees_with_watch_on_the_same_beat(self, tmp_path):
+        # A service beat idle 4 s: STALE in ``obs watch`` and 503 on /healthz.
+        journal = tmp_path / "service.jsonl"
+        write_heartbeat(
+            heartbeat_dir(journal), "service", phase="running", mono_clock=lambda: 0.0
+        )
+        assert collect_state(journal, now_mono=4.0).service.stale
+        clock = FakeMono()
+        telemetry = self._telemetry(mono_clock=clock)
+        clock.now = 4.0
+        assert telemetry.health()[0] == 503
+
     def test_draining_reported_not_stale(self):
-        telemetry = self._telemetry()
-        telemetry.set_draining(True)
+        telemetry = self._telemetry(status_fn=lambda: {"draining": True})
         code, payload = telemetry.health()
         assert code == 200
         assert payload["status"] == "draining"
-        assert telemetry.status()["draining"] is True
+        assert payload["draining"] is True
 
     def test_on_epoch_feeds_flight_recorder(self, tmp_path):
         telemetry = self._telemetry(tmp_path)
@@ -199,20 +218,12 @@ class TestLiveTelemetry:
             **self._epoch_kwargs(1, outcome={"slo_violation": True})
         )
         assert len(written) == 1
-        status = telemetry.status()
-        assert status["incidents"] == {
+        assert telemetry.status_fields["incidents"] == {
             "triggered": {"slo_violation": 1},
             "bundles_written": 1,
         }
         bundle = json.loads(written[0].read_text())
         assert [frame["epoch"] for frame in bundle["frames"]] == [0, 1]
-
-    def test_pool_status_exception_never_breaks_status(self):
-        def broken():
-            raise OSError("pool gone")
-
-        telemetry = self._telemetry(pool_status_fn=broken)
-        assert telemetry.status()["workers"] is None
 
     def test_no_port_means_no_server(self):
         telemetry = self._telemetry().start()

@@ -478,7 +478,7 @@ class TestServiceJournal:
             phase="serving",
             experiment="service",
             extra={
-                "service_epoch": 9,
+                "epoch": 9,
                 "epochs_done": 10,
                 "backlog_mb": 0.25,
                 "fallback_level": 2,
@@ -499,6 +499,19 @@ class TestServiceJournal:
         assert "1m 50%" in text and "10m 10%" in text
         assert "heartbeat: fresh" in text
         assert not state.finished
+
+    def test_journal_ahead_of_beat_wins(self, tmp_path):
+        # A run shorter than one beat: the last beat predates every epoch.
+        journal = self._service_journal(tmp_path)
+        write_heartbeat(
+            heartbeat_dir(journal.path),
+            "service",
+            phase="running",
+            experiment="service",
+            extra={"epoch": None, "epochs_done": 0},
+        )
+        status = collect_state(journal.path).service
+        assert (status.epoch, status.epochs_done) == (2, 3)
 
     def test_heartbeat_alone_is_a_service(self, tmp_path):
         path = tmp_path / "service.jsonl"

@@ -16,6 +16,7 @@ The load-bearing contracts:
 from __future__ import annotations
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -27,9 +28,10 @@ from repro import obs
 from repro.analysis.controller import EpochController
 from repro.hybrid.base import make_scheduler
 from repro.matching import kernels
-from repro.runner.heartbeat import heartbeat_dir, read_heartbeats
+from repro.obs.watch import SERVICE_STATUS_KEYS, collect_state
+from repro.runner.heartbeat import heartbeat_dir, read_heartbeats, write_heartbeat
 from repro.runner.journal import RunJournal
-from repro.runner.pool import StageTask
+from repro.runner.pool import StageTask, WorkerPool
 from repro.service import SchedulingService, ServiceConfig, TickClock
 from repro.service.loop import ServiceReport
 from repro.switch.params import fast_ocs_params
@@ -55,6 +57,15 @@ def make_arrivals(seed: int = 7, intensity: float = 0.5) -> WorkloadArrivals:
     return WorkloadArrivals(
         SkewedWorkload(), n_ports=N, seed=seed, intensity=intensity
     )
+
+
+DRIVERS = ("sync", "async")
+
+
+def _run(service: SchedulingService, driver: str) -> ServiceReport:
+    if driver == "sync":
+        return service.run_sync()
+    return asyncio.run(service.run())
 
 
 def fuzz_demand(n: int = N, max_value: float = 12.0):
@@ -177,16 +188,18 @@ class TestAsyncDriver:
             ServiceConfig(n_epochs=3, n_workers=2),
         )
         report = asyncio.run(service.run())
+        assert report.drained
         assert len(report.worker_pids) == 2
+        assert report.worker_deaths == 0
         for outcome in report.outcomes:
-            # 2 scheduler arms + 1 backup stage, all successful.
-            assert len(outcome.arms) == 3
+            # The two default scheduler arms, both successful.
+            assert len(outcome.arms) == 2
             assert outcome.stage_failures == 0
             assert set(outcome.shard_pids) <= set(report.worker_pids)
         # At least one epoch demonstrably used >= 2 distinct worker processes.
         assert any(len(o.shard_pids) >= 2 for o in report.outcomes)
         arm_names = {arm["arm"] for arm in report.outcomes[0].arms}
-        assert arm_names == {"eclipse", "tdm", "backup:solstice"}
+        assert arm_names == {"eclipse", "tdm"}
 
     def test_no_workers_disables_sharding(self):
         service = SchedulingService(
@@ -214,20 +227,40 @@ class TestAsyncDriver:
         assert snapshot["service_backlog_mb"]["type"] == "gauge"
 
     def test_heartbeat_written_next_to_journal(self, tmp_path):
-        journal = RunJournal(tmp_path / "service.jsonl")
+        for driver in DRIVERS:
+            journal = RunJournal(tmp_path / f"{driver}.jsonl")
+            service = SchedulingService(
+                make_controller(journal=journal),
+                make_arrivals(),
+                ServiceConfig(n_epochs=2, n_workers=0),
+            )
+            _run(service, driver)
+            beats = read_heartbeats(heartbeat_dir(journal.path))
+            assert "service" in beats
+            beat = beats["service"]
+            assert beat["phase"] == "running"
+            # The monotonic liveness contract holds for the service beat too.
+            assert isinstance(beat["last_progress_mono"], float)
+            assert isinstance(beat["started_at_mono"], float)
+
+    def test_pool_liveness_failure_never_breaks_status(self, monkeypatch):
+        def broken(self):
+            raise OSError("pool gone")
+
+        monkeypatch.setattr(WorkerPool, "liveness", broken)
         service = SchedulingService(
-            make_controller(journal=journal),
-            make_arrivals(),
-            ServiceConfig(n_epochs=2, n_workers=0),
+            make_controller(), make_arrivals(), ServiceConfig(n_epochs=1, n_workers=1)
         )
+        seen = []
+        inner = service.controller.run_epoch
+
+        def run_epoch(epoch):
+            seen.append(service.status())
+            return inner(epoch)
+
+        service.controller.run_epoch = run_epoch
         asyncio.run(service.run())
-        beats = read_heartbeats(heartbeat_dir(journal.path))
-        assert "service" in beats
-        beat = beats["service"]
-        assert beat["phase"] == "running"
-        # The monotonic liveness contract holds for the service beat too.
-        assert isinstance(beat["last_progress_mono"], float)
-        assert isinstance(beat["started_at_mono"], float)
+        assert seen[0]["workers"] is None
 
     def test_epoch_clock_fires_on_monotonic_grid(self):
         naps = []
@@ -533,6 +566,89 @@ class TestLiveTelemetry:
         assert death["reason"] == "crashed"
         assert death["task"] == "die:1"
         assert isinstance(death["respawned_pid"], int)
+
+
+class TestEpochClose:
+    """Both drivers close every epoch through one path."""
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_latency_spans_offer(self, driver):
+        # The latency clock starts just before ``offer``.
+        controller = make_controller()
+        inner = controller.offer
+
+        def slow_offer(arrivals):
+            time.sleep(0.05)
+            return inner(arrivals)
+
+        controller.offer = slow_offer
+        service = SchedulingService(
+            controller, make_arrivals(), ServiceConfig(n_epochs=2, n_workers=0)
+        )
+        report = _run(service, driver)
+        assert all(o.epoch_latency_s >= 0.05 for o in report.outcomes)
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_beat_keeps_healthz_fresh_without_journal(self, tmp_path, driver):
+        # An epoch that outlasts a beat interval: with no journal, the beat
+        # must still touch the telemetry plane mid-epoch, or /healthz goes
+        # stale during a healthy epoch.
+        controller = make_controller()
+        inner = controller.run_epoch
+        touched = []
+
+        def long_run_epoch(epoch):
+            telemetry = service.telemetry
+            entered = time.monotonic()
+            while time.monotonic() - entered < 5.0:
+                idle = telemetry.health()[1]["heartbeat_idle_s"]
+                if idle < time.monotonic() - entered - 0.01:
+                    touched.append(telemetry.health()[0])
+                    break
+                time.sleep(0.02)
+            return inner(epoch)
+
+        controller.run_epoch = long_run_epoch
+        service = SchedulingService(
+            controller,
+            make_arrivals(),
+            ServiceConfig(n_epochs=1, n_workers=0, incidents_dir=tmp_path),
+        )
+        _run(service, driver)
+        assert touched == [200]
+
+    def test_status_snapshot_is_what_watch_reads(self, tmp_path):
+        journal = RunJournal(tmp_path / "service.jsonl")
+        service = SchedulingService(
+            make_controller(journal=journal),
+            make_arrivals(),
+            ServiceConfig(
+                n_epochs=3, n_workers=0, incidents_dir=tmp_path / "incidents"
+            ),
+        )
+        report = service.run_sync()
+        status = service.status()
+        last = report.outcomes[-1]
+        assert status["epoch"] == 2 and status["epochs_done"] == 3
+        assert status["backlog_mb"] == last.report.backlog_after
+        assert status["epoch_latency_s"] == last.epoch_latency_s
+        assert status["slo_violations"] == report.slo_violations
+        assert set(status["slo_burn_rate"]) == {"1m", "10m"}
+        assert status["incidents"]["bundles_written"] == 0
+        assert status["draining"] is False
+        # A beat writes the snapshot as the heartbeat's extras, and
+        # ``obs watch`` reads the same keys back out of it.
+        write_heartbeat(
+            heartbeat_dir(journal.path),
+            "service",
+            phase="running",
+            experiment="service",
+            extra=service._beat(),
+        )
+        watched = collect_state(journal.path).service
+        assert [getattr(watched, key) for key in SERVICE_STATUS_KEYS] == [
+            status[key] for key in SERVICE_STATUS_KEYS
+        ]
 
 
 def test_service_report_defaults():

@@ -67,7 +67,7 @@ def sweep_fingerprint(kind: str, args: dict) -> str:
     """Short stable hash of a sweep's identity (kind + all arguments).
 
     Two invocations with identical arguments share a fingerprint — and
-    therefore, via :func:`default_journal_path`, a journal — which is what
+    therefore a journal under :func:`default_run_dir` — which is what
     makes re-running the same command resume instead of recompute.
     """
     canonical = json.dumps({"kind": kind, "args": args}, sort_keys=True)
@@ -77,11 +77,6 @@ def sweep_fingerprint(kind: str, args: dict) -> str:
 def default_run_dir() -> Path:
     """Journal directory: ``$REPRO_RUN_DIR`` or ``./runs``."""
     return Path(os.environ.get("REPRO_RUN_DIR", "runs"))
-
-
-def default_journal_path(kind: str, args: dict) -> Path:
-    """Auto-derived journal path for a sweep (same args -> same journal)."""
-    return default_run_dir() / f"{kind}-{sweep_fingerprint(kind, args)}.jsonl"
 
 
 # ---------------------------------------------------------------------- #
@@ -190,6 +185,10 @@ def robustness_specs(
     ``reroute`` a fast-reroute-vs-degrade arm per fault rate, and with
     ``deadlines`` a deadline-aware anytime-controller arm per value in ms)."""
     _check_axes(trials, (radix,))
+    for name, rates in (("fault rate", fault_rates), ("error rate", error_rates)):
+        for rate in rates:
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {rate}")
     point = {"ocs": ocs, "radix": radix, "seed": seed}
     specs: "list[TrialSpec]" = []
     for deadline_ms in deadlines:

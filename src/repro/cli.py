@@ -13,8 +13,8 @@ Gives the library a no-code surface for the common workflows:
   (h vs cp completion versus injected fault rate, with the volume failed
   over from dead composite paths) followed by a demand-estimation-error
   sweep (noise / staleness / missed entries);
-* ``sweep``    — the same sweeps under explicit journal control, plus
-  ``sweep --resume <journal>`` to finish an interrupted run;
+* ``sweep --resume <journal>`` — finish an interrupted sweep from its
+  journal;
 * ``serve``    — the continuous scheduling service loop: async arrival
   ingestion into the closed-loop epoch controller, advisory scheduler
   arms sharded across a warm worker pool, drain-on-SIGTERM.
@@ -44,7 +44,7 @@ Examples
     python -m repro schedule demand.npy --switch cp --scheduler eclipse
     python -m repro robustness --radix 32 --trials 2 \
         --fault-rates 0,0.1,0.3 --error-rates 0,0.1,0.3
-    python -m repro sweep compare --radix 32 --trials 20 --journal run.jsonl
+    python -m repro compare --radix 32 --trials 20 --journal run.jsonl
     python -m repro sweep --resume run.jsonl
 """
 
@@ -97,10 +97,6 @@ WORKLOADS = ("skewed", "background", "typical", "intensive", "varying")
 
 def _params(args) -> SwitchParams:
     return ocs_params(args.ocs, args.radix)
-
-
-def _workload(name: str, params: SwitchParams, skewed_ports: int):
-    return make_workload(name, params, skewed_ports)
 
 
 def _load_demand(path: Path) -> np.ndarray:
@@ -170,20 +166,23 @@ def _check_positive_budget(value, flag: str, unit: str = "seconds"):
     return value
 
 
-def _parse_radices(text: str, command: str) -> "tuple[int, ...]":
+def _parse_list(text: str, command: str, flag: str, cast=int) -> tuple:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(cast(part) for part in text.split(","))
     except ValueError:
+        kind = "integers" if cast is int else "numbers"
         raise SystemExit(
-            f"{command}: --radices must be comma-separated integers, got {text!r}"
+            f"{command}: {flag} must be comma-separated {kind}, got {text!r}"
         ) from None
 
 
-def _build_specs(command: str, build, *args, **kwargs):
-    """A sweep's trial specs; a bad axis (``--trials 0``, a radix below 2)
-    exits with one line before any trial runs or is journaled."""
+@contextlib.contextmanager
+def _rejecting(command: str):
+    """Bad input (``--trials 0``, a radix below 2, ``serve --epochs 0``)
+    exits with one ``<command>: <message>`` line before anything runs or
+    is journaled.  Wrap only argument and config construction."""
     try:
-        return build(*args, **kwargs)
+        yield
     except ValueError as exc:
         raise SystemExit(f"{command}: {exc}") from None
 
@@ -271,7 +270,8 @@ def cmd_compare(args) -> int:
         "seed": args.seed,
         "skewed_ports": args.skewed_ports,
     }
-    specs = _build_specs("compare", compare_specs, **sweep_args)
+    with _rejecting("compare"):
+        specs = compare_specs(**sweep_args)
     result, _journal = _run_sweep(args, "compare", sweep_args, specs)
     if not result.completed:
         print("error: every trial failed; nothing to aggregate", file=sys.stderr)
@@ -311,7 +311,7 @@ def _print_figure(sweep_args: dict, specs, completed: dict) -> None:
 
 
 def cmd_figure(args) -> int:
-    radices = _parse_radices(args.radices, "figure")
+    radices = _parse_list(args.radices, "figure", "--radices")
     sweep_args = {
         "name": args.name,
         "ocs": args.ocs,
@@ -319,15 +319,10 @@ def cmd_figure(args) -> int:
         "trials": args.trials,
         "seed": args.seed,
     }
-    specs = _build_specs(
-        "figure",
-        figure_specs,
-        args.name,
-        ocs=args.ocs,
-        radices=radices,
-        trials=args.trials,
-        seed=args.seed,
-    )
+    with _rejecting("figure"):
+        specs = figure_specs(
+            args.name, ocs=args.ocs, radices=radices, trials=args.trials, seed=args.seed
+        )
     result, _journal = _run_sweep(args, "figure", sweep_args, specs)
     if not result.completed:
         print("error: every trial failed; nothing to aggregate", file=sys.stderr)
@@ -337,8 +332,9 @@ def cmd_figure(args) -> int:
 
 
 def cmd_workload(args) -> int:
-    params = _params(args)
-    workload = _workload(args.workload, params, args.skewed_ports)
+    with _rejecting("workload"):
+        params = _params(args)
+    workload = make_workload(args.workload, params, args.skewed_ports)
     spec = workload.generate(args.radix, np.random.default_rng(args.seed))
     out = Path(args.out)
     if out.suffix == ".npy":
@@ -526,21 +522,13 @@ def _print_robustness(sweep_args: dict, specs, completed: dict) -> None:
 
 
 def cmd_robustness(args) -> int:
-    fault_rates = tuple(float(part) for part in args.fault_rates.split(","))
-    error_rates = tuple(float(part) for part in args.error_rates.split(","))
+    fault_rates = _parse_list(args.fault_rates, "robustness", "--fault-rates", float)
+    error_rates = _parse_list(args.error_rates, "robustness", "--error-rates", float)
     deadlines = tuple(
         _check_positive_budget(part, "--deadline", unit="milliseconds")
         for part in args.deadline.split(",")
         if part.strip()
     )
-    # Fail fast on bad sweep axes instead of journaling one doomed trial
-    # per point.
-    for rate in fault_rates:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"fault rate must be in [0, 1], got {rate}")
-    for error in error_rates:
-        if not 0.0 <= error <= 1.0:
-            raise ValueError(f"error rate must be in [0, 1], got {error}")
     sweep_args = {
         "ocs": args.ocs,
         "radix": args.radix,
@@ -551,18 +539,17 @@ def cmd_robustness(args) -> int:
         "fast_reroute": bool(args.fast_reroute),
         "deadlines": list(deadlines),
     }
-    specs = _build_specs(
-        "robustness",
-        robustness_specs,
-        ocs=args.ocs,
-        radix=args.radix,
-        trials=args.trials,
-        seed=args.seed,
-        fault_rates=fault_rates,
-        error_rates=error_rates,
-        reroute=args.fast_reroute,
-        deadlines=deadlines,
-    )
+    with _rejecting("robustness"):
+        specs = robustness_specs(
+            ocs=args.ocs,
+            radix=args.radix,
+            trials=args.trials,
+            seed=args.seed,
+            fault_rates=fault_rates,
+            error_rates=error_rates,
+            reroute=args.fast_reroute,
+            deadlines=deadlines,
+        )
     result, _journal = _run_sweep(args, "robustness", sweep_args, specs)
     if not result.completed:
         print("error: every trial failed; nothing to aggregate", file=sys.stderr)
@@ -573,18 +560,14 @@ def cmd_robustness(args) -> int:
 
 def cmd_sweep(args) -> int:
     """``sweep --resume <journal>``: finish an interrupted sweep."""
-    if not getattr(args, "resume", None):
-        raise SystemExit(
-            "sweep: give a sub-command (compare / figure / robustness) "
-            "or --resume <journal>"
-        )
     path = Path(args.resume)
     if not path.exists():
         raise SystemExit(f"sweep --resume: journal {path} does not exist")
-    journal = RunJournal(path)
-    specs = specs_from_journal(journal)
+    with _rejecting("sweep"):
+        journal = RunJournal(path)
+        specs = specs_from_journal(journal)
     header = journal.header
-    meta = header.get("meta", {}) if header else {}
+    meta = header.get("meta", {})
     done_before = len(journal.completed_keys())
     runner = SweepRunner(journal, _sweep_config(args))
     result = runner.run(specs, sweep_name=header["sweep"], meta=meta)
@@ -619,7 +602,6 @@ def cmd_serve(args) -> int:
     from repro.service import SchedulingService, ServiceConfig
     from repro.workloads.arrivals import WorkloadArrivals
 
-    params = _params(args)
     use_cp = args.switch == "cp"
     deadline_s = None
     if args.deadline is not None:
@@ -629,38 +611,40 @@ def cmd_serve(args) -> int:
         )
         if not use_cp:
             raise SystemExit("serve: --deadline requires --switch cp")
-    arrivals = WorkloadArrivals(
-        _workload(args.workload, params, args.skewed_ports),
-        n_ports=params.n_ports,
-        seed=args.seed,
-        intensity=args.intensity,
-    )
-    journal = RunJournal(args.journal) if getattr(args, "journal", None) else None
-    controller = EpochController(
-        params=params,
-        scheduler=make_scheduler(args.scheduler),
-        use_composite_paths=use_cp,
-        epoch_duration=args.epoch_ms,
-        journal=journal,
-        deadline_s=deadline_s,
-        max_backlog=args.max_backlog,
-        overflow_policy=args.overflow,
-    )
     arms = tuple(
         part.strip() for part in (args.arms or "").split(",") if part.strip()
     )
-    config = ServiceConfig(
-        n_epochs=args.epochs,
-        n_workers=args.workers,
-        queue_depth=args.queue_depth,
-        epoch_interval_s=args.interval,
-        arms=arms,
-        drain=not args.no_drain,
-        telemetry_port=args.telemetry_port,
-        telemetry_host=args.telemetry_host,
-        incidents_dir=args.incidents_dir,
-        recorder_epochs=args.recorder_epochs,
-    )
+    with _rejecting("serve"):
+        params = _params(args)
+        arrivals = WorkloadArrivals(
+            make_workload(args.workload, params, args.skewed_ports),
+            n_ports=params.n_ports,
+            seed=args.seed,
+            intensity=args.intensity,
+        )
+        journal = RunJournal(args.journal) if args.journal else None
+        controller = EpochController(
+            params=params,
+            scheduler=make_scheduler(args.scheduler),
+            use_composite_paths=use_cp,
+            epoch_duration=args.epoch_ms,
+            journal=journal,
+            deadline_s=deadline_s,
+            max_backlog=args.max_backlog,
+            overflow_policy=args.overflow,
+        )
+        config = ServiceConfig(
+            n_epochs=args.epochs,
+            n_workers=args.workers,
+            queue_depth=args.queue_depth,
+            epoch_interval_s=args.interval,
+            arms=arms,
+            drain=not args.no_drain,
+            telemetry_port=args.telemetry_port,
+            telemetry_host=args.telemetry_host,
+            incidents_dir=args.incidents_dir,
+            recorder_epochs=args.recorder_epochs,
+        )
     service = SchedulingService(controller, arrivals, config)
     # A scrape endpoint over the null registry would serve an empty page;
     # --telemetry-port implies live backends for the run unless --trace /
@@ -839,7 +823,7 @@ def cmd_obs_export(args) -> int:
 
 
 def _parse_point_axes(args) -> "tuple[tuple[int, ...], tuple[str, ...]]":
-    radices = _parse_radices(args.radices, "obs baseline")
+    radices = _parse_list(args.radices, "obs baseline", "--radices")
     schedulers = tuple(part.strip() for part in args.schedulers.split(","))
     for scheduler in schedulers:
         if scheduler not in ("solstice", "eclipse"):
@@ -1108,10 +1092,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="journaled resumable sweeps; `sweep --resume <journal>` finishes "
-        "an interrupted run",
+        help="finish an interrupted sweep from its journal (re-running the "
+        "original command resumes too)",
     )
-    sweep.add_argument("--resume", metavar="JOURNAL", help="journal of the sweep to finish")
+    sweep.add_argument(
+        "--resume", metavar="JOURNAL", required=True, help="journal of the sweep to finish"
+    )
     sweep.add_argument(
         "--timeout", type=float, metavar="SECONDS", help="wall-clock budget per trial attempt"
     )
@@ -1120,10 +1106,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--isolation", choices=("subprocess", "inline"), default="subprocess")
     _add_obs_args(sweep)
     sweep.set_defaults(func=cmd_sweep)
-    sweep_sub = sweep.add_subparsers(dest="sweep_command")
-    _add_compare_args(sweep_sub.add_parser("compare", help="journaled compare sweep"))
-    _add_figure_args(sweep_sub.add_parser("figure", help="journaled figure sweep"))
-    _add_robustness_args(sweep_sub.add_parser("robustness", help="journaled robustness sweep"))
 
     serve = sub.add_parser(
         "serve",

@@ -145,7 +145,7 @@ class TelemetryServer:
     """Daemon-threaded HTTP server wrapping three endpoint callables.
 
     ``port=0`` binds an ephemeral port; read :attr:`port` after
-    :meth:`start` (tests and the CI smoke do exactly that).
+    :meth:`start` (the live-scrape tests do exactly that).
     """
 
     def __init__(

@@ -20,7 +20,7 @@ two into one status report:
 
 Reading is strictly passive: the journal is atomic-rewritten by the
 runner, heartbeat files are atomically replaced, so a watcher sees
-consistent snapshots and perturbs nothing (the kill-and-resume smoke
+consistent snapshots and perturbs nothing (the kill-and-resume test
 asserts journals are bit-identical with a watcher attached or not).
 """
 

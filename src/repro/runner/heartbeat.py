@@ -48,7 +48,7 @@ Writers may attach extra advisory fields (e.g. a controller worker's
 ``deadline_miss_rate``); readers ignore what they do not know.
 
 Heartbeats are advisory: they are never read back by the runner itself,
-never influence scheduling or results (the kill-and-resume smoke asserts
+never influence scheduling or results (the kill-and-resume test asserts
 journals are bit-identical with monitoring on vs. off), and a missing or
 torn heartbeat directory degrades ``obs watch`` — never the sweep.
 """

@@ -13,8 +13,8 @@ importable ``"module:function"`` paths and results come back over a pipe.
 Contract:
 
 * **Warm** — workers persist across :meth:`WorkerPool.map` calls; the
-  service reuses the same pids epoch after epoch (the smoke test asserts
-  this).
+  service reuses the same pids epoch after epoch
+  (``test_workers_stay_warm_across_maps`` asserts this).
 * **Crash-tolerant** — a worker that dies mid-task is respawned and the
   task is retried (up to ``retries`` extra attempts); only then does the
   stage report ``crashed``.

@@ -81,8 +81,8 @@ class TickClock:
 
     Injecting it for ``DeadlineBudget(clock=...)`` makes budget exhaustion
     a function of *how many checkpoints ran*, not of machine speed — the
-    tests, the CI smoke, and the ``BENCH_obs.json`` quality fingerprint
-    all rely on that to get deterministic fallback levels.
+    tests and the ``BENCH_obs.json`` quality fingerprint both rely on that
+    to get deterministic fallback levels.
     """
 
     def __init__(self, step: float = 1.0, start: float = 0.0) -> None:

@@ -218,7 +218,7 @@ class SchedulingService:
         self._stop_requested = False
         self._stop_event: "asyncio.Event | None" = None
         #: Live telemetry plane; ``None`` until a run starts with
-        #: ``telemetry_port`` / ``incidents_dir`` configured.  Smokes read
+        #: ``telemetry_port`` / ``incidents_dir`` configured.  Callers read
         #: ``service.telemetry.port`` to find the ephemeral scrape port.
         self.telemetry = None
         self._pool: "WorkerPool | None" = None
@@ -447,20 +447,13 @@ class SchedulingService:
         metrics = obs.get_metrics()
         if not metrics.enabled:
             return
-        report = outcome.report
-        metrics.counter("service_epochs_total", "service epochs executed").inc()
+        # Epoch count, backlog and shed volume are the controller's series
+        # (controller_epochs_total, controller_backlog_mb,
+        # controller_shed_mb_total); the service adds only what it owns.
         metrics.histogram(
             "service_epoch_latency",
             "wall-clock seconds per service epoch (offer + schedule + execute)",
         ).observe(outcome.epoch_latency_s)
-        metrics.gauge(
-            "service_backlog_mb", "VOQ backlog (Mb) after the latest service epoch"
-        ).set(report.backlog_after)
-        if report.shed_volume:
-            metrics.counter(
-                "service_shed_mb_total",
-                "arrival volume (Mb) refused by backpressure while serving",
-            ).inc(report.shed_volume)
         if outcome.stage_retries:
             metrics.counter(
                 "service_stage_retries_total",

@@ -173,7 +173,7 @@ def _surviving_composites(engine, injector, services):
 def _run(
     demand: np.ndarray,
     entries,
-    filtered: np.ndarray,
+    filtered: "np.ndarray | None",
     composites_for,
     circuits_for,
     params: SwitchParams,
@@ -184,10 +184,16 @@ def _run(
     faults=None,
     backups=None,
 ) -> SimulationResult:
+    """The phase loop shared by h-, cp- and k-path execution.
+
+    ``filtered=None`` (h-Switch) parks nothing on composite paths, so the
+    final drain has no composite residual to merge back.
+    """
     if horizon is not None and horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
     engine = FluidEngine(np.asarray(demand, dtype=np.float64), params)
-    engine.assign_composite(filtered)
+    if filtered is not None:
+        engine.assign_composite(filtered)
     injector = as_injector(faults, engine.n)
     eps_scale = injector.eps_port_scale if injector is not None else None
     # Fast-reroute needs an injector to detect outages with; armed backups
@@ -258,7 +264,8 @@ def _run(
         if reroute is not None:
             reroute.note_drain()
             outcome = reroute.outcome()
-        engine.merge_composite_into_regular()
+        if filtered is not None:
+            engine.merge_composite_into_regular()
         engine.run_phase(None, eps_port_scale=eps_scale)
         return engine.result(
             n_configs=n_configs,
@@ -271,7 +278,8 @@ def _run(
         # become ordinary packet traffic for the remaining budget.
         if reroute is not None:
             reroute.note_drain()
-        engine.merge_composite_into_regular()
+        if filtered is not None:
+            engine.merge_composite_into_regular()
         engine.run_phase(horizon - engine.clock, eps_port_scale=eps_scale)
     if reroute is not None:
         outcome = reroute.outcome()

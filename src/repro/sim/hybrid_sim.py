@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.faults.injector import as_injector
 from repro.hybrid.schedule import Schedule
-from repro.sim.engine import FluidEngine
+from repro.sim.cp_sim import _run
 from repro.sim.metrics import SimulationResult
 from repro.switch.params import SwitchParams
 
@@ -64,48 +63,16 @@ def simulate_hybrid(
             f"demand is {demand.shape[0]}x{demand.shape[0]}; "
             "use simulate_cp for reduced cp-Switch schedules"
         )
-    if horizon is not None and horizon < 0:
-        raise ValueError(f"horizon must be non-negative, got {horizon}")
-    engine = FluidEngine(demand, params)
-    injector = as_injector(faults, demand.shape[0])
-    eps_scale = injector.eps_port_scale if injector is not None else None
-
-    def budget(duration: float) -> float:
-        if horizon is None:
-            return duration
-        return min(duration, max(0.0, horizon - engine.clock))
-
-    for entry in schedule:
-        if horizon is not None and engine.clock >= horizon:
-            break
-        if injector is not None:
-            delta, established = injector.reconfigure(params.reconfig_delay)
-        else:
-            delta, established = params.reconfig_delay, True
-        engine.run_phase(budget(delta), eps_port_scale=eps_scale)  # OCS dark, EPS on
-        if horizon is not None and engine.clock >= horizon:
-            break
-        circuits = entry.permutation if established else None
-        if injector is not None and established:
-            circuits = injector.surviving_circuits(circuits)
-        engine.run_phase(
-            budget(entry.duration), circuits=circuits, eps_port_scale=eps_scale
-        )
-
-    summary = injector.summary if injector is not None else None
-    if horizon is None:
-        engine.run_phase(None, eps_port_scale=eps_scale)  # EPS-only drain
-        return engine.result(
-            n_configs=schedule.n_configs,
-            makespan=schedule.makespan,
-            fault_summary=summary,
-        )
-    if engine.clock < horizon:
-        # EPS-only until the horizon.
-        engine.run_phase(horizon - engine.clock, eps_port_scale=eps_scale)
-    return engine.result(
+    # An h-Switch run is a cp-Switch run with nothing filtered and no grants.
+    return _run(
+        demand,
+        schedule.entries,
+        None,
+        lambda entry: (),
+        lambda entry: entry.permutation,
+        params,
+        horizon,
         n_configs=schedule.n_configs,
         makespan=schedule.makespan,
-        allow_residual=True,
-        fault_summary=summary,
+        faults=faults,
     )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runner.journal import RunJournal
 
 
 class TestCompareCommand:
@@ -110,10 +111,6 @@ class TestRobustnessCommand:
         assert "h/cp" in out
         assert "estimation-error sweep" in out
 
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            main(["robustness", "--radix", "16", "--trials", "1", "--fault-rates", "2"])
-
     def test_deadline_table_rendered(self, capsys):
         code = main(
             [
@@ -163,8 +160,9 @@ class TestBudgetValidation:
 
 
 class TestSweepAxisValidation:
-    """--trials below 1, a radix below 2 and an unparseable --radices exit
-    with one line before any trial runs, and nothing is journaled."""
+    """Bad input — a sweep axis, a serve or workload setting, a journal
+    that is not a sweep's — exits with one ``<command>: <message>`` line
+    before anything runs, and nothing is journaled."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -172,7 +170,7 @@ class TestSweepAxisValidation:
             (["compare", "--radix", "16", "--trials", "0"], "compare: trials must be >= 1, got 0"),
             (["figure", "fig5", "--radices", "16", "--trials", "0"], "figure: trials must be >= 1, got 0"),
             (["robustness", "--radix", "16", "--trials", "0"], "robustness: trials must be >= 1, got 0"),
-            (["sweep", "compare", "--radix", "16", "--trials", "-2"], "compare: trials must be >= 1, got -2"),
+            (["compare", "--radix", "16", "--trials", "-2"], "compare: trials must be >= 1, got -2"),
             (["compare", "--radix", "1", "--trials", "1"], "compare: radix must be >= 2, got 1"),
             (["figure", "fig5", "--radices", "0", "--trials", "1"], "figure: radix must be >= 2, got 0"),
             (["figure", "fig6", "--radices", "16,1", "--trials", "1"], "figure: radix must be >= 2, got 1"),
@@ -181,25 +179,81 @@ class TestSweepAxisValidation:
                 ["figure", "fig5", "--radices", "16,x", "--trials", "1"],
                 "figure: --radices must be comma-separated integers, got '16,x'",
             ),
+            (
+                ["robustness", "--radix", "16", "--fault-rates", "0,2"],
+                "robustness: fault rate must be in [0, 1], got 2.0",
+            ),
+            (
+                ["robustness", "--radix", "16", "--fault-rates", "x"],
+                "robustness: --fault-rates must be comma-separated numbers, got 'x'",
+            ),
+            (
+                ["robustness", "--radix", "16", "--error-rates", "2"],
+                "robustness: error rate must be in [0, 1], got 2.0",
+            ),
+            (["serve", "--radix", "8", "--epochs", "0"], "serve: n_epochs must be >= 1 (or None), got 0"),
+            (["serve", "--radix", "8", "--epoch-ms", "0"], "serve: epoch_duration must be positive, got 0.0"),
+            (["serve", "--radix", "8", "--queue-depth", "0"], "serve: queue_depth must be >= 1, got 0"),
+            (["serve", "--radix", "8", "--workers", "-1"], "serve: n_workers must be >= 0, got -1"),
+            (
+                ["serve", "--radix", "8", "--max-backlog", "-1"],
+                "serve: max_backlog must be a positive volume (Mb), got -1.0",
+            ),
+            (
+                ["serve", "--radix", "8", "--intensity", "-1"],
+                "serve: intensity must be a finite non-negative number, got -1.0",
+            ),
+            (["serve", "--radix", "1"], "serve: n_ports must be an integer >= 2, got 1"),
+            (
+                ["workload", "--radix", "1", "--out", "{tmp}/demand.npy"],
+                "workload: n_ports must be an integer >= 2, got 1",
+            ),
+            (
+                ["sweep", "--resume", "{tmp}/serve.jsonl"],
+                "sweep: journal {tmp}/serve.jsonl has no header record — not a sweep journal",
+            ),
+            (
+                ["sweep", "--resume", "{tmp}/empty.jsonl"],
+                "sweep: journal {tmp}/empty.jsonl has no header record — not a sweep journal",
+            ),
         ],
         ids=[
             "compare-trials-0",
             "figure-trials-0",
             "robustness-trials-0",
-            "sweep-compare-trials-negative",
+            "compare-trials-negative",
             "compare-radix-1",
             "figure-radix-0",
             "figure-radix-1-in-list",
             "robustness-radix-1",
             "figure-radices-unparseable",
+            "robustness-fault-rate-2",
+            "robustness-fault-rates-unparseable",
+            "robustness-error-rate-2",
+            "serve-epochs-0",
+            "serve-epoch-ms-0",
+            "serve-queue-depth-0",
+            "serve-workers-negative",
+            "serve-max-backlog-negative",
+            "serve-intensity-negative",
+            "serve-radix-1",
+            "workload-radix-1",
+            "sweep-resume-serve-journal",
+            "sweep-resume-empty-journal",
         ],
     )
     def test_rejected_before_any_trial(self, argv, message, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RUN_DIR", str(tmp_path / "runs"))
+        # A `serve --journal` file holds epoch records but no sweep header.
+        RunJournal(tmp_path / "serve.jsonl").append({"kind": "epoch", "report": {}})
+        (tmp_path / "empty.jsonl").touch()
+        journals = {path: path.read_bytes() for path in tmp_path.glob("*.jsonl")}
         with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == message
+            main([arg.format(tmp=tmp_path) for arg in argv])
+        assert excinfo.value.code == message.format(tmp=tmp_path)
         assert not (tmp_path / "runs").exists()
+        assert not (tmp_path / "demand.npy").exists()
+        assert {path: path.read_bytes() for path in journals} == journals
 
 
 class TestDemandValidation:
@@ -268,7 +322,7 @@ class TestSweepCommand:
     def test_sweep_resume_finishes_interrupted_journal(self, tmp_path, capsys):
         journal = tmp_path / "run.jsonl"
         argv = [
-            "sweep", "compare", "--radix", "16", "--trials", "2",
+            "compare", "--radix", "16", "--trials", "2",
             "--journal", str(journal), "--isolation", "inline",
         ]
         assert main(argv) == 0
@@ -337,9 +391,16 @@ class TestSweepCommand:
         with pytest.raises(SystemExit, match="does not exist"):
             main(["sweep", "--resume", str(tmp_path / "nope.jsonl")])
 
-    def test_sweep_without_subcommand_or_resume_rejected(self):
-        with pytest.raises(SystemExit, match="sub-command"):
-            main(["sweep"])
+    @pytest.mark.parametrize(
+        "argv", [["sweep"], ["sweep", "compare"]], ids=["bare", "removed-alias"]
+    )
+    def test_sweep_without_resume_rejected(self, argv, capsys):
+        # `sweep` only resumes; the old `sweep compare|figure|robustness`
+        # aliases are gone (re-running the command resumes its journal).
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--resume" in capsys.readouterr().err
 
 
 class TestParser:

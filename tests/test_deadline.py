@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.analysis.controller import EpochController
 from repro.core.config import FilterConfig
 from repro.core.reduction import reduce_with_config
 from repro.core.scheduler import CpSwitchScheduler, interpret
@@ -58,6 +59,15 @@ def covering_demand() -> np.ndarray:
     demand[0, 1:9] = 1.0
     demand[9:14, 1:9] = 1.0
     demand[14, 15] = 40.0
+    return demand
+
+
+def bursty_arrivals(epoch: int) -> np.ndarray:
+    """Sparse background noise plus one 25 Mb elephant that moves each epoch."""
+    rng = np.random.default_rng(7000 + epoch)
+    demand = rng.uniform(0.0, 2.0, size=(N, N)) * (rng.random((N, N)) < 0.3)
+    np.fill_diagonal(demand, 0.0)
+    demand[epoch % N, (epoch + 1) % N] += 25.0
     return demand
 
 
@@ -411,3 +421,27 @@ class TestFiniteBudgetValidity:
             simulate_cp(demand, cp_schedule, PARAMS).check_conservation()
             levels.add(anytime.last_outcome.fallback_level)
         assert levels  # every epoch produced an outcome
+
+        # A bounded closed loop with backpressure armed: every epoch's
+        # schedule conserves volume, the admission ledger (offered =
+        # admitted + shed + parked) balances, and the ladder engages a
+        # middle rung, not just L0/L4.
+        for deadline in (6.5, 2.5):
+            controller = EpochController(
+                PARAMS,
+                SolsticeScheduler(),
+                use_composite_paths=True,
+                epoch_duration=0.5,
+                deadline_s=deadline,
+                deadline_clock=TickClock(step=1.0),
+                max_backlog=60.0,
+                overflow_policy="shed",
+            )
+            for epoch in range(6):
+                controller.offer(bursty_arrivals(epoch))
+                report, result = controller.run_epoch(epoch)
+                result.check_conservation()
+                levels.add(report.fallback_level)
+            controller.check_conservation()
+            assert controller.shed_volume_total > 0.0  # the shed leg is in play
+        assert levels & {FALLBACK_TRUNCATED, FALLBACK_WARM_REUSE, FALLBACK_TDM}

@@ -16,6 +16,7 @@ from repro.obs.export import (
     render_openmetrics,
 )
 from repro.obs.metrics import MetricsRegistry
+from tests._openmetrics import parse_openmetrics
 
 
 def _registry() -> MetricsRegistry:
@@ -99,6 +100,45 @@ class TestRender:
         text = render_openmetrics(registry.snapshot())
         assert 'h_bucket{le="1",stage="a"} 1' in text
         assert 'h_bucket{le="+Inf",stage="b"} 1' in text
+
+
+class TestStrictParse:
+    """The strict parser the live-scrape tests rely on: it accepts the
+    exporter's output and rejects each rule an exposition can break."""
+
+    def test_rendered_exposition_is_strict(self):
+        families, problems = parse_openmetrics(render_openmetrics(_registry().snapshot()))
+        assert problems == []
+        assert {name: family["type"] for name, family in families.items()} == {
+            "trials_total": "counter",
+            "backlog_mb": "gauge",
+            "phase_seconds": "histogram",
+        }
+
+    @pytest.mark.parametrize(
+        "old, new, problem",
+        [
+            ("# TYPE backlog_mb gauge\n", "", "sample backlog_mb has no TYPE line"),
+            (
+                'phase_seconds_bucket{le="1"} 3',
+                'phase_seconds_bucket{le="1"} 0',
+                "phase_seconds: buckets not cumulative: [1.0, 0.0, 4.0]",
+            ),
+            (
+                'phase_seconds_bucket{le="+Inf"} 4',
+                'phase_seconds_bucket{le="+Inf"} 5',
+                "phase_seconds: +Inf bucket 5.0 != _count 4.0",
+            ),
+            ('phase_seconds_bucket{le="+Inf"} 4\n', "", "phase_seconds: no +Inf bucket"),
+            ("# EOF\n", "", "exposition does not end with '# EOF'"),
+        ],
+        ids=["undeclared-sample", "decreasing-buckets", "inf-not-count", "no-inf", "no-eof"],
+    )
+    def test_bad_exposition_fails(self, old, new, problem):
+        text = render_openmetrics(_registry().snapshot())
+        assert old in text
+        _, problems = parse_openmetrics(text.replace(old, new))
+        assert problems == [problem]
 
 
 class TestCli:

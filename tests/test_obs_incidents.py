@@ -135,7 +135,7 @@ class TestBundleIO:
         written = recorder.observe_epoch(
             _frame(1, report={"reroute_swaps": 2}, records=spans),
             metrics_snapshot={
-                "service_epochs_total": {
+                "controller_epochs_total": {
                     "type": "counter",
                     "description": "",
                     "values": [{"labels": {}, "value": 2}],
@@ -170,7 +170,7 @@ class TestBundleIO:
         assert "2 reroute swap(s)" in text
         assert "epoch    0" in text and "epoch    1" in text
         assert "service.stage" in text  # span tree rendered
-        assert "service_epochs_total" in text  # counters rendered
+        assert "controller_epochs_total" in text  # counters rendered
 
     def test_listing_render(self, tmp_path):
         self._dump_one(tmp_path)

@@ -16,7 +16,9 @@ The load-bearing contracts:
 from __future__ import annotations
 
 import asyncio
+import json
 import time
+import urllib.request
 
 import numpy as np
 import pytest
@@ -26,8 +28,17 @@ from hypothesis.extra.numpy import arrays
 
 from repro import obs
 from repro.analysis.controller import EpochController
+from repro.faults import FaultPlan
 from repro.hybrid.base import make_scheduler
 from repro.matching import kernels
+from repro.obs.incidents import (
+    TRIGGER_CRASH,
+    TRIGGER_FALLBACK,
+    TRIGGER_KINDS,
+    TRIGGER_REROUTE,
+    TRIGGER_SLO,
+    load_incident,
+)
 from repro.obs.watch import SERVICE_STATUS_KEYS, collect_state
 from repro.runner.heartbeat import heartbeat_dir, read_heartbeats, write_heartbeat
 from repro.runner.journal import RunJournal
@@ -37,6 +48,8 @@ from repro.service.loop import ServiceReport
 from repro.switch.params import fast_ocs_params
 from repro.workloads.arrivals import WorkloadArrivals, arrival_stream
 from repro.workloads.skewed import SkewedWorkload
+from tests._openmetrics import parse_openmetrics
+from tests.test_reroute import covering_demand
 
 N = 8
 PARAMS = fast_ocs_params(N)
@@ -60,6 +73,16 @@ def make_arrivals(seed: int = 7, intensity: float = 0.5) -> WorkloadArrivals:
 
 
 DRIVERS = ("sync", "async")
+
+
+def _scrape(port: int, path: str) -> "tuple[int, str, str]":
+    """(HTTP status, body, content type) of one GET."""
+    with urllib.request.urlopen(f"http://127.0.0.1:{port}{path}", timeout=5) as response:
+        return (
+            response.status,
+            response.read().decode("utf-8"),
+            response.headers.get("Content-Type"),
+        )
 
 
 def _run(service: SchedulingService, driver: str) -> ServiceReport:
@@ -221,10 +244,14 @@ class TestAsyncDriver:
             )
             asyncio.run(service.run())
         snapshot = registry.snapshot()
-        assert snapshot["service_epochs_total"]["values"][0]["value"] == 2
+        # Epoch count and backlog are the controller's series, published once.
+        assert snapshot["controller_epochs_total"]["values"][0]["value"] == 2
         latency = snapshot["service_epoch_latency"]["values"][0]
         assert latency["count"] == 2
-        assert snapshot["service_backlog_mb"]["type"] == "gauge"
+        assert snapshot["controller_backlog_mb"]["type"] == "gauge"
+        assert not {
+            "service_epochs_total", "service_backlog_mb", "service_shed_mb_total"
+        } & set(snapshot)
 
     def test_heartbeat_written_next_to_journal(self, tmp_path):
         for driver in DRIVERS:
@@ -416,9 +443,6 @@ class TestSoak:
 
 class TestLiveTelemetry:
     def test_scrape_endpoints_live_during_run(self, tmp_path):
-        import json
-        import urllib.request
-
         service = SchedulingService(
             make_controller(),
             make_arrivals(),
@@ -438,19 +462,8 @@ class TestLiveTelemetry:
                 if service.telemetry is not None and service.telemetry.port:
                     break
             port = service.telemetry.port
-
-            def get(path):
-                url = f"http://127.0.0.1:{port}{path}"
-                with urllib.request.urlopen(url, timeout=5) as response:
-                    return (
-                        response.status,
-                        response.read().decode("utf-8"),
-                        response.headers.get("Content-Type"),
-                    )
-
-            scraped["metrics"] = get("/metrics")
-            scraped["healthz"] = get("/healthz")
-            scraped["status"] = get("/status")
+            for path in ("metrics", "healthz", "status"):
+                scraped[path] = _scrape(port, f"/{path}")
             return await task
 
         with obs.observability(tracer=obs.JsonlTracer(), metrics=obs.MetricsRegistry()):
@@ -459,7 +472,7 @@ class TestLiveTelemetry:
         code, text, ctype = scraped["metrics"]
         assert code == 200
         assert ctype.startswith("application/openmetrics-text")
-        assert text.endswith("# EOF\n")
+        assert parse_openmetrics(text)[1] == []
         assert scraped["healthz"][0] == 200
         status = json.loads(scraped["status"][1])
         assert status["draining"] is False
@@ -469,6 +482,97 @@ class TestLiveTelemetry:
         assert report.incident_bundles == []
         # The server is down after the run drains.
         assert service.telemetry.port is None
+
+    def test_scripted_run_fires_each_trigger_once(self, tmp_path):
+        # One asyncio run at radix 16, scripted per epoch: epoch 1 serves
+        # the covering workload under a total composite-port outage (one
+        # reroute swap), epoch 2 adds a stage whose worker dies once, and
+        # epoch 3 steps the tick clock past the 2.5-tick budget (a deep
+        # fallback and an SLO miss).  The endpoints are scraped from inside
+        # run_epoch, so each scrape sees a fixed number of closed epochs
+        # however fast the host is.
+        n = 16
+        clock = TickClock(0.0)
+        controller = EpochController(
+            fast_ocs_params(n),
+            make_scheduler("solstice"),
+            use_composite_paths=True,
+            fast_reroute=True,
+            deadline_s=2.5,
+            deadline_clock=clock,
+        )
+        base = WorkloadArrivals(SkewedWorkload(), n_ports=n, seed=7, intensity=0.5)
+        service = SchedulingService(
+            controller,
+            lambda epoch: covering_demand() if epoch == 1 else base(epoch),
+            ServiceConfig(
+                n_epochs=5,
+                n_workers=2,
+                telemetry_port=0,
+                incidents_dir=tmp_path / "incidents",
+            ),
+        )
+        scrapes = {}
+        inner_run_epoch = controller.run_epoch
+
+        def run_epoch(epoch):
+            controller.fault_plan = (
+                FaultPlan(seed=11, o2m_outage_rate=1.0, m2o_outage_rate=1.0)
+                if epoch == 1
+                else None
+            )
+            # One tick per clock read overdrafts the budget at the first
+            # checkpoint and every cheaper rung after it.
+            clock.step = 3.0 if epoch == 3 else 0.0
+            if epoch in (1, 4):
+                for path in ("/metrics", "/healthz", "/status"):
+                    scrapes[epoch, path] = _scrape(service.telemetry.port, path)
+            return inner_run_epoch(epoch)
+
+        controller.run_epoch = run_epoch
+        inner_stage_tasks = service._stage_tasks
+
+        def stage_tasks(demand, epoch):
+            tasks = inner_stage_tasks(demand, epoch)
+            if epoch == 2:
+                marker = str(tmp_path / "die.marker")
+                tasks.append(StageTask(name="die:2", fn=_DIE_ONCE, kwargs={"marker": marker}))
+            return tasks
+
+        service._stage_tasks = stage_tasks
+        with obs.observability(tracer=obs.JsonlTracer(), metrics=obs.MetricsRegistry()):
+            report = asyncio.run(service.run())
+
+        assert report.drained and report.n_epochs == 5
+        assert report.slo_violations == 1
+        bundles = [load_incident(path) for path in report.incident_bundles]
+        pinned = {TRIGGER_REROUTE: 1, TRIGGER_CRASH: 2, TRIGGER_FALLBACK: 3, TRIGGER_SLO: 3}
+        assert set(pinned) == set(TRIGGER_KINDS)
+        assert sorted((b["trigger"], b["epoch"]) for b in bundles) == sorted(pinned.items())
+        frames = {b["trigger"]: b["frames"][-1] for b in bundles}
+        assert frames[TRIGGER_REROUTE]["report"]["reroute_swaps"] >= 1
+        (death,) = frames[TRIGGER_CRASH]["worker_deaths"]
+        assert death["reason"] == "crashed"
+        assert frames[TRIGGER_FALLBACK]["report"]["fallback_level"] >= 2
+        assert "schedule_deadline" in frames[TRIGGER_SLO]["outcome"]["slo_reasons"]
+
+        latency_counts = []
+        for epoch in (1, 4):
+            code, text, ctype = scrapes[epoch, "/metrics"]
+            assert code == 200 and ctype.startswith("application/openmetrics-text")
+            families, problems = parse_openmetrics(text)
+            assert problems == []
+            latency = families["service_epoch_latency"]
+            assert latency["type"] == "histogram"
+            latency_counts += [v for suffix, _, v in latency["samples"] if suffix == "_count"]
+        assert latency_counts == [1, 4]
+        code, text, _ = scrapes[4, "/healthz"]
+        assert code == 200 and json.loads(text)["status"] == "ok"
+        status = json.loads(scrapes[4, "/status"][1])
+        assert status["epochs_done"] == 4 and status["draining"] is False
+        assert (status["workers"]["alive"], status["workers"]["deaths"]) == (2, 1)
+        assert status["incidents"]["bundles_written"] == 4
+        assert status["slo_burn_rate"]["1m"] > 0.0  # the epoch-3 miss
 
     def test_burn_gauges_published_per_epoch(self):
         service = SchedulingService(

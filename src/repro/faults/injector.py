@@ -107,14 +107,15 @@ class FaultInjector:
         """
         if circuits is None or self.plan.circuit_failure_rate == 0.0:
             return circuits
-        rows, cols = np.nonzero(circuits)
-        if rows.size == 0:
+        # One draw per circuit, in row-major key order.
+        keys = np.flatnonzero(np.asarray(circuits) != 0)
+        if keys.size == 0:
             return circuits
-        failed = self._rng.random(rows.size) < self.plan.circuit_failure_rate
+        failed = self._rng.random(keys.size) < self.plan.circuit_failure_rate
         if not failed.any():
             return circuits
         survived = np.array(circuits, copy=True)
-        survived[rows[failed], cols[failed]] = 0
+        survived.flat[keys[failed]] = 0
         self.summary.failed_circuits += int(failed.sum())
         return survived
 

@@ -33,6 +33,22 @@ keeps the EPS flow ordering identical to a full-matrix ``np.nonzero`` —
 the flat engine's event sequence, drains and finish times are bit-identical
 to the reference engine's.
 
+Fixed per-phase work matters as much as per-event work: an h-Switch run
+at radix 256 has only about two events per phase.  A phase finds its
+circuits with one boolean scan, ``np.flatnonzero(circuits != 0)``, which
+yields the same row-major keys ``row*n + col`` as the support and makes
+checking that no port is used twice O(n); a dense ``np.nonzero`` over
+the n×n permutation costs over ten times as much, more than any other
+per-phase step.
+
+The EPS waterfill is solved again only when its inputs change.  The engine
+keeps the last solve with its exact inputs (the flow positions and the
+per-port capacities left after composite reservations) and reuses the
+rates while they match.  A circuit drain changes neither input, nor does a
+reconfiguration gap after a configuration whose circuits all drained; equal
+inputs give equal rates, so the reuse is exact.  Flow positions change
+meaning only when the support is rebuilt, which drops the memo.
+
 Demand placement: an entry's residual lives in exactly one of two matrices —
 ``regular`` (served by circuits + EPS) or ``composite`` (served only by
 composite paths while the schedule runs).  ``merge_composite_into_regular``
@@ -149,12 +165,14 @@ class FluidEngine:
         self._scratch = np.empty(self._nnz)
         self._in_cap = np.empty(n)
         self._out_cap = np.empty(n)
+        # The last waterfill as (flows, in_cap, out_cap, rates); flows are
+        # support positions, so a rebuild invalidates it.
+        self._waterfill = None
 
-    def _positions_of(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Flat support positions of the (row, col) pairs that are in it."""
-        if rows.size == 0 or self._nnz == 0:
+    def _positions_of(self, keys: np.ndarray) -> np.ndarray:
+        """Flat support positions of the row-major keys that are in it."""
+        if keys.size == 0 or self._nnz == 0:
             return _EMPTY_POS
-        keys = rows.astype(np.int64) * np.int64(self.n) + cols
         pos = np.searchsorted(self._flat, keys)
         pos = np.minimum(pos, self._nnz - 1)
         return pos[self._flat[pos] == keys]
@@ -309,7 +327,8 @@ class FluidEngine:
             drained (the final EPS-only drain).
         circuits:
             n×n 0/1 partial permutation of regular OCS circuits active in
-            this phase, or ``None`` (e.g. during reconfiguration).
+            this phase, or ``None`` (e.g. during reconfiguration).  Any
+            other shape, or a port connected twice, raises ``ValueError``.
         composites:
             Active composite paths.
         eps_enabled:
@@ -340,7 +359,22 @@ class FluidEngine:
 
         # ---- phase-constant bookkeeping --------------------------------
         if circuits is not None:
-            circuit_pos = self._positions_of(*np.nonzero(circuits))
+            circuits = np.asarray(circuits)
+            n = self.n
+            if circuits.shape != (n, n):
+                raise ValueError(
+                    f"circuits has shape {circuits.shape}, expected ({n}, {n})"
+                )
+            # One boolean scan yields the row-major keys row*n + col, sorted,
+            # so a port used twice is a repeated row or a repeated column.
+            keys = np.flatnonzero(circuits != 0)
+            if keys.size:
+                rows = keys // n
+                if (rows[1:] == rows[:-1]).any() or (
+                    np.bincount(keys - rows * n).max() > 1
+                ):
+                    raise ValueError("circuits connect a port more than once")
+            circuit_pos = self._positions_of(keys)
         else:
             circuit_pos = _EMPTY_POS
         services = []
@@ -445,9 +479,25 @@ class FluidEngine:
             if eps_enabled:
                 flows = np.nonzero((reg > VOLUME_TOL) & (reg_rate <= 0))[0]
                 if flows.size:
-                    eps_rates = max_min_fair_rates(
-                        self._rows[flows], self._cols[flows], in_cap, out_cap
-                    )
+                    # Same flows and capacities give the same rates: a
+                    # circuit drain, or a gap after a drained configuration,
+                    # reuses the last solve.
+                    memo = self._waterfill
+                    if (
+                        memo is None
+                        or not np.array_equal(flows, memo[0])
+                        or not np.array_equal(in_cap, memo[1])
+                        or not np.array_equal(out_cap, memo[2])
+                    ):
+                        memo = self._waterfill = (
+                            flows,
+                            in_cap.copy(),
+                            out_cap.copy(),
+                            max_min_fair_rates(
+                                self._rows[flows], self._cols[flows], in_cap, out_cap
+                            ),
+                        )
+                    eps_rates = memo[3]
                     reg_rate[flows] += eps_rates
                     eps_total = float(eps_rates.sum())
 

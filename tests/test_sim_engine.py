@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.cpsched import cpsched
+from repro.sim import engine as engine_module
 from repro.sim.engine import CompositeService, FluidEngine
+from repro.sim.rates import max_min_fair_rates
 from repro.switch.params import SwitchParams, fast_ocs_params
 
 
@@ -200,3 +202,71 @@ class TestLifecycle:
         engine.run_phase(None)
         for before, after in zip(engine.segments, engine.segments[1:]):
             assert after.start == pytest.approx(before.end)
+
+    def test_circuits_of_the_wrong_shape_rejected(self):
+        # (0, 4) is a reduced-space circuit to the composite port; its
+        # row-major key in a 4-port engine would be entry (1, 0)'s.
+        demand = np.zeros((4, 4))
+        demand[1, 0] = demand[0, 1] = 10.0
+        engine = make_engine(demand)
+        circuits = np.zeros((5, 5), dtype=np.int8)
+        circuits[0, 4] = 1
+        with pytest.raises(ValueError, match="shape"):
+            engine.run_phase(0.1, circuits=circuits)
+        assert engine.served_ocs_direct == 0.0
+
+    def test_circuits_sharing_a_port_rejected(self):
+        engine = make_engine(np.ones((4, 4)))
+        for second in ((0, 3), (2, 1)):  # input 0 twice, output 1 twice
+            circuits = np.zeros((4, 4), dtype=np.int8)
+            circuits[0, 1] = 1
+            circuits[second] = 1
+            with pytest.raises(ValueError, match="more than once"):
+                engine.run_phase(0.1, circuits=circuits)
+        assert engine.clock == 0.0
+
+
+class TestWaterfillReuse:
+    def test_unchanged_inputs_skip_the_solve(self, monkeypatch):
+        solves = []
+
+        def counting(*args):
+            solves.append(args)
+            return max_min_fair_rates(*args)
+
+        monkeypatch.setattr(engine_module, "max_min_fair_rates", counting)
+        demand = np.zeros((4, 4))
+        demand[0, 1] = 10.0  # circuit entry: drains at 0.1 ms
+        demand[2, 3] = 10.0  # EPS entry: served throughout
+        engine = make_engine(demand)
+        circuits = np.zeros((4, 4), dtype=np.int8)
+        circuits[0, 1] = 1
+        engine.run_phase(0.5, circuits=circuits)
+        engine.run_phase(0.2)  # reconfiguration gap: the same EPS flow
+        # Events: the circuit drain, the configuration's end, the gap.
+        assert len(engine.segments) == 3
+        assert len(solves) == 1
+        assert engine.regular[2, 3] == pytest.approx(3.0)
+
+    def test_support_rebuild_drops_the_last_solve(self):
+        # Support positions 1 and 2 hold the EPS flows (1, 0) and (1, 2),
+        # which share input 1, before the merge, and (1, 2) and (2, 3),
+        # which share no port, after it: same positions and capacities,
+        # other rates.
+        demand = np.zeros((4, 4))
+        demand[0, 1] = 5.0  # drains on a circuit and leaves the support
+        demand[1, 0] = demand[1, 2] = demand[2, 3] = 100.0
+        engine = make_engine(demand)
+        parked = np.zeros((4, 4))
+        parked[2, 3] = 100.0
+        engine.assign_composite(parked)
+        circuits = np.zeros((4, 4), dtype=np.int8)
+        circuits[0, 1] = 1
+        engine.run_phase(0.1, circuits=circuits)
+        engine.merge_composite_into_regular()
+        circuits = np.zeros((4, 4), dtype=np.int8)
+        circuits[1, 0] = 1
+        engine.run_phase(0.1, circuits=circuits)
+        # 0.1 ms at Ce/2, then 0.1 ms at the full Ce = 10 Mb/ms.
+        assert engine.regular[1, 2] == pytest.approx(98.5)
+        assert engine.regular[2, 3] == pytest.approx(99.0)

@@ -65,20 +65,14 @@ from repro.hybrid import (
     make_scheduler,
 )
 from repro.sim import SimulationResult, simulate_cp, simulate_hybrid, simulate_multipath
-from repro.switch import DemandMatrix, OcsClass, SwitchParams, fast_ocs_params, slow_ocs_params
+from repro.switch import OcsClass, SwitchParams, fast_ocs_params, slow_ocs_params
 from repro.workloads import (
     CombinedWorkload,
     SkewedWorkload,
     TypicalBackgroundWorkload,
     VaryingSkewWorkload,
 )
-from repro.workloads.coflows import (
-    BurstyCoflowWorkload,
-    Coflow,
-    CoflowMixWorkload,
-    CoflowSet,
-    CoflowType,
-)
+from repro.workloads.coflows import Coflow, CoflowSet, CoflowType
 
 __version__ = "1.0.0"
 
@@ -86,15 +80,12 @@ __all__ = [
     "BackupPlanner",
     "BackupSchedule",
     "BackupSet",
-    "BurstyCoflowWorkload",
     "Coflow",
-    "CoflowMixWorkload",
     "CoflowSet",
     "CoflowType",
     "CombinedWorkload",
     "CpSchedule",
     "CpSwitchScheduler",
-    "DemandMatrix",
     "EclipseScheduler",
     "EpochController",
     "ExperimentConfig",

@@ -129,10 +129,10 @@ class EpochController:
         Schedule as a cp-Switch (Algorithm 4 wrapping ``scheduler``)
         instead of a plain h-Switch.
     epoch_duration:
-        Wall-clock budget (ms) per epoch.  ``None`` lets every epoch run
-        its schedule to completion (no backlog can survive an epoch);
-        a finite budget truncates execution and carries leftovers over —
-        the sustained-load regime.
+        Wall-clock budget (ms) per epoch, finite and positive.  ``None``
+        lets every epoch run its schedule to completion (no backlog can
+        survive an epoch); a budget truncates execution and carries
+        leftovers over — the sustained-load regime.
     fault_plan:
         Optional :class:`~repro.faults.plan.FaultPlan` injected into every
         epoch's execution (stream = epoch index).  Composite ports observed
@@ -194,6 +194,11 @@ class EpochController:
     _voqs: VirtualOutputQueues = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.epoch_duration is not None and not math.isfinite(self.epoch_duration):
+            raise ValueError(
+                "epoch_duration must be finite (None runs every epoch to "
+                f"completion), got {self.epoch_duration}"
+            )
         if self.epoch_duration is not None and self.epoch_duration <= 0:
             raise ValueError(f"epoch_duration must be positive, got {self.epoch_duration}")
         if self.fast_reroute and not self.use_composite_paths:

@@ -73,12 +73,14 @@ from repro.analysis.sweeps import (
 )
 from repro.core.scheduler import CpSwitchScheduler
 from repro.hybrid.base import make_scheduler
+from repro.matching import kernels
 from repro.runner import (
     RetryPolicy,
     RunJournal,
     SweepConfig,
     SweepResult,
     SweepRunner,
+    resolve_fn,
     specs_from_journal,
 )
 from repro.obs.summarize import (
@@ -153,13 +155,14 @@ def _check_positive_budget(value, flag: str, unit: str = "seconds"):
     """Validate a wall-clock budget flag: positive and finite-or-inf, never
     zero, negative, or NaN — those silently disable or wedge the run.
 
-    Returns the value as ``float`` (``None`` passes through untouched).
+    Returns the value as ``float`` (``None`` passes through untouched);
+    raises ``ValueError``, so call it inside :func:`_rejecting`.
     """
     if value is None:
         return None
     value = float(value)
     if math.isnan(value) or value <= 0:
-        raise SystemExit(
+        raise ValueError(
             f"{flag} must be a positive number of {unit}, got {value:g}; "
             f"drop the flag to run without a budget"
         )
@@ -178,9 +181,10 @@ def _parse_list(text: str, command: str, flag: str, cast=int) -> tuple:
 
 @contextlib.contextmanager
 def _rejecting(command: str):
-    """Bad input (``--trials 0``, a radix below 2, ``serve --epochs 0``)
-    exits with one ``<command>: <message>`` line before anything runs or
-    is journaled.  Wrap only argument and config construction."""
+    """Bad input (``--trials 0``, a radix below 2, ``serve --epochs 0``,
+    ``--retries -1``) exits with one ``<command>: <message>`` line before
+    anything runs or is journaled.  Wrap only argument and config
+    construction."""
     try:
         yield
     except ValueError as exc:
@@ -190,7 +194,7 @@ def _rejecting(command: str):
 def _sweep_config(args) -> SweepConfig:
     retries = getattr(args, "retries", 2)
     if retries < 0:
-        raise SystemExit(f"--retries must be >= 0, got {retries}")
+        raise ValueError(f"--retries must be >= 0, got {retries}")
     return SweepConfig(
         timeout_s=_check_positive_budget(getattr(args, "timeout", None), "--timeout"),
         retry=RetryPolicy(
@@ -203,8 +207,17 @@ def _sweep_config(args) -> SweepConfig:
 
 
 def _run_sweep(args, kind: str, sweep_args: dict, specs) -> "tuple[SweepResult, RunJournal]":
+    with _rejecting(kind):
+        config = _sweep_config(args)
+        # Draw each experiment's first demand: a workload its radix cannot
+        # hold fails here, once, instead of in every retried trial.
+        drawn = set()
+        for spec in specs:
+            if spec.demand_fn is not None and spec.experiment not in drawn:
+                drawn.add(spec.experiment)
+                resolve_fn(spec.demand_fn)(**spec.kwargs)
     journal = _journal_for(args, kind, sweep_args)
-    runner = SweepRunner(journal, _sweep_config(args))
+    runner = SweepRunner(journal, config)
     already = journal.completed_keys() & {spec.key for spec in specs}
     if already:
         print(
@@ -334,8 +347,8 @@ def cmd_figure(args) -> int:
 def cmd_workload(args) -> int:
     with _rejecting("workload"):
         params = _params(args)
-    workload = make_workload(args.workload, params, args.skewed_ports)
-    spec = workload.generate(args.radix, np.random.default_rng(args.seed))
+        workload = make_workload(args.workload, params, args.skewed_ports)
+        spec = workload.generate(args.radix, np.random.default_rng(args.seed))
     out = Path(args.out)
     if out.suffix == ".npy":
         np.save(out, spec.demand)
@@ -352,7 +365,8 @@ def cmd_workload(args) -> int:
 
 def cmd_schedule(args) -> int:
     demand = _load_demand(Path(args.demand))
-    params = ocs_params(args.ocs, demand.shape[0])
+    with _rejecting("schedule"):
+        params = ocs_params(args.ocs, demand.shape[0])
     inner = make_scheduler(args.scheduler)
     if args.switch == "h":
         schedule = inner.schedule(demand, params)
@@ -524,11 +538,12 @@ def _print_robustness(sweep_args: dict, specs, completed: dict) -> None:
 def cmd_robustness(args) -> int:
     fault_rates = _parse_list(args.fault_rates, "robustness", "--fault-rates", float)
     error_rates = _parse_list(args.error_rates, "robustness", "--error-rates", float)
-    deadlines = tuple(
-        _check_positive_budget(part, "--deadline", unit="milliseconds")
-        for part in args.deadline.split(",")
-        if part.strip()
-    )
+    with _rejecting("robustness"):
+        deadlines = tuple(
+            _check_positive_budget(part, "--deadline", unit="milliseconds")
+            for part in args.deadline.split(",")
+            if part.strip()
+        )
     sweep_args = {
         "ocs": args.ocs,
         "radix": args.radix,
@@ -564,12 +579,13 @@ def cmd_sweep(args) -> int:
     if not path.exists():
         raise SystemExit(f"sweep --resume: journal {path} does not exist")
     with _rejecting("sweep"):
+        config = _sweep_config(args)
         journal = RunJournal(path)
         specs = specs_from_journal(journal)
     header = journal.header
     meta = header.get("meta", {})
     done_before = len(journal.completed_keys())
-    runner = SweepRunner(journal, _sweep_config(args))
+    runner = SweepRunner(journal, config)
     result = runner.run(specs, sweep_name=header["sweep"], meta=meta)
     _report_failures(result, journal)
     print(
@@ -603,18 +619,18 @@ def cmd_serve(args) -> int:
     from repro.workloads.arrivals import WorkloadArrivals
 
     use_cp = args.switch == "cp"
-    deadline_s = None
-    if args.deadline is not None:
-        deadline_s = (
-            _check_positive_budget(args.deadline, "--deadline", unit="milliseconds")
-            / 1e3
-        )
-        if not use_cp:
-            raise SystemExit("serve: --deadline requires --switch cp")
     arms = tuple(
         part.strip() for part in (args.arms or "").split(",") if part.strip()
     )
     with _rejecting("serve"):
+        deadline_s = None
+        if args.deadline is not None:
+            deadline_s = (
+                _check_positive_budget(args.deadline, "--deadline", unit="milliseconds")
+                / 1e3
+            )
+            if not use_cp:
+                raise ValueError("--deadline requires --switch cp")
         params = _params(args)
         arrivals = WorkloadArrivals(
             make_workload(args.workload, params, args.skewed_ports),
@@ -622,6 +638,7 @@ def cmd_serve(args) -> int:
             seed=args.seed,
             intensity=args.intensity,
         )
+        arrivals(0)  # a workload the radix cannot hold fails here, not at epoch 0
         journal = RunJournal(args.journal) if args.journal else None
         controller = EpochController(
             params=params,
@@ -1335,6 +1352,8 @@ def _resolve_obs_path(value, args, suffix: str) -> "str | None":
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    with _rejecting(args.command):
+        kernels.backend()  # a bad REPRO_KERNELS fails here, not in every trial
     trace_path = _resolve_obs_path(getattr(args, "trace", None), args, "trace.jsonl")
     metrics_path = _resolve_obs_path(
         getattr(args, "metrics", None), args, "metrics.json"

@@ -388,14 +388,8 @@ class RerouteRuntime:
         self._dead_keys: "set[tuple[str, int]]" = set()
         self._open: "list[_OpenSwap]" = []
         self._events: "list[SwapEvent]" = []
-        self._swapped = False
 
     # ------------------------------------------------------------------ #
-
-    @property
-    def swapped(self) -> bool:
-        """Whether any swap has fired in this run."""
-        return self._swapped
 
     def strip(self, composites_for):
         """Wrap a composites accessor to drop grants of dead ports.
@@ -433,7 +427,6 @@ class RerouteRuntime:
         )
         if backup is None:
             return composites_for
-        self._swapped = True
         self._active_key = backup.key
         detected = engine.clock
         released = injector.summary.released_composite - self._released_seen

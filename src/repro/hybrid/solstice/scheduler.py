@@ -61,10 +61,6 @@ class SolsticeScheduler:
     max_configs:
         Optional hard cap on the number of OCS configurations; ``None``
         means the BvN bound ``n^2``.
-    min_slice_duration:
-        Skip (stop at) slices shorter than this many ms of circuit time;
-        0 disables the floor.  The paper's model never needs it, but it is
-        a useful guard for degenerate demands with many epsilon entries.
 
     Attributes
     ----------
@@ -74,7 +70,6 @@ class SolsticeScheduler:
     """
 
     max_configs: "int | None" = None
-    min_slice_duration: float = 0.0
     name: str = "solstice"
     last_diagnostics: "list[SchedulerDiagnostics]" = field(
         default_factory=list, repr=False, compare=False
@@ -157,8 +152,6 @@ class SolsticeScheduler:
                 )
                 break
             duration = threshold / ocs_rate
-            if self.min_slice_duration and duration < self.min_slice_duration:
-                break
             if duration <= 0.0:
                 # A zero-thickness slice advances neither the makespan nor
                 # the leftover — without this guard the loop spins to the

@@ -44,16 +44,15 @@ class BigSliceState:
     between — entries only ever decrease.  Three things survive between
     calls under that contract:
 
-    * the previous slice's perfect matching (adopted by the
-      :class:`~repro.matching.kernels.WarmMatcher` as a warm start — only
-      the entries the subtraction zeroed out need re-augmenting);
     * an **infeasibility certificate**: once ``matrix >= v`` lacked a
       perfect matching, it lacks one forever (masks only shrink), so later
       threshold searches clip their probe range to values below ``v``
       instead of re-discovering the bound;
     * the quantile-grid index cache: for ``method="nearest"`` the probed
       quantiles are pure *positions* in the sorted unique values, so the
-      index vector depends only on the value count and is reused.
+      index vector depends only on the value count and is reused;
+    * the live nonzero structure, from which every probe's CSR
+      biadjacency is assembled in O(nnz).
 
     The state must be created fresh for every scheduler run (a new stuffed
     matrix invalidates all three memos).
@@ -61,7 +60,6 @@ class BigSliceState:
 
     def __init__(self, matrix: np.ndarray) -> None:
         self.matrix = matrix
-        self.matcher = kernels.WarmMatcher(matrix)
         self.infeasible_at: float = np.inf
         #: ``match_left`` of the slice most recently returned — the
         #: scheduler uses it for O(n) fancy-indexed subtraction.
@@ -182,18 +180,17 @@ def _big_slice_kernel(
       (selected through the cached position index, which picks exactly the
       elements ``np.quantile`` would return).
     * Both paths find the **largest grid index whose mask admits a perfect
-      matching**.  Feasibility is a property of the mask, not of the
-      matching algorithm, so warm-start Kuhn probes and the oracle's scipy
-      probes agree on every verdict — and hence on the winning index.  The
-      infeasibility certificate only removes probes whose verdict is
-      already known (entries never increase between slices), never changing
-      the outcome.
+      matching**.  Feasibility is a property of the mask, so the kernel's
+      probes and the oracle's agree on every verdict — and hence on the
+      winning index.  The infeasibility certificate only removes probes
+      whose verdict is already known (entries never increase between
+      slices), never changing the outcome.
     * The oracle's published matching is always the scipy matching at that
       winning index: its binary search only stores ``best_match`` when a
       probe succeeds, and successful probe values increase monotonically,
-      so the last stored one is the probe at the winner.  The kernel makes
-      that exact scipy call (byte-identical CSR arrays) once, instead of
-      ``O(log m)`` times.
+      so the last stored one is the probe at the winner.  The kernel's
+      probes make that same scipy call on byte-identical CSR arrays, and
+      its last successful probe is likewise at the winner.
     """
     matrix = state.matrix
     # Refresh the live nonzero structure: gather current values at the
@@ -229,42 +226,24 @@ def _big_slice_kernel(
     # no separate derivation.
     match_star: "np.ndarray | None" = None
 
-    if kernels.SCIPY_AVAILABLE:
-        # Compiled probes: warm-start Kuhn repair in interpreted Python
-        # costs more per row expansion than scipy's whole Hopcroft–Karp
-        # run at these sizes, so each probe asks scipy directly.  The CSR
-        # biadjacency is assembled straight from the tracked nonzero
-        # structure — O(nnz), never a dense n² mask — and matches what
-        # ``csr_matrix(matrix >= value)`` would hold byte-for-byte (every
-        # entry ≥ a grid value is > VOLUME_TOL and hence tracked).
-        nz_rows = state._nz_rows
-        nz_cols = state._nz_cols
-        indptr = state._indptr
+    # Each probe asks scipy directly.  The CSR biadjacency is assembled
+    # straight from the tracked nonzero structure — O(nnz), never a dense
+    # n² mask — and matches what ``csr_matrix(matrix >= value)`` would hold
+    # byte-for-byte (every entry ≥ a grid value is > VOLUME_TOL and hence
+    # tracked).
+    nz_rows = state._nz_rows
+    nz_cols = state._nz_cols
+    indptr = state._indptr
 
-        def probe(value: float) -> bool:
-            nonlocal match_star
-            sel = vals >= value
-            np.cumsum(
-                np.bincount(nz_rows[sel], minlength=n), out=indptr[1:]
-            )
-            match, size = kernels.scipy_matching_csr(nz_cols[sel], indptr, n)
-            if size != n:
-                return False
-            match_star = match
-            return True
-
-    else:
-        # Pure-Python probes: here warm repair wins — re-augmenting the
-        # few rows the last subtraction invalidated is far cheaper than a
-        # cold O(E√V) Hopcroft–Karp per probe.  Verdicts are exact, so the
-        # search result is identical; only the published matching must
-        # come from the oracle's own matcher (below).
-        matcher = state.matcher
-
-        def probe(value: float) -> bool:
-            nonlocal match_star
-            match_star = None
-            return bool(matcher.feasible(value))
+    def probe(value: float) -> bool:
+        nonlocal match_star
+        sel = vals >= value
+        np.cumsum(np.bincount(nz_rows[sel], minlength=n), out=indptr[1:])
+        match, size = kernels.scipy_matching_csr(nz_cols[sel], indptr, n)
+        if size != n:
+            return False
+        match_star = match
+        return True
 
     # Clip the search below the carried infeasibility certificate.
     hi = values.size - 1
@@ -299,15 +278,7 @@ def _big_slice_kernel(
     if star < 0:
         raise ValueError(_NOT_STUFFED_MSG)
 
-    if match_star is not None:
-        match = match_star
-    else:
-        # No-scipy search path: publish the oracle matcher's matching at
-        # the winning value so output stays bit-identical to the oracle.
-        match, size = maximum_matching_mask(matrix >= values[star])
-        if size != n:  # pragma: no cover - contradicts the feasibility verdict
-            raise ValueError(_NOT_STUFFED_MSG)
-        state.matcher.seed(match)  # keep the warm start aligned
+    match = match_star
     state.last_match = match
 
     rows = state._rows

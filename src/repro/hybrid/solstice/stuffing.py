@@ -32,7 +32,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hybrid.diagnostics import SchedulerDiagnostics
-from repro.matching import kernels
 from repro.utils.validation import VOLUME_TOL, check_demand_matrix
 
 #: Bounded repair attempts before QuickStuff accepts the imbalance.
@@ -84,27 +83,21 @@ def quick_stuff_diagnosed(
     rows, cols = np.nonzero(stuffed > VOLUME_TOL)
     order = np.argsort(-stuffed[rows, cols], kind="stable")
     rows, cols = rows[order], cols[order]
-    if kernels.kernels_active():
-        # Kernel backend: the same scan through kernels.quick_stuff_pass1
-        # (numba-compiled when available, identical float64 arithmetic).
-        added = kernels.quick_stuff_pass1(rows, cols, row_sums, col_sums, phi)
-        stuffed[rows, cols] += added  # (rows, cols) pairs are unique
-    else:
-        row_list = rows.tolist()
-        col_list = cols.tolist()
-        rs = row_sums.tolist()
-        cs = col_sums.tolist()
-        added = [0.0] * len(row_list)
-        for k, (i, j) in enumerate(zip(row_list, col_list)):
-            ri, cj = rs[i], cs[j]
-            slack = min(phi - ri, phi - cj)
-            if slack > 0:
-                added[k] = slack
-                rs[i] = ri + slack
-                cs[j] = cj + slack
-        stuffed[rows, cols] += added  # (rows, cols) pairs are unique
-        row_sums = np.array(rs)
-        col_sums = np.array(cs)
+    row_list = rows.tolist()
+    col_list = cols.tolist()
+    rs = row_sums.tolist()
+    cs = col_sums.tolist()
+    added = [0.0] * len(row_list)
+    for k, (i, j) in enumerate(zip(row_list, col_list)):
+        ri, cj = rs[i], cs[j]
+        slack = min(phi - ri, phi - cj)
+        if slack > 0:
+            added[k] = slack
+            rs[i] = ri + slack
+            cs[j] = cj + slack
+    stuffed[rows, cols] += added  # (rows, cols) pairs are unique
+    row_sums = np.array(rs)
+    col_sums = np.array(cs)
 
     # Pass 2: pair remaining row slack with column slack on any entries.
     # Total row slack equals total column slack, so a greedy pairing always

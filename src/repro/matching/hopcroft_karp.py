@@ -16,13 +16,8 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
-
-try:  # scipy backend for the hot path; pure Python remains the oracle
-    from scipy.sparse import csr_matrix as _csr_matrix
-    from scipy.sparse.csgraph import maximum_bipartite_matching as _scipy_matching
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    _csr_matrix = None
-    _scipy_matching = None
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 #: Sentinel for "unmatched" in the matching arrays.
 UNMATCHED: int = -1
@@ -135,10 +130,11 @@ def maximum_matching_mask(mask: np.ndarray, *, use_scipy: bool = True) -> "tuple
     Returns ``(match_left, size)`` with ``match_left`` as in
     :func:`hopcroft_karp`.  The default backend is scipy's C implementation
     of Hopcroft–Karp (this call sits in Solstice's inner loop); the
-    pure-Python implementation above is its test oracle and fallback.
+    pure-Python implementation above (``use_scipy=False``) is its test
+    oracle.
     """
     mask = np.asarray(mask, dtype=bool)
-    if use_scipy and _scipy_matching is not None:
+    if use_scipy:
         # Build the CSR triplet directly: scipy's dense-matrix constructor
         # routes through a COO intermediate whose Python-level validation
         # dominates this call at Solstice's probe frequency.  The resulting
@@ -149,11 +145,13 @@ def maximum_matching_mask(mask: np.ndarray, *, use_scipy: bool = True) -> "tuple
         indptr = np.zeros(n_rows + 1, dtype=np.int32)
         np.cumsum(mask.sum(axis=1, dtype=np.int32), out=indptr[1:])
         indices %= n_cols
-        graph = _csr_matrix(
+        graph = csr_matrix(
             (np.ones(indices.size, dtype=np.int8), indices, indptr),
             shape=(n_rows, n_cols),
         )
-        match_left = np.asarray(_scipy_matching(graph, perm_type="column"), dtype=np.int64)
+        match_left = np.asarray(
+            maximum_bipartite_matching(graph, perm_type="column"), dtype=np.int64
+        )
         return match_left, int((match_left != UNMATCHED).sum())
     adjacency = _adjacency_from_mask(mask)
     match_left, _match_right, size = hopcroft_karp(adjacency, mask.shape[1])

@@ -7,18 +7,14 @@ non-negative weights.
 
 The default implementation delegates to
 :func:`scipy.optimize.linear_sum_assignment` (Jonker–Volgenant, O(n^3)).
-A pure-Python Hungarian implementation is kept as an importable fallback
-and as a test oracle for the scipy path.
+A pure-Python Hungarian implementation (``use_scipy=False``) is kept as a
+test oracle for the scipy path.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-try:  # scipy is a hard dependency, but keep the fallback importable alone
-    from scipy.optimize import linear_sum_assignment as _scipy_assignment
-except ImportError:  # pragma: no cover - scipy is always installed in CI
-    _scipy_assignment = None
+from scipy.optimize import linear_sum_assignment
 
 
 def max_weight_matching(weights: np.ndarray, *, use_scipy: bool = True) -> "tuple[np.ndarray, float]":
@@ -44,8 +40,8 @@ def max_weight_matching(weights: np.ndarray, *, use_scipy: bool = True) -> "tupl
         raise ValueError(f"weight matrix must be square, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("weight matrix contains non-finite entries")
-    if use_scipy and _scipy_assignment is not None:
-        rows, cols = _scipy_assignment(w, maximize=True)
+    if use_scipy:
+        rows, cols = linear_sum_assignment(w, maximize=True)
         assignment = np.empty(w.shape[0], dtype=np.int64)
         assignment[rows] = cols
         value = float(w[rows, cols].sum())

@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro import obs
+from repro.hybrid.base import make_scheduler
 from repro.runner.heartbeat import HeartbeatTicker, heartbeat_dir
 from repro.runner.pool import StageResult, StageTask, WorkerPool, absorb_observations
 from repro.service.stages import DEFAULT_ARMS
@@ -136,6 +137,8 @@ class ServiceConfig:
             )
         if self.stage_retries < 0:
             raise ValueError(f"stage_retries must be >= 0, got {self.stage_retries}")
+        for arm in self.arms:
+            make_scheduler(arm)  # an unknown arm name raises here, not per epoch
         if self.telemetry_port is not None and self.telemetry_port < 0:
             raise ValueError(
                 f"telemetry_port must be >= 0 (or None), got {self.telemetry_port}"

@@ -189,8 +189,11 @@ def _run(
     ``filtered=None`` (h-Switch) parks nothing on composite paths, so the
     final drain has no composite residual to merge back.
     """
-    if horizon is not None and horizon < 0:
-        raise ValueError(f"horizon must be non-negative, got {horizon}")
+    if horizon is not None and not 0.0 <= horizon < np.inf:
+        raise ValueError(
+            "horizon must be finite and non-negative (None runs to "
+            f"completion), got {horizon}"
+        )
     engine = FluidEngine(np.asarray(demand, dtype=np.float64), params)
     if filtered is not None:
         engine.assign_composite(filtered)

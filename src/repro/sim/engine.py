@@ -315,7 +315,6 @@ class FluidEngine:
         duration: "float | None",
         circuits: "np.ndarray | None" = None,
         composites: "tuple[CompositeService, ...] | list[CompositeService]" = (),
-        eps_enabled: bool = True,
         eps_port_scale: "np.ndarray | None" = None,
     ) -> None:
         """Advance the simulation through one constant-configuration phase.
@@ -323,17 +322,14 @@ class FluidEngine:
         Parameters
         ----------
         duration:
-            Phase length (ms); ``None`` runs until all residual demand is
-            drained (the final EPS-only drain).
+            Phase length (ms), finite and non-negative; ``None`` runs until
+            all residual demand is drained (the final EPS-only drain).
         circuits:
             n×n 0/1 partial permutation of regular OCS circuits active in
             this phase, or ``None`` (e.g. during reconfiguration).  Any
             other shape, or a port connected twice, raises ``ValueError``.
         composites:
             Active composite paths.
-        eps_enabled:
-            Whether the EPS serves regular demand (always true in the
-            paper's model; disabling it isolates mechanisms in tests).
         eps_port_scale:
             Optional per-port capacity factors in [0, 1] (fault injection:
             degraded EPS line rates).  Scales each port's EPS capacity in
@@ -343,8 +339,11 @@ class FluidEngine:
         """
         open_ended = duration is None
         remaining = np.inf if open_ended else float(duration)
-        if not open_ended and remaining < 0:
-            raise ValueError(f"duration must be non-negative, got {duration}")
+        if not open_ended and not 0.0 <= remaining < np.inf:
+            raise ValueError(
+                "duration must be finite and non-negative (None drains "
+                f"everything), got {duration}"
+            )
         if eps_port_scale is None:
             base_cap = None
         else:
@@ -405,7 +404,6 @@ class FluidEngine:
                     duration=duration,
                     circuits=int(circuit_pos.size),
                     composites=len(services),
-                    eps_enabled=eps_enabled,
                     clock_ms=self.clock,
                 )
                 if tracer.enabled
@@ -476,30 +474,29 @@ class FluidEngine:
 
             # EPS: everything regular that no circuit is serving right now.
             eps_total = 0.0
-            if eps_enabled:
-                flows = np.nonzero((reg > VOLUME_TOL) & (reg_rate <= 0))[0]
-                if flows.size:
-                    # Same flows and capacities give the same rates: a
-                    # circuit drain, or a gap after a drained configuration,
-                    # reuses the last solve.
-                    memo = self._waterfill
-                    if (
-                        memo is None
-                        or not np.array_equal(flows, memo[0])
-                        or not np.array_equal(in_cap, memo[1])
-                        or not np.array_equal(out_cap, memo[2])
-                    ):
-                        memo = self._waterfill = (
-                            flows,
-                            in_cap.copy(),
-                            out_cap.copy(),
-                            max_min_fair_rates(
-                                self._rows[flows], self._cols[flows], in_cap, out_cap
-                            ),
-                        )
-                    eps_rates = memo[3]
-                    reg_rate[flows] += eps_rates
-                    eps_total = float(eps_rates.sum())
+            flows = np.nonzero((reg > VOLUME_TOL) & (reg_rate <= 0))[0]
+            if flows.size:
+                # Same flows and capacities give the same rates: a circuit
+                # drain, or a gap after a drained configuration, reuses the
+                # last solve.
+                memo = self._waterfill
+                if (
+                    memo is None
+                    or not np.array_equal(flows, memo[0])
+                    or not np.array_equal(in_cap, memo[1])
+                    or not np.array_equal(out_cap, memo[2])
+                ):
+                    memo = self._waterfill = (
+                        flows,
+                        in_cap.copy(),
+                        out_cap.copy(),
+                        max_min_fair_rates(
+                            self._rows[flows], self._cols[flows], in_cap, out_cap
+                        ),
+                    )
+                eps_rates = memo[3]
+                reg_rate[flows] += eps_rates
+                eps_total = float(eps_rates.sum())
 
             # -- time until the earliest served entry drains --
             dt_event = np.inf

@@ -47,9 +47,9 @@ def simulate_hybrid(
         Switch parameters; ``params.reconfig_delay`` should match
         ``schedule.reconfig_delay``.
     horizon:
-        Optional execution budget (ms).  ``None`` runs to completion;
-        otherwise execution stops at the horizon and the result carries
-        the residual demand.
+        Optional execution budget (ms), finite and non-negative.  ``None``
+        runs to completion; otherwise execution stops at the horizon and
+        the result carries the residual demand.
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan` (realized with
         stream 0) or pre-built :class:`~repro.faults.injector.FaultInjector`

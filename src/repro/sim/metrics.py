@@ -140,11 +140,6 @@ class SimulationResult:
         return self.residual_total
 
     @property
-    def faulted(self) -> bool:
-        """Whether any fault was injected into this run."""
-        return self.fault_summary is not None and self.fault_summary.total_events > 0
-
-    @property
     def finished(self) -> bool:
         """Whether every demanded bit was delivered.
 
@@ -210,14 +205,6 @@ class SimulationResult:
         """
         return self._integrate(time, lambda s: s.ocs_rate)
 
-    def composite_volume_by(self, time: float) -> float:
-        """Volume (Mb) delivered over composite paths in [0, ``time``]."""
-        return self._integrate(time, lambda s: s.composite_rate)
-
-    def eps_volume_by(self, time: float) -> float:
-        """Volume (Mb) delivered over regular EPS paths in [0, ``time``]."""
-        return self._integrate(time, lambda s: s.eps_rate)
-
     def ocs_fraction_within(self, window: float) -> float:
         """Fraction of the total demand the OCS delivered in [0, window].
 
@@ -254,16 +241,18 @@ class SimulationResult:
         This must hold under every fault mix: faults re-route volume
         (dead composite paths fall back to regular paths) or delay it
         (failed circuits, straggling reconfigurations), but never destroy
-        it.
+        it.  Both comparisons are written so that a NaN fails them.
         """
         delivered = self.delivered_volume
         drift = abs(delivered + self.residual_total - self.total_demand)
-        if drift > tol * max(1.0, self.total_demand):
+        if not drift <= tol * max(1.0, self.total_demand):
             raise AssertionError(
                 f"volume conservation violated: delivered={delivered} Mb, "
                 f"residual={self.residual_total} Mb, demand={self.total_demand} Mb"
             )
-        if self.released_composite > self.total_demand + tol * max(1.0, self.total_demand):
+        if not self.released_composite <= self.total_demand + tol * max(
+            1.0, self.total_demand
+        ):
             raise AssertionError(
                 f"released composite volume ({self.released_composite} Mb) exceeds "
                 f"the total demand ({self.total_demand} Mb)"

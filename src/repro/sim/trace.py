@@ -5,8 +5,7 @@ and when" — this module renders that: one lane per mechanism (regular
 circuits, composite paths, reconfigurations), time left-to-right, scaled
 to a fixed character width.  It operates on the same objects the rest of
 the library exchanges (:class:`~repro.hybrid.schedule.Schedule`,
-:class:`~repro.core.scheduler.CpSchedule`,
-:class:`~repro.sim.metrics.SimulationResult`).
+:class:`~repro.core.scheduler.CpSchedule`).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass
 
 from repro.core.scheduler import CpSchedule
 from repro.hybrid.schedule import Schedule
-from repro.sim.metrics import SimulationResult
 
 #: Characters used for the Gantt lanes.
 _RECONFIG_CHAR = "."
@@ -121,50 +119,4 @@ def render_gantt(
     if any(iv.kind == "composite" for iv in intervals):
         legend += f", {_COMPOSITE_CHAR}=composite path granted"
     lines.append(legend)
-    return "\n".join(lines)
-
-
-def render_service_profile(result: SimulationResult, width: int = 72) -> str:
-    """ASCII profile of aggregate service rates over a simulation.
-
-    One lane per mechanism (OCS circuits, composite paths, EPS), with
-    per-column intensity from the rate integral over that column's time
-    span: `` .:*#`` from idle to the lane's peak.
-    """
-    if width < 10:
-        raise ValueError(f"width must be >= 10, got {width}")
-    if not result.segments:
-        return "(no service recorded)"
-    horizon = max(segment.end for segment in result.segments)
-    if horizon <= 0:
-        return "(no service recorded)"
-    ramp = " .:*#"
-
-    def lane(rate_of) -> str:
-        volumes = [0.0] * width
-        for segment in result.segments:
-            lo = int(segment.start / horizon * width)
-            hi = max(lo + 1, int(segment.end / horizon * width))
-            for k in range(lo, min(hi, width)):
-                cell_start = horizon * k / width
-                cell_end = horizon * (k + 1) / width
-                overlap = min(segment.end, cell_end) - max(segment.start, cell_start)
-                if overlap > 0:
-                    volumes[k] += overlap * rate_of(segment)
-        peak = max(volumes)
-        if peak <= 0:
-            return _IDLE_CHAR * width
-        cells = [
-            ramp[min(len(ramp) - 1, int(v / peak * (len(ramp) - 1) + 0.9999)) if v > 0 else 0]
-            for v in volumes
-        ]
-        return "".join(cells)
-
-    lines = [
-        f"0 {'-' * (width - 2)} {horizon:.3g} ms",
-        f"OCS direct |{lane(lambda s: s.ocs_direct_rate)}|",
-        f"composite  |{lane(lambda s: s.composite_rate)}|",
-        f"EPS        |{lane(lambda s: s.eps_rate)}|",
-        "legend: ' '=idle, '.'/':'/'*'/'#' rising share of the lane's peak",
-    ]
     return "\n".join(lines)

@@ -1,6 +1,5 @@
-"""Switch model: port/link parameters, demand matrices, virtual output queues."""
+"""Switch model: port/link parameters and virtual output queues."""
 
-from repro.switch.demand import DemandMatrix
 from repro.switch.params import (
     FAST_OCS_DELTA_MS,
     SLOW_OCS_DELTA_MS,
@@ -14,7 +13,6 @@ from repro.switch.voq import VirtualOutputQueues
 __all__ = [
     "FAST_OCS_DELTA_MS",
     "SLOW_OCS_DELTA_MS",
-    "DemandMatrix",
     "OcsClass",
     "SwitchParams",
     "VirtualOutputQueues",

@@ -11,16 +11,14 @@ mice 3 Mb → 300 Mb), captured by a single ``volume_scale`` parameter
 (1.0 = fast OCS, 100.0 = slow OCS).
 """
 
-from repro.workloads.arrivals import arrival_stream, burst_on
+from repro.workloads.arrivals import arrival_stream
 from repro.workloads.background import TypicalBackgroundWorkload
 from repro.workloads.base import DemandSpec, Workload, volume_scale_for
-from repro.workloads.coflows import BurstyCoflowWorkload
 from repro.workloads.combined import CombinedWorkload
 from repro.workloads.skewed import SkewedWorkload
 from repro.workloads.varying import VaryingSkewWorkload
 
 __all__ = [
-    "BurstyCoflowWorkload",
     "CombinedWorkload",
     "DemandSpec",
     "SkewedWorkload",
@@ -28,6 +26,5 @@ __all__ = [
     "VaryingSkewWorkload",
     "Workload",
     "arrival_stream",
-    "burst_on",
     "volume_scale_for",
 ]

@@ -2,21 +2,12 @@
 
 The :class:`~repro.analysis.controller.EpochController` consumes an
 *arrival process* — a callable mapping the epoch index to a demand-matrix
-increment.  This module provides composable processes built on the §3
-workload generators:
-
-* :class:`WorkloadArrivals` — one workload draw per epoch (deterministic
-  per-epoch seeding, so runs are reproducible and comparable across
-  controllers);
-* :class:`PoissonArrivals` — a Poisson-distributed *number* of workload
-  draws per epoch (bursty job arrivals);
-* :class:`OnOffArrivals` — periodic ON/OFF modulation of another process
-  (tide-like load).
-
-All compose: ``OnOffArrivals(PoissonArrivals(...))`` gives bursty tides.
+increment.  :class:`WorkloadArrivals` builds one on the §3 workload
+generators: one workload draw per epoch, with deterministic per-epoch
+seeding, so runs are reproducible and comparable across controllers.
 
 For the online :class:`~repro.service.loop.SchedulingService`, the same
-processes feed an *async* stream (:func:`arrival_stream`): the demand for
+process feeds an *async* stream (:func:`arrival_stream`): the demand for
 epoch ``e`` is still drawn from the ``(seed, e)`` stream, so the service's
 synchronous driver and a plain controller loop see identical arrivals.
 """
@@ -63,70 +54,6 @@ class WorkloadArrivals:
         rng = np.random.default_rng(np.random.SeedSequence((self.seed, epoch)))
         spec = self.workload.generate(self.n_ports, rng)
         return spec.demand * self.intensity
-
-
-@dataclass(frozen=True)
-class PoissonArrivals:
-    """Poisson-many workload draws per epoch (bursty job arrivals).
-
-    ``mean_per_epoch`` is the expected number of draws; epochs with zero
-    arrivals produce an all-zero matrix.
-    """
-
-    workload: Workload
-    n_ports: int
-    mean_per_epoch: float = 1.0
-    seed: int = 0
-    intensity: float = 1.0
-
-    def __post_init__(self) -> None:
-        check_nonnegative("mean_per_epoch", self.mean_per_epoch)
-        check_nonnegative("intensity", self.intensity)
-
-    def __call__(self, epoch: int) -> np.ndarray:
-        rng = np.random.default_rng(np.random.SeedSequence((self.seed, epoch)))
-        count = int(rng.poisson(self.mean_per_epoch))
-        total = np.zeros((self.n_ports, self.n_ports))
-        for _ in range(count):
-            total += self.workload.generate(self.n_ports, rng).demand
-        return total * self.intensity
-
-
-def burst_on(epoch: int, period: int, on_epochs: int) -> bool:
-    """Whether a periodic ON/OFF gate is ON at ``epoch``.
-
-    The gate is ON for the first ``on_epochs`` epochs of every ``period``:
-    ``(epoch % period) < on_epochs``.  Shared by :class:`OnOffArrivals`
-    (whole-process tides) and
-    :class:`~repro.workloads.coflows.BurstyCoflowWorkload` (per-flow
-    flowlet bursts), so the two stay in lockstep by construction.
-    """
-    return (epoch % period) < on_epochs
-
-
-@dataclass(frozen=True)
-class OnOffArrivals:
-    """Periodic ON/OFF gate over another arrival process.
-
-    Epoch ``e`` is ON when ``(e % period) < on_epochs``.
-    """
-
-    base: "WorkloadArrivals | PoissonArrivals"
-    period: int = 4
-    on_epochs: int = 2
-
-    def __post_init__(self) -> None:
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
-        if not (0 <= self.on_epochs <= self.period):
-            raise ValueError(
-                f"on_epochs must be in [0, period={self.period}], got {self.on_epochs}"
-            )
-
-    def __call__(self, epoch: int) -> np.ndarray:
-        if burst_on(epoch, self.period, self.on_epochs):
-            return self.base(epoch)
-        return np.zeros((self.base.n_ports, self.base.n_ports))
 
 
 async def arrival_stream(

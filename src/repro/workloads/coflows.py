@@ -17,10 +17,8 @@ This module provides:
   type;
 * :class:`CoflowSet` — a collection that renders to a demand matrix,
   tracks per-coflow entry masks, and evaluates per-coflow completion times
-  from a :class:`~repro.sim.metrics.SimulationResult`;
-* :class:`CoflowMixWorkload` — a :class:`~repro.workloads.base.Workload`
-  drawing random mixes of the four types, so experiments can be phrased in
-  the paper's own taxonomy.
+  from a :class:`~repro.sim.metrics.SimulationResult`, so experiments can
+  be phrased in the paper's own taxonomy.
 """
 
 from __future__ import annotations
@@ -32,8 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.sim.metrics import SimulationResult
-from repro.utils.rng import ensure_rng
-from repro.workloads.arrivals import burst_on
 from repro.workloads.base import DemandSpec
 
 
@@ -244,129 +240,3 @@ class CoflowSet:
         """Mean coflow completion time — the metric coflow schedulers chase."""
         times = self.completion_times(result)
         return float(np.mean(list(times.values()))) if times else 0.0
-
-
-@dataclass(frozen=True)
-class CoflowMixWorkload:
-    """Random mixes of the paper's four coflow types (§1 taxonomy).
-
-    Parameters
-    ----------
-    n_many_to_many, n_one_to_one, n_one_to_many, n_many_to_one:
-        Coflows of each type per draw.
-    skewed_fanout_range:
-        Fan-out fraction range for (c)/(d) coflows, as in §3.2.
-    small_volume, big_volume:
-        Mb per flow for thin flows ((a), (c), (d)) and fat flows ((b)).
-    """
-
-    n_many_to_many: int = 1
-    n_one_to_one: int = 2
-    n_one_to_many: int = 1
-    n_many_to_one: int = 1
-    skewed_fanout_range: "tuple[float, float]" = (0.7, 1.0)
-    small_volume: float = 1.15
-    big_volume: float = 100.0
-
-    def build(self, n_ports: int, rng=None) -> CoflowSet:
-        """Draw one random coflow set."""
-        rng = ensure_rng(rng)
-        n = int(n_ports)
-        coflow_set = CoflowSet(n)
-        ports = np.arange(n)
-
-        for _ in range(self.n_many_to_many):
-            group = rng.choice(ports, size=max(2, n // 8), replace=False)
-            coflow_set.add(
-                Coflow.many_to_many(
-                    sources=group.tolist(),
-                    destinations=group.tolist(),
-                    volume_per_flow=self.small_volume,
-                )
-            )
-        for _ in range(self.n_one_to_one):
-            src, dst = rng.choice(ports, size=2, replace=False)
-            coflow_set.add(Coflow.one_to_one(int(src), int(dst), self.big_volume))
-        for _ in range(self.n_one_to_many):
-            src = int(rng.choice(ports))
-            fanout = self._fanout(n, rng)
-            dests = rng.choice(np.delete(ports, src), size=fanout, replace=False)
-            coflow_set.add(
-                Coflow.one_to_many(src, dests.tolist(), self.small_volume)
-            )
-        for _ in range(self.n_many_to_one):
-            dst = int(rng.choice(ports))
-            fanin = self._fanout(n, rng)
-            sources = rng.choice(np.delete(ports, dst), size=fanin, replace=False)
-            coflow_set.add(
-                Coflow.many_to_one(sources.tolist(), dst, self.small_volume)
-            )
-        return coflow_set
-
-    def generate(self, n_ports: int, rng: np.random.Generator) -> DemandSpec:
-        """Workload-protocol adapter: a random coflow mix as a DemandSpec."""
-        return self.build(n_ports, rng).to_spec()
-
-    def _fanout(self, n: int, rng) -> int:
-        lo = max(1, int(np.ceil(self.skewed_fanout_range[0] * n)))
-        hi = max(lo, min(n - 1, int(self.skewed_fanout_range[1] * n)))
-        return int(rng.integers(lo, hi + 1))
-
-
-@dataclass(frozen=True)
-class BurstyCoflowWorkload:
-    """Flowlet bursts *within* coflows (ROADMAP 5(b)).
-
-    Wraps a :class:`CoflowMixWorkload` and modulates each flow with its own
-    periodic ON/OFF gate (:func:`~repro.workloads.arrivals.burst_on`): flow
-    ``f`` with random phase ``p`` is active at epoch ``e`` iff
-    ``burst_on(e + p, period, on_epochs)``.  Active flows carry
-    ``period / on_epochs`` times their base volume, so the *time-averaged*
-    offered load matches the base workload while any single epoch sees a
-    bursty subset — the flowlet pattern that stresses mid-epoch
-    rescheduling and fast reroute.
-
-    Coflows whose every flow is OFF in a given epoch are dropped from that
-    epoch's set entirely (they contribute no demand and no completion-time
-    entry).
-    """
-
-    base: CoflowMixWorkload = field(default_factory=CoflowMixWorkload)
-    period: int = 4
-    on_epochs: int = 2
-
-    def __post_init__(self) -> None:
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
-        if not (1 <= self.on_epochs <= self.period):
-            raise ValueError(
-                f"on_epochs must be in [1, period={self.period}], got {self.on_epochs}"
-            )
-
-    def build(self, n_ports: int, rng=None, epoch: int = 0) -> CoflowSet:
-        """Draw one coflow set as seen at ``epoch``.
-
-        The base mix and all flow phases are drawn from ``rng`` in a fixed
-        order, so two calls with identically-seeded generators and
-        different ``epoch`` values see the *same* coflows and phases with
-        only the gate shifted — exactly how an epoch controller replays a
-        bursty tenant over time.
-        """
-        rng = ensure_rng(rng)
-        base_set = self.base.build(n_ports, rng)
-        scale = self.period / self.on_epochs
-        bursty = CoflowSet(n_ports)
-        for coflow in base_set:
-            phases = rng.integers(0, self.period, size=len(coflow.flows))
-            active = tuple(
-                Flow(flow.source, flow.destination, flow.volume * scale)
-                for flow, phase in zip(coflow.flows, phases)
-                if burst_on(epoch + int(phase), self.period, self.on_epochs)
-            )
-            if active:
-                bursty.add(Coflow(flows=active, kind=coflow.kind, name=coflow.name))
-        return bursty
-
-    def generate(self, n_ports: int, rng: np.random.Generator) -> DemandSpec:
-        """Workload-protocol adapter (epoch 0's snapshot of the bursts)."""
-        return self.build(n_ports, rng).to_spec()

@@ -216,6 +216,39 @@ class TestSweepAxisValidation:
                 ["sweep", "--resume", "{tmp}/empty.jsonl"],
                 "sweep: journal {tmp}/empty.jsonl has no header record — not a sweep journal",
             ),
+            (["schedule", "{tmp}/one.npy"], "schedule: n_ports must be an integer >= 2, got 1"),
+            (
+                ["workload", "--workload", "varying", "--skewed-ports", "0", "--out", "{tmp}/demand.npy"],
+                "workload: n_skewed_ports must be >= 1, got 0",
+            ),
+            (
+                [
+                    "workload", "--workload", "varying", "--skewed-ports", "9",
+                    "--radix", "16", "--out", "{tmp}/demand.npy",
+                ],
+                "workload: 9 senders + 9 receivers exceed radix 16",
+            ),
+            (
+                ["serve", "--workload", "varying", "--skewed-ports", "9", "--radix", "16", "--sync"],
+                "serve: 9 senders + 9 receivers exceed radix 16",
+            ),
+            (
+                ["compare", "--radix", "16", "--trials", "1", "--workload", "varying", "--skewed-ports", "0"],
+                "compare: n_skewed_ports must be >= 1, got 0",
+            ),
+            (
+                ["figure", "fig11", "--radices", "8", "--trials", "1"],
+                "figure: 5 senders + 5 receivers exceed radix 8",
+            ),
+            (
+                ["serve", "--radix", "8", "--epochs", "1", "--sync", "--arms", "bogus"],
+                "serve: unknown scheduler 'bogus'; expected 'solstice', 'eclipse', or 'tdm'",
+            ),
+            (
+                ["serve", "--radix", "8", "--epoch-ms", "nan"],
+                "serve: epoch_duration must be finite (None runs every epoch to "
+                "completion), got nan",
+            ),
         ],
         ids=[
             "compare-trials-0",
@@ -240,6 +273,14 @@ class TestSweepAxisValidation:
             "workload-radix-1",
             "sweep-resume-serve-journal",
             "sweep-resume-empty-journal",
+            "schedule-1x1-demand",
+            "workload-varying-skewed-ports-0",
+            "workload-skewed-ports-exceed-radix",
+            "serve-skewed-ports-exceed-radix",
+            "compare-varying-skewed-ports-0",
+            "figure-fig11-radix-too-small",
+            "serve-unknown-arm",
+            "serve-epoch-ms-nan",
         ],
     )
     def test_rejected_before_any_trial(self, argv, message, tmp_path, monkeypatch):
@@ -247,6 +288,7 @@ class TestSweepAxisValidation:
         # A `serve --journal` file holds epoch records but no sweep header.
         RunJournal(tmp_path / "serve.jsonl").append({"kind": "epoch", "report": {}})
         (tmp_path / "empty.jsonl").touch()
+        np.save(tmp_path / "one.npy", np.ones((1, 1)))
         journals = {path: path.read_bytes() for path in tmp_path.glob("*.jsonl")}
         with pytest.raises(SystemExit) as excinfo:
             main([arg.format(tmp=tmp_path) for arg in argv])
@@ -254,6 +296,55 @@ class TestSweepAxisValidation:
         assert not (tmp_path / "runs").exists()
         assert not (tmp_path / "demand.npy").exists()
         assert {path: path.read_bytes() for path in journals} == journals
+
+
+    def test_bad_kernel_backend_rejected(self, tmp_path, monkeypatch):
+        # The backend is resolved once, before the sweep: a bogus value used
+        # to fail, retry and quarantine every trial.
+        monkeypatch.setenv("REPRO_RUN_DIR", str(tmp_path / "runs"))
+        monkeypatch.setenv("REPRO_KERNELS", "bogus")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "--radix", "16", "--trials", "1"])
+        assert excinfo.value.code == (
+            "compare: REPRO_KERNELS='bogus' is not a valid backend; "
+            "expected one of ('kernel', 'oracle')"
+        )
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ["--timeout", "0"],
+                "compare: --timeout must be a positive number of seconds, got 0; "
+                "drop the flag to run without a budget",
+            ),
+            (["--retries", "-1"], "compare: --retries must be >= 0, got -1"),
+            (
+                ["--retry-base-delay", "-1"],
+                "compare: base_delay must be a finite non-negative number, got -1.0",
+            ),
+            (
+                ["--retry-base-delay", "nan"],
+                "compare: base_delay must be a finite non-negative number, got nan",
+            ),
+        ],
+        ids=["timeout-0", "retries-negative", "retry-base-delay-negative", "retry-base-delay-nan"],
+    )
+    def test_fresh_keeps_journal_when_a_runner_flag_is_rejected(
+        self, flags, message, tmp_path
+    ):
+        # --fresh used to unlink the journal before the runner flags were
+        # checked, so a typo destroyed a finished sweep's results.
+        journal = tmp_path / "run.jsonl"
+        journal.write_text("{}\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["compare", "--radix", "16", "--trials", "1", "--journal", str(journal), "--fresh"]
+                + flags
+            )
+        assert excinfo.value.code == message
+        assert journal.read_text() == "{}\n"
 
 
 class TestDemandValidation:

@@ -1,6 +1,6 @@
 """Regression tests for the silent metric-reporting bugs.
 
-Three bugs, one test class each:
+Four bugs, one test class each:
 
 * ``coflow_completion`` used to drop NaN finish times and max the rest, so
   a coflow whose flows all never finished reported 0.0 ms — the *best*
@@ -12,6 +12,8 @@ Three bugs, one test class each:
 * ``finished`` used an absolute 1e-9 Mb cutoff while ``check_conservation``
   scales its tolerance by the total demand — large-volume runs could fail
   ``finished`` over float dust that conservation happily accepted.
+* ``check_conservation`` compared with ``drift > tol``, which is False for
+  NaN, so a run with NaN served volumes passed it.
 """
 
 from __future__ import annotations
@@ -169,3 +171,28 @@ class TestFinishedRelativeTolerance:
         result = simulate_hybrid(demand, schedule, PARAMS, horizon=1e-6)
         assert not result.finished
         assert result.residual_total == pytest.approx(result.total_demand, rel=1e-3)
+
+
+class TestConservationRejectsNan:
+    def test_nan_served_volume_fails(self):
+        # The shape an infinite horizon used to produce: NaN served volume
+        # and a NaN residual.
+        result = _result(
+            [[np.nan, 1.0], [np.nan, np.nan]],
+            residual=[[0.0, np.nan], [0.0, 0.0]],
+            total_demand=5.0,
+            served_eps=math.nan,
+        )
+        with pytest.raises(AssertionError, match="conservation violated"):
+            result.check_conservation()
+
+    def test_nan_released_composite_fails(self):
+        result = _result(
+            [[np.nan, 1.0], [np.nan, np.nan]],
+            residual=[[0.0, 0.0], [0.0, 0.0]],
+            total_demand=5.0,
+            served_eps=5.0,
+            released_composite=math.nan,
+        )
+        with pytest.raises(AssertionError, match="released composite volume"):
+            result.check_conservation()

@@ -11,7 +11,6 @@ from repro.hybrid.eclipse import EclipseScheduler
 from repro.hybrid.solstice import SolsticeScheduler
 from repro.hybrid.tdm import TdmScheduler
 from repro.sim import simulate_hybrid
-from repro.switch.demand import DemandMatrix
 from repro.switch.params import fast_ocs_params
 from repro.workloads.base import empty_spec
 
@@ -32,31 +31,6 @@ class TestMakeScheduler:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             make_scheduler("varys")
-
-
-class TestDemandStats:
-    def test_skewness_positive_for_elephant_mice_mix(self):
-        demand = np.zeros((8, 8))
-        demand[0, 1:7] = 1.0  # mice
-        demand[1, 0] = 50.0  # elephant
-        stats = DemandMatrix(demand).stats()
-        assert stats.skewness > 1.0
-
-    def test_skewness_zero_for_uniform(self):
-        demand = np.zeros((4, 4))
-        demand[0, 1] = demand[1, 2] = demand[2, 3] = 2.0
-        stats = DemandMatrix(demand).stats()
-        assert stats.skewness == pytest.approx(0.0)
-
-    def test_str_render(self):
-        text = str(DemandMatrix(np.eye(3) * 0 + np.diag([1.0, 2.0, 3.0])).stats())
-        assert "n=3" in text and "nnz=3" in text
-
-    def test_empty_stats(self):
-        stats = DemandMatrix(np.zeros((3, 3))).stats()
-        assert stats.total_volume == 0.0
-        assert stats.max_entry == 0.0
-        assert stats.skewness == 0.0
 
 
 class TestEmptySpec:

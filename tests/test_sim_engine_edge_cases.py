@@ -33,6 +33,16 @@ class TestDegenerateInputs:
         with pytest.raises(ValueError):
             engine.run_phase(-1.0)
 
+    @pytest.mark.parametrize("duration", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_duration_rejected(self, duration):
+        # On a drained engine inf used to set clock=inf and served_eps=nan,
+        # and nan was a silent no-op.  None is the drain-everything form.
+        engine = engine_for(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="duration must be finite"):
+            engine.run_phase(duration)
+        assert engine.clock == 0.0
+        assert engine.served_eps == 0.0
+
     def test_demand_params_shape_mismatch(self):
         with pytest.raises(ValueError):
             FluidEngine(np.zeros((3, 3)), fast_ocs_params(4))
@@ -148,18 +158,3 @@ class TestPhaseSequencing:
         engine = engine_for(np.zeros((3, 3)))
         engine.run_phase(TIME_TOL / 10)
         assert engine.clock == 0.0
-
-
-class TestEpsDisabled:
-    def test_mechanism_isolation(self):
-        # With the EPS off, only the circuit serves; the other entry waits.
-        demand = np.zeros((4, 4))
-        demand[0, 1] = 10.0
-        demand[2, 3] = 10.0
-        engine = engine_for(demand)
-        circuits = np.zeros((4, 4), dtype=np.int8)
-        circuits[0, 1] = 1
-        engine.run_phase(0.2, circuits=circuits, eps_enabled=False)
-        assert engine.regular[0, 1] == 0.0
-        assert engine.regular[2, 3] == pytest.approx(10.0)
-        assert engine.served_eps == 0.0

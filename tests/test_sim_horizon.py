@@ -66,6 +66,16 @@ class TestHybridHorizon:
         with pytest.raises(ValueError):
             simulate_hybrid(sparse_demand, schedule, params, horizon=-1.0)
 
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_horizon_rejected(self, skewed_demand16, horizon):
+        # A NaN horizon used to serve nothing (every phase budget clamped to
+        # 0) and an infinite one returned NaN served volumes; None is the
+        # run-to-completion form.
+        params = fast_ocs_params(16)
+        schedule = SolsticeScheduler().schedule(skewed_demand16, params)
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            simulate_hybrid(skewed_demand16, schedule, params, horizon=horizon)
+
 
 class TestCpHorizon:
     def test_composite_residual_reported(self, skewed_demand16):
@@ -89,6 +99,15 @@ class TestCpHorizon:
         assert bounded.finished
         assert bounded.completion_time == pytest.approx(unbounded.completion_time)
         assert bounded.served_composite == pytest.approx(unbounded.served_composite)
+
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_horizon_rejected(self, skewed_demand16, horizon):
+        params = fast_ocs_params(16)
+        cp_schedule = CpSwitchScheduler(SolsticeScheduler()).schedule(
+            skewed_demand16, params
+        )
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            simulate_cp(skewed_demand16, cp_schedule, params, horizon=horizon)
 
 
 class TestSustainedLoadController:
@@ -147,6 +166,15 @@ class TestSustainedLoadController:
     def test_invalid_epoch_duration(self):
         with pytest.raises(ValueError):
             EpochController(fast_ocs_params(8), SolsticeScheduler(), epoch_duration=0.0)
+
+    @pytest.mark.parametrize("duration", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_epoch_duration_rejected(self, duration):
+        # NaN used to serve 0 Mb every epoch; inf reported NaN served and
+        # NaN backlog.  None is the run-to-completion form.
+        with pytest.raises(ValueError, match="epoch_duration must be finite"):
+            EpochController(
+                fast_ocs_params(8), SolsticeScheduler(), epoch_duration=duration
+            )
 
     def test_served_volume_reported(self):
         n = 16

@@ -8,12 +8,7 @@ import pytest
 from repro.core.scheduler import CpSwitchScheduler
 from repro.hybrid.schedule import Schedule, ScheduleEntry
 from repro.hybrid.solstice import SolsticeScheduler
-from repro.sim import simulate_cp, simulate_hybrid
-from repro.sim.trace import (
-    render_gantt,
-    render_service_profile,
-    schedule_timeline,
-)
+from repro.sim.trace import render_gantt, schedule_timeline
 from repro.switch.params import fast_ocs_params
 
 
@@ -88,23 +83,3 @@ class TestRenderGantt:
     def test_total_time_extends_axis(self):
         text = render_gantt(two_config_schedule(), total_time=10.0)
         assert "10 ms" in text
-
-
-class TestRenderServiceProfile:
-    def test_profile_of_simulation(self, skewed_demand16):
-        params = fast_ocs_params(16)
-        cp_schedule = CpSwitchScheduler(SolsticeScheduler()).schedule(
-            skewed_demand16, params
-        )
-        result = simulate_cp(skewed_demand16, cp_schedule, params)
-        text = render_service_profile(result)
-        assert "OCS direct" in text and "composite" in text and "EPS" in text
-        composite_lane = [l for l in text.splitlines() if l.startswith("composite")][0]
-        assert any(c in composite_lane for c in ".:*#"), "composite lane must show service"
-
-    def test_empty_result(self):
-        params = fast_ocs_params(4)
-        result = simulate_hybrid(
-            np.zeros((4, 4)), Schedule(entries=(), reconfig_delay=0.02), params
-        )
-        assert render_service_profile(result) == "(no service recorded)"

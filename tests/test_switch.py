@@ -1,11 +1,10 @@
-"""Tests for switch parameters, demand wrapper, and VOQs."""
+"""Tests for switch parameters and VOQs."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.switch.demand import DemandMatrix
 from repro.switch.params import (
     FAST_OCS_DELTA_MS,
     SLOW_OCS_DELTA_MS,
@@ -53,44 +52,6 @@ class TestSwitchParams:
         params = fast_ocs_params(8)
         assert params.with_ports(64).n_ports == 64
         assert params.with_ports(64).reconfig_delay == params.reconfig_delay
-
-
-class TestDemandMatrix:
-    def test_stats(self):
-        demand = DemandMatrix(np.array([[0.0, 4.0], [1.0, 0.0]]))
-        stats = demand.stats()
-        assert stats.n_ports == 2
-        assert stats.total_volume == pytest.approx(5.0)
-        assert stats.nonzero_entries == 2
-        assert stats.density == pytest.approx(0.5)
-        assert stats.max_entry == 4.0
-
-    def test_port_load_bound(self):
-        demand = DemandMatrix(np.array([[0.0, 4.0], [1.0, 3.0]]))
-        assert demand.max_port_load() == pytest.approx(7.0)  # col 1
-        assert demand.eps_only_completion_bound(10.0) == pytest.approx(0.7)
-
-    def test_immutability(self):
-        demand = DemandMatrix(np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            demand.array[0, 0] = 5.0
-        copy = demand.to_array()
-        copy[0, 0] = 5.0
-        assert demand[0, 0] == 1.0
-
-    def test_equality_and_hash(self):
-        a = DemandMatrix(np.ones((2, 2)))
-        b = DemandMatrix(np.ones((2, 2)))
-        assert a == b
-        assert hash(a) == hash(b)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            DemandMatrix(np.array([[-1.0]]))
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            DemandMatrix(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
 class TestVirtualOutputQueues:

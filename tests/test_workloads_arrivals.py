@@ -8,7 +8,7 @@ import pytest
 from repro.analysis.controller import EpochController
 from repro.hybrid.solstice import SolsticeScheduler
 from repro.switch.params import fast_ocs_params
-from repro.workloads.arrivals import OnOffArrivals, PoissonArrivals, WorkloadArrivals
+from repro.workloads.arrivals import WorkloadArrivals
 from repro.workloads.skewed import SkewedWorkload
 
 
@@ -39,64 +39,17 @@ class TestWorkloadArrivals:
             WorkloadArrivals(SkewedWorkload(), 16, intensity=-1.0)
 
 
-class TestPoissonArrivals:
-    def test_mean_volume_tracks_rate(self):
-        low = PoissonArrivals(SkewedWorkload(), 16, mean_per_epoch=0.5, seed=1)
-        high = PoissonArrivals(SkewedWorkload(), 16, mean_per_epoch=4.0, seed=1)
-        low_volume = float(np.mean([low(e).sum() for e in range(20)]))
-        high_volume = float(np.mean([high(e).sum() for e in range(20)]))
-        assert high_volume > 3 * low_volume
-
-    def test_zero_rate_gives_zero(self):
-        arrivals = PoissonArrivals(SkewedWorkload(), 16, mean_per_epoch=0.0)
-        assert arrivals(0).sum() == 0.0
-
-    def test_reproducible(self):
-        a = PoissonArrivals(SkewedWorkload(), 16, mean_per_epoch=2.0, seed=3)
-        b = PoissonArrivals(SkewedWorkload(), 16, mean_per_epoch=2.0, seed=3)
-        np.testing.assert_array_equal(a(5), b(5))
-
-
-class TestOnOffArrivals:
-    def test_gating(self, base):
-        gated = OnOffArrivals(base, period=4, on_epochs=2)
-        assert gated(0).sum() > 0
-        assert gated(1).sum() > 0
-        assert gated(2).sum() == 0.0
-        assert gated(3).sum() == 0.0
-        assert gated(4).sum() > 0
-
-    def test_invalid_period(self, base):
-        with pytest.raises(ValueError):
-            OnOffArrivals(base, period=0)
-        with pytest.raises(ValueError):
-            OnOffArrivals(base, period=2, on_epochs=3)
-
-
 class TestWithController:
     def test_bursty_load_drives_controller(self):
         params = fast_ocs_params(16)
-        arrivals = OnOffArrivals(
-            WorkloadArrivals(SkewedWorkload(), 16, seed=2), period=2, on_epochs=1
-        )
+        base = WorkloadArrivals(SkewedWorkload(), 16, seed=2)
+
+        def arrivals(epoch):
+            # ON/OFF tide: a workload draw on even epochs, nothing on odd ones.
+            return base(epoch) if epoch % 2 == 0 else np.zeros((16, 16))
+
         controller = EpochController(params, SolsticeScheduler(), epoch_duration=0.5)
         reports = controller.run(arrivals, n_epochs=4)
         # OFF epochs give the switch slack to catch up.
         assert reports[1].backlog_after <= reports[0].backlog_after + 1e-9
         controller.voqs.check_conservation()
-
-
-class TestBurstOn:
-    def test_gate_shape(self):
-        from repro.workloads.arrivals import burst_on
-
-        assert [burst_on(e, 4, 2) for e in range(6)] == [
-            True, True, False, False, True, True,
-        ]
-
-    def test_onoff_arrivals_uses_it(self, base):
-        # The refactor must not change OnOffArrivals' observable gating.
-        gated = OnOffArrivals(base, period=3, on_epochs=1)
-        assert gated(0).sum() > 0
-        assert gated(1).sum() == 0.0
-        assert gated(3).sum() > 0

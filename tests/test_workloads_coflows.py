@@ -5,18 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.scheduler import CpSwitchScheduler
 from repro.hybrid.schedule import Schedule
 from repro.hybrid.solstice import SolsticeScheduler
-from repro.sim import simulate_cp, simulate_hybrid
+from repro.sim import simulate_hybrid
 from repro.switch.params import fast_ocs_params
-from repro.workloads.coflows import (
-    Coflow,
-    CoflowMixWorkload,
-    CoflowSet,
-    CoflowType,
-    Flow,
-)
+from repro.workloads.coflows import Coflow, CoflowSet, CoflowType, Flow
 
 
 class TestFlow:
@@ -135,123 +128,3 @@ class TestCoflowSet:
             params,
         )
         assert cs.average_completion(result) == 0.0
-
-
-class TestCoflowMixWorkload:
-    def test_builds_requested_mix(self):
-        workload = CoflowMixWorkload(
-            n_many_to_many=2, n_one_to_one=3, n_one_to_many=1, n_many_to_one=1
-        )
-        cs = workload.build(32, np.random.default_rng(0))
-        kinds = [c.kind for c in cs]
-        assert kinds.count(CoflowType.MANY_TO_MANY) == 2
-        assert kinds.count(CoflowType.ONE_TO_ONE) == 3
-        assert kinds.count(CoflowType.ONE_TO_MANY) == 1
-        assert kinds.count(CoflowType.MANY_TO_ONE) == 1
-
-    def test_workload_protocol(self):
-        workload = CoflowMixWorkload()
-        spec = workload.generate(32, np.random.default_rng(1))
-        assert spec.demand.shape == (32, 32)
-        assert spec.skewed_mask.any()
-
-    def test_cp_improves_skewed_coflows_in_mix(self):
-        params = fast_ocs_params(32)
-        workload = CoflowMixWorkload(n_one_to_one=1)
-        cs = workload.build(32, np.random.default_rng(3))
-        demand = cs.demand()
-        h_res = simulate_hybrid(
-            demand, SolsticeScheduler().schedule(demand, params), params
-        )
-        cp_sched = CpSwitchScheduler(SolsticeScheduler()).schedule(demand, params)
-        cp_res = simulate_cp(demand, cp_sched, params)
-        h_times = cs.completion_times(h_res)
-        cp_times = cs.completion_times(cp_res)
-        skewed = [c.name for c in cs if c.is_skewed()]
-        assert skewed
-        h_skew = float(np.mean([h_times[name] for name in skewed]))
-        cp_skew = float(np.mean([cp_times[name] for name in skewed]))
-        assert cp_skew < h_skew
-
-
-class TestBurstyCoflowWorkload:
-    def _workload(self, **kw):
-        from repro.workloads.coflows import BurstyCoflowWorkload
-
-        return BurstyCoflowWorkload(base=CoflowMixWorkload(), **kw)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            self._workload(period=0)
-        with pytest.raises(ValueError):
-            self._workload(period=4, on_epochs=0)
-        with pytest.raises(ValueError):
-            self._workload(period=4, on_epochs=5)
-
-    def test_time_averaged_load_matches_base(self):
-        # Each flow is ON on_epochs/period of the time at x(period/on_epochs)
-        # volume, so summing one full period with a fixed phase draw must
-        # reproduce the base workload's total exactly.
-        workload = self._workload(period=4, on_epochs=2)
-        rngs = [np.random.default_rng(7) for _ in range(4)]
-        totals = [
-            workload.build(16, rngs[epoch], epoch=epoch).demand().sum()
-            for epoch in range(4)
-        ]
-        base_total = CoflowMixWorkload().build(16, np.random.default_rng(7)).demand().sum()
-        assert np.mean(totals) == pytest.approx(base_total)
-
-    @staticmethod
-    def _signature(coflow):
-        """Structural identity (auto-names carry a global counter)."""
-        return (coflow.kind, frozenset((f.source, f.destination) for f in coflow.flows))
-
-    def test_epochs_only_reveal_base_flows(self):
-        # Every flow any epoch shows is a (scaled) flow of the base draw.
-        workload = self._workload(period=3, on_epochs=1)
-        base = CoflowMixWorkload().build(16, np.random.default_rng(5))
-        base_flows = {
-            (f.source, f.destination) for c in base for f in c.flows
-        }
-        for epoch in range(3):
-            bursty = workload.build(16, np.random.default_rng(5), epoch=epoch)
-            flows = {(f.source, f.destination) for c in bursty for f in c.flows}
-            assert flows <= base_flows
-
-    def test_always_on_matches_base(self):
-        # period == on_epochs means always ON: nothing is dropped and the
-        # set matches the base coflow-for-coflow.
-        workload = self._workload(period=2, on_epochs=2)
-        bursty = workload.build(16, np.random.default_rng(11), epoch=0)
-        base = CoflowMixWorkload().build(16, np.random.default_rng(11))
-        assert {self._signature(c) for c in bursty} == {
-            self._signature(c) for c in base
-        }
-        np.testing.assert_allclose(bursty.demand(), base.demand())
-
-    def test_on_volumes_scaled_up(self):
-        workload = self._workload(period=4, on_epochs=1)
-        bursty = workload.build(16, np.random.default_rng(2), epoch=0)
-        base = CoflowMixWorkload().build(16, np.random.default_rng(2))
-        base_by_kind = {}
-        for coflow in base:
-            for f in coflow.flows:
-                base_by_kind[(coflow.kind, f.source, f.destination)] = f.volume
-        for coflow in bursty:
-            for flow in coflow.flows:
-                assert flow.volume == pytest.approx(
-                    4.0 * base_by_kind[(coflow.kind, flow.source, flow.destination)]
-                )
-
-    def test_generate_protocol_adapter(self):
-        spec = self._workload(period=4, on_epochs=2).generate(
-            16, np.random.default_rng(9)
-        )
-        assert spec.demand.shape == (16, 16)
-        assert (spec.demand >= 0).all()
-
-    def test_deterministic_per_rng(self):
-        workload = self._workload(period=4, on_epochs=2)
-        a = workload.build(16, np.random.default_rng(4), epoch=1)
-        b = workload.build(16, np.random.default_rng(4), epoch=1)
-        np.testing.assert_array_equal(a.demand(), b.demand())

@@ -7,8 +7,8 @@ copy under ``benchmarks/results/`` (quoted by ``EXPERIMENTS.md``).  Run
 with ``pytest benchmarks/ --benchmark-only -s``; the sweep is controlled
 by ``REPRO_RADICES`` and ``REPRO_SEEDS``.
 
-The implementation itself is timed elsewhere: ``perfbench/run.py``
-compares a change with its parent commit end to end and per layer, and
+The implementation itself is checked elsewhere: ``perfbench/run.py``
+times a change against its parent commit end to end and per layer, and
 ``python -m repro obs baseline record`` / ``obs check`` record and gate
-per-stage timings and schedule quality (``BENCH_obs.json``).
+schedule quality (``BENCH_obs.json``).
 """

@@ -9,7 +9,7 @@ demand matrix").  This module closes that loop for multi-epoch operation:
    configured scheduler (h-Switch or cp-Switch), and executes the schedule
    in the fluid simulator — to completion, or bounded by the epoch length;
 3. the next epoch's arrivals accumulate (leftovers stay queued) and the
-   loop repeats.
+   loop runs again.
 
 This is how a deployment would actually drive the scheduling algorithms,
 and it surfaces behaviour single-shot experiments cannot: backlog
@@ -52,6 +52,10 @@ from repro.utils.validation import VOLUME_TOL, check_demand_matrix
 
 #: An arrival process: epoch index -> demand-matrix increment (Mb).
 ArrivalProcess = Callable[[int], np.ndarray]
+
+#: Consecutive deadline misses after which backpressure engages (with
+#: ``max_backlog`` set): one miss already means the epoch fell behind.
+BACKPRESSURE_AFTER_MISSES: int = 1
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,7 @@ class EpochController:
         measurement must never read the steppable wall clock.
     max_backlog:
         Backpressure threshold (Mb).  When consecutive deadline misses
-        reach ``backpressure_after_misses``, :meth:`offer` admits at most
+        reach :data:`BACKPRESSURE_AFTER_MISSES`, :meth:`offer` admits at most
         enough arrival volume to keep the VOQ backlog at this bound;
         the overflow is shed or parked per ``overflow_policy``.  ``None``
         disables backpressure (all arrivals are always admitted).
@@ -173,10 +177,6 @@ class EpochController:
         ``"shed"`` drops it into the ``shed_volume`` ledger (reported per
         epoch and accounted by :meth:`check_conservation`); ``"park"``
         holds it outside the VOQs and re-offers it when pressure clears.
-    backpressure_after_misses:
-        Consecutive deadline misses required before backpressure engages
-        (a single miss is noise; sustained misses mean demand is outrunning
-        service).
     """
 
     params: SwitchParams
@@ -190,7 +190,6 @@ class EpochController:
     deadline_clock: Callable = field(default=time.perf_counter, repr=False)
     max_backlog: "float | None" = None
     overflow_policy: str = "shed"
-    backpressure_after_misses: int = 1
     _voqs: VirtualOutputQueues = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -227,11 +226,6 @@ class EpochController:
         if self.overflow_policy not in ("shed", "park"):
             raise ValueError(
                 f"overflow_policy must be 'shed' or 'park', got {self.overflow_policy!r}"
-            )
-        if self.backpressure_after_misses < 1:
-            raise ValueError(
-                f"backpressure_after_misses must be >= 1, "
-                f"got {self.backpressure_after_misses}"
             )
         self._voqs = VirtualOutputQueues(self.params.n_ports)
         self._cp_scheduler = (
@@ -277,7 +271,7 @@ class EpochController:
         Without backpressure (``max_backlog=None``, the default) every
         offered byte is admitted and the return value equals the offered
         volume.  With backpressure armed and engaged (consecutive deadline
-        misses ≥ ``backpressure_after_misses``), the pending volume —
+        misses ≥ :data:`BACKPRESSURE_AFTER_MISSES`), the pending volume —
         arrivals plus anything previously parked — is scaled down
         proportionally so the VOQ backlog stays at ``max_backlog``; the
         overflow is shed (``shed_volume`` ledger) or parked for a later
@@ -302,7 +296,7 @@ class EpochController:
 
         engaged = (
             self.max_backlog is not None
-            and self._consecutive_misses >= self.backpressure_after_misses
+            and self._consecutive_misses >= BACKPRESSURE_AFTER_MISSES
         )
         total = float(pending.sum())
         if engaged and total > VOLUME_TOL:

@@ -32,6 +32,7 @@ fast-reroute-vs-degrade comparison of :func:`reroute_trial`).
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from repro.faults.plan import FaultPlan
 from repro.faults.reroute import BackupPlanner
 from repro.hybrid.base import HybridScheduler
 from repro.hybrid.schedule import Schedule
-from repro.sim.cp_sim import _run as _run_cp
 from repro.sim.cp_sim import simulate_cp
 from repro.sim.hybrid_sim import simulate_hybrid
 from repro.sim.metrics import SimulationResult
@@ -113,29 +113,9 @@ def simulate_with_estimate(
     """
     true_demand = check_demand_matrix(true_demand)
     if isinstance(schedule, CpSchedule):
-        filtered = np.minimum(schedule.reduction.filtered, true_demand)
-
-        def composites_for(entry):
-            from repro.sim.engine import CompositeService
-
-            services = []
-            if entry.o2m_port is not None:
-                services.append(CompositeService(kind="o2m", port=entry.o2m_port))
-            if entry.m2o_port is not None:
-                services.append(CompositeService(kind="m2o", port=entry.m2o_port))
-            return services
-
-        return _run_cp(
-            true_demand,
-            schedule.entries,
-            filtered,
-            composites_for,
-            lambda entry: entry.regular,
-            params,
-            None,
-            n_configs=schedule.n_configs,
-            makespan=schedule.makespan,
-        )
+        parked = np.minimum(schedule.reduction.filtered, true_demand)
+        reduction = replace(schedule.reduction, filtered=parked)
+        return simulate_cp(true_demand, replace(schedule, reduction=reduction), params)
     return simulate_hybrid(true_demand, schedule, params)
 
 

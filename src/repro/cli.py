@@ -857,7 +857,6 @@ def cmd_obs_baseline_record(args) -> int:
     from repro.obs.baseline import record_baseline, write_baseline
 
     radices, schedulers = _parse_point_axes(args)
-    repeats = 1 if args.quick else args.repeats
     trials = 1 if args.quick else args.trials
     try:
         payload = record_baseline(
@@ -866,27 +865,17 @@ def cmd_obs_baseline_record(args) -> int:
             ocs=args.ocs,
             n_trials=trials,
             seed=args.seed,
-            repeats=repeats,
         )
     except ValueError as exc:  # a count or radix the pipeline cannot run
         raise SystemExit(f"obs baseline record: {exc}") from None
     write_baseline(payload, args.out)
-    total = sum(point["timing_s"]["total"] for point in payload["points"])
-    print(
-        f"recorded {len(payload['points'])} baseline point(s) "
-        f"({total:.2f}s pipeline time) to {args.out}"
-    )
+    print(f"recorded {len(payload['points'])} baseline point(s) to {args.out}")
     return 0
 
 
 def cmd_obs_check(args) -> int:
     from repro.obs.baseline import check_baseline, load_baseline, measure_like
 
-    if not args.tolerance >= 0:  # NaN-safe: NaN would pass every stage
-        raise SystemExit(
-            f"obs check: --tolerance must be a non-negative fraction "
-            f"(0.25 = 25%), got {args.tolerance:g}"
-        )
     path = Path(args.baseline)
     if not path.exists():
         raise SystemExit(
@@ -904,9 +893,7 @@ def cmd_obs_check(args) -> int:
             raise SystemExit(f"obs check: {exc}") from None
     else:
         current = measure_like(baseline)
-    violations = check_baseline(
-        baseline, current, tolerance=args.tolerance, min_seconds=args.min_seconds
-    )
+    violations = check_baseline(baseline, current)
     if violations:
         print(
             f"obs check: {len(violations)} violation(s) against {path}:",
@@ -916,8 +903,8 @@ def cmd_obs_check(args) -> int:
             print(f"  {violation}", file=sys.stderr)
         return 1
     print(
-        f"obs check: {len(baseline.get('points', []))} point(s) within "
-        f"{args.tolerance * 100:.0f}% of {path}, no schedule-quality drift"
+        f"obs check: {len(baseline.get('points', []))} point(s) match "
+        f"{path}, no schedule-quality drift"
     )
     return 0
 
@@ -1278,7 +1265,7 @@ def build_parser() -> argparse.ArgumentParser:
     export.set_defaults(func=cmd_obs_export)
 
     baseline = obs_sub.add_parser(
-        "baseline", help="record perf + schedule-quality baselines (BENCH_obs.json)"
+        "baseline", help="record schedule-quality baselines (BENCH_obs.json)"
     )
     baseline_sub = baseline.add_subparsers(dest="baseline_command", required=True)
     record = baseline_sub.add_parser(
@@ -1293,19 +1280,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     record.add_argument("--ocs", choices=("fast", "slow"), default="fast")
     record.add_argument("--trials", type=int, default=2, help="trials per point (default: 2)")
-    record.add_argument("--repeats", type=int, default=2, help="timing repeats (default: 2)")
     record.add_argument("--seed", type=int, default=2016)
     record.add_argument(
         "--quick",
         action="store_true",
-        help="smallest radix only, 1 trial, 1 repeat (CI in-job baseline)",
+        help="smallest radix only, 1 trial (CI in-job baseline)",
     )
     record.set_defaults(func=cmd_obs_baseline_record)
 
     check = obs_sub.add_parser(
         "check",
-        help="re-measure and gate against a baseline: nonzero exit on timing "
-        "regression or any schedule-quality drift",
+        help="re-measure and gate against a baseline: nonzero exit on any "
+        "schedule-quality drift",
     )
     check.add_argument(
         "--baseline", required=True, metavar="PATH", help="BENCH_obs.json to gate against"
@@ -1314,18 +1300,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--current",
         metavar="PATH",
         help="compare this pre-recorded measurement instead of measuring now",
-    )
-    check.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="relative timing-regression tolerance (default: 0.25)",
-    )
-    check.add_argument(
-        "--min-seconds",
-        type=float,
-        default=0.01,
-        help="ignore stages cheaper than this in the baseline (default: 0.01)",
     )
     check.set_defaults(func=cmd_obs_check)
     return parser

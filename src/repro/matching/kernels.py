@@ -17,7 +17,7 @@ kernels; ``REPRO_KERNELS=oracle`` forces the original pure-Python/seed
 code paths, which stay in the tree as correctness oracles.  The CI gate
 records an ``obs baseline`` under the oracle backend and ``obs check``-s
 the kernel backend against it: any schedule-quality drift — one slice
-count, one makespan ulp — fails the build.
+count, one composite grant — fails the build.
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ time (BigSlice slice counts, Eclipse greedy steps, watchdog trips,
 composite-path grants, engine phases): those are deterministic for a
 seeded run, so **any** difference is reported as schedule-quality drift,
 the signal that a refactor changed what the scheduler decides, not just
-how fast it decides it.
+how fast it decides it.  :func:`quality_drift` is that rule, and
+``repro obs check`` (:mod:`repro.obs.baseline`) judges its baselines with
+it too.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ from dataclasses import dataclass, field
 
 from repro.obs.summarize import TraceData, group_paths
 
-#: Counters whose values are deterministic for a seeded run: a drift here
-#: means the *schedule* changed, not the machine's speed.  Timing-flavoured
-#: metrics (``phase_seconds`` histograms, ``*_mb_total`` float volumes)
-#: deliberately stay out; volumes get a relative tolerance instead.
+#: Quality metrics compared exactly: integer schedule decisions, deterministic
+#: for a seeded run, so a drift means the *schedule* changed, not the
+#: machine's speed.  All but the last two are counters of a metrics
+#: snapshot; ``h_configs`` and ``cp_configs`` are the configuration counts
+#: ``obs check`` reads off its simulation results.  Timing-flavoured
+#: metrics (``phase_seconds`` histograms) deliberately stay out.
 QUALITY_COUNTERS: "frozenset[str]" = frozenset(
     {
         "solstice_schedules_total",
@@ -45,11 +49,14 @@ QUALITY_COUNTERS: "frozenset[str]" = frozenset(
         "reroute_swaps_total",
         "deadline_fallback_total",
         "deadline_misses_total",
+        "h_configs",
+        "cp_configs",
     }
 )
 
-#: Relative tolerance for float-valued quality counters (Mb volumes whose
-#: summation order may legally differ between runs).
+#: Float quality metrics, compared with a relative tolerance: Mb volumes
+#: whose summation order may legally differ between runs, and the shares
+#: of the demand each path served in ``obs check``'s simulation results.
 VOLUME_QUALITY_COUNTERS: "frozenset[str]" = frozenset(
     {
         "cpsched_composite_volume_mb_total",
@@ -57,6 +64,9 @@ VOLUME_QUALITY_COUNTERS: "frozenset[str]" = frozenset(
         "engine_composite_reparked_mb_total",
         "reroute_reparked_mb_total",
         "controller_shed_mb_total",
+        "h_ocs_fraction",
+        "cp_ocs_fraction",
+        "composite_fraction",
     }
 )
 _VOLUME_RTOL: float = 1e-9
@@ -151,6 +161,38 @@ def _base_name(labeled: str) -> str:
     return labeled.split("{", 1)[0]
 
 
+def quality_metrics(snapshot: dict) -> "dict[str, float]":
+    """The quality metrics of a metrics snapshot, by fully-labeled name."""
+    scalars, _ = _flatten_snapshot(snapshot)
+    quality = QUALITY_COUNTERS | VOLUME_QUALITY_COUNTERS
+    return {name: value for name, value in scalars.items() if _base_name(name) in quality}
+
+
+def quality_drift(a: dict, b: dict) -> "list[dict]":
+    """Schedule-quality drift between two ``{labeled name: value}`` maps.
+
+    The one comparison rule of ``obs diff`` and ``obs check``: names outside
+    the quality lists are ignored, :data:`QUALITY_COUNTERS` must match
+    exactly and :data:`VOLUME_QUALITY_COUNTERS` within 1e-9 relative (a NaN
+    is drift).  A name present on one side only reads as 0 on the
+    other, so a counter that appears or vanishes is drift too.
+    """
+    drift = []
+    for name in sorted(set(a) | set(b)):
+        base = _base_name(name)
+        value_a, value_b = a.get(name, 0.0), b.get(name, 0.0)
+        if base in QUALITY_COUNTERS:
+            same = value_a == value_b
+        elif base in VOLUME_QUALITY_COUNTERS:
+            tol = _VOLUME_RTOL * max(1.0, abs(value_a), abs(value_b))
+            same = abs(value_a - value_b) <= tol
+        else:
+            continue
+        if not same:
+            drift.append({"metric": name, "a": value_a, "b": value_b})
+    return drift
+
+
 def diff_traces(a: TraceData, b: TraceData) -> TraceDiff:
     """Align ``a`` and ``b`` and compute the full diff."""
     groups_a = group_paths(a)
@@ -184,23 +226,13 @@ def diff_traces(a: TraceData, b: TraceData) -> TraceDiff:
         name: (hists_a.get(name, (0, 0.0)), hists_b.get(name, (0, 0.0)))
         for name in sorted(set(hists_a) | set(hists_b))
     }
-
-    drift = []
-    for name, (value_a, value_b) in counters.items():
-        base = _base_name(name)
-        if base in QUALITY_COUNTERS and value_a != value_b:
-            drift.append({"metric": name, "a": value_a, "b": value_b})
-        elif base in VOLUME_QUALITY_COUNTERS:
-            tol = _VOLUME_RTOL * max(1.0, abs(value_a), abs(value_b))
-            if abs(value_a - value_b) > tol:
-                drift.append({"metric": name, "a": value_a, "b": value_b})
     return TraceDiff(
         meta_a=dict(a.meta),
         meta_b=dict(b.meta),
         phases=phases,
         counters=counters,
         histograms=histograms,
-        quality_drift=drift,
+        quality_drift=quality_drift(scalars_a, scalars_b),
     )
 
 

@@ -25,6 +25,15 @@ from dataclasses import dataclass, field
 
 from repro import obs
 
+#: Multiprocessing start method of every worker process, one-shot trials and
+#: the warm :class:`~repro.runner.pool.WorkerPool` alike: ``fork`` where
+#: available (cheap on Linux), else the platform default.
+START_METHOD: str = (
+    "fork"
+    if "fork" in multiprocessing.get_all_start_methods()
+    else multiprocessing.get_all_start_methods()[0]
+)
+
 
 @dataclass(frozen=True)
 class TrialSpec:
@@ -116,10 +125,6 @@ def error_dict(exc: BaseException) -> dict:
     }
 
 
-#: Backwards-compatible alias (pre-pool internal name).
-_error_dict = error_dict
-
-
 def run_inline(spec: TrialSpec) -> TrialOutcome:
     """Execute the trial in-process (no isolation, no timeout)."""
     start = time.perf_counter()
@@ -128,7 +133,7 @@ def run_inline(spec: TrialSpec) -> TrialOutcome:
     except Exception as exc:  # noqa: BLE001 — the whole point is containment
         return TrialOutcome(
             status="error",
-            error=_error_dict(exc),
+            error=error_dict(exc),
             elapsed_s=time.perf_counter() - start,
         )
     return TrialOutcome(
@@ -148,10 +153,6 @@ def obs_blob() -> "dict | None":
         "spans": obs.get_tracer().drain(),
         "metrics": obs.get_metrics().snapshot(),
     }
-
-
-#: Backwards-compatible alias (pre-pool internal name).
-_obs_blob = obs_blob
 
 
 def _subprocess_worker(conn, fn_path: str, kwargs: dict, heartbeat=None) -> None:
@@ -180,9 +181,9 @@ def _subprocess_worker(conn, fn_path: str, kwargs: dict, heartbeat=None) -> None
         ).start()
     try:
         payload = resolve_fn(fn_path)(**kwargs)
-        conn.send(("ok", payload, _obs_blob()))
+        conn.send(("ok", payload, obs_blob()))
     except Exception as exc:  # noqa: BLE001
-        conn.send(("error", _error_dict(exc), _obs_blob()))
+        conn.send(("error", error_dict(exc), obs_blob()))
     finally:
         if ticker is not None:
             ticker.stop()
@@ -193,7 +194,6 @@ def run_in_subprocess(
     spec: TrialSpec,
     *,
     timeout_s: "float | None" = None,
-    start_method: "str | None" = None,
     heartbeat: "tuple | None" = None,
 ) -> TrialOutcome:
     """Execute the trial in a worker process with a wall-clock budget.
@@ -203,17 +203,11 @@ def run_in_subprocess(
     timeout_s:
         Kill the worker and report ``timeout`` after this many seconds;
         ``None`` waits forever.
-    start_method:
-        Multiprocessing start method; defaults to ``fork`` where available
-        (cheap on Linux), else the platform default.
     heartbeat:
         Optional ``(dir, key, experiment, attempt)`` tuple; the worker
         keeps the trial's heartbeat file fresh while it runs.
     """
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else methods[0]
-    ctx = multiprocessing.get_context(start_method)
+    ctx = multiprocessing.get_context(START_METHOD)
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     process = ctx.Process(
         target=_subprocess_worker,

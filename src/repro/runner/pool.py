@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
 
 from repro import obs
-from repro.runner.isolation import error_dict, obs_blob, resolve_fn
+from repro.runner.isolation import START_METHOD, error_dict, obs_blob, resolve_fn
 
 
 @dataclass(frozen=True)
@@ -166,9 +166,6 @@ class WorkerPool:
         Extra attempts granted to a task whose worker died mid-run
         (a task that *raises* is not retried — exceptions are
         deterministic, crashes are not).
-    start_method:
-        Multiprocessing start method; defaults to ``fork`` where
-        available, matching :func:`~repro.runner.isolation.run_in_subprocess`.
     timeout_s:
         Per-task wall-clock budget; a worker that exceeds it is killed
         (and the task retried like any other crash).  ``None`` disables.
@@ -179,7 +176,6 @@ class WorkerPool:
         n_workers: int,
         *,
         retries: int = 1,
-        start_method: "str | None" = None,
         timeout_s: "float | None" = None,
     ) -> None:
         if n_workers < 1:
@@ -188,10 +184,7 @@ class WorkerPool:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError(f"timeout_s must be positive, got {timeout_s}")
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context(START_METHOD)
         self.retries = retries
         self.timeout_s = timeout_s
         self.worker_deaths = 0

@@ -73,7 +73,7 @@ FALLBACK_EPS_ONLY: int = 4
 #: Elapsed/deadline ratio past which even the TDM fallback is skipped: the
 #: run is so far overdrawn that any further scheduling work steals from the
 #: *next* epoch, so the EPS-only drain (zero additional work) is selected.
-DEFAULT_HARD_OVERDRAFT: float = 4.0
+HARD_OVERDRAFT: float = 4.0
 
 
 class TickClock:
@@ -199,11 +199,11 @@ class DeadlineBudget:
                 )
         return not self._exhausted
 
-    def overdrawn(self, factor: float = DEFAULT_HARD_OVERDRAFT) -> bool:
-        """Whether elapsed time exceeds ``factor ×`` the deadline."""
+    def overdrawn(self) -> bool:
+        """Whether elapsed time exceeds :data:`HARD_OVERDRAFT` × the deadline."""
         if self.deadline_s is None or not math.isfinite(self.deadline_s):
             return False
-        return self.elapsed_s() >= factor * self.deadline_s
+        return self.elapsed_s() >= HARD_OVERDRAFT * self.deadline_s
 
 
 @dataclass(frozen=True)
@@ -279,27 +279,20 @@ class AnytimeScheduler:
     clock:
         Monotonic time source for the budget (injectable for tests;
         defaults to :func:`time.perf_counter`, never the wall clock).
-    hard_overdraft:
-        Elapsed/deadline ratio past which L3 is skipped for L4.
-    tdm:
-        The round-robin scheduler used for the L3 rung.
+
+    Past :data:`HARD_OVERDRAFT` × the deadline, L3 (a default
+    :class:`~repro.hybrid.tdm.TdmScheduler`) is skipped for L4.
     """
 
     inner: CpSwitchScheduler
     deadline_s: "float | None" = None
     clock: Callable[[], float] = field(default=time.perf_counter, repr=False)
-    hard_overdraft: float = DEFAULT_HARD_OVERDRAFT
-    tdm: TdmScheduler = field(default_factory=TdmScheduler, repr=False)
     last_outcome: "AnytimeOutcome | None" = field(
         default=None, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
         self.deadline_s = _check_deadline(self.deadline_s)
-        if not self.hard_overdraft >= 1.0:  # NaN-safe
-            raise ValueError(
-                f"hard_overdraft must be >= 1, got {self.hard_overdraft}"
-            )
         self._previous: "tuple[CpSchedule, int] | None" = None
         self._calls = 0
 
@@ -381,7 +374,7 @@ class AnytimeScheduler:
             self._finish(cp_schedule, outcome, remember=True)
             return cp_schedule
 
-        overdrawn = budget.overdrawn(self.hard_overdraft)
+        overdrawn = budget.overdrawn()
         previous = self._previous
         if previous is not None and not overdrawn:
             prev_schedule, prev_call = previous
@@ -435,7 +428,7 @@ class AnytimeScheduler:
             schedule_ms=budget.elapsed_s() * 1e3,
             checkpoints=tuple(budget.checkpoints),
             detail=(
-                f"budget overdrawn beyond {self.hard_overdraft:g}x: "
+                f"budget overdrawn beyond {HARD_OVERDRAFT:g}x: "
                 "EPS-only drain"
             ),
         )
@@ -518,7 +511,7 @@ class AnytimeScheduler:
 
     def _tdm_schedule(self, demand: np.ndarray, params: SwitchParams) -> CpSchedule:
         """L3: wrap a TDM round-robin schedule into cp-Switch form."""
-        tdm_schedule = self.tdm.schedule(demand, params)
+        tdm_schedule = TdmScheduler().schedule(demand, params)
         zeros = np.zeros_like(demand)
         entries = tuple(
             CompositeScheduleEntry(

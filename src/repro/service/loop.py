@@ -517,6 +517,7 @@ class SchedulingService:
             else None
         )
         run = ServiceReport()
+        stream_error: "Exception | None" = None
         with self._running(pool):
             ingest = asyncio.ensure_future(self._ingest(queue))
             start_mono = config.mono_clock()
@@ -571,12 +572,15 @@ class SchedulingService:
                         (pool.tasks_retried - retries_before) if pool is not None else 0,
                     )
             finally:
-                if not ingest.done():
-                    ingest.cancel()
+                ingest.cancel()  # a no-op once the stream has ended
                 try:
                     await ingest
                 except asyncio.CancelledError:
                     pass
+                except Exception as exc:  # noqa: BLE001 — re-raised below
+                    # The arrival process raised.  Finish this block first:
+                    # the pool must close even when the error ends the run.
+                    stream_error = exc
                 while not queue.empty():
                     if queue.get_nowait() is not _STREAM_END:
                         run.abandoned_batches += 1
@@ -585,18 +589,34 @@ class SchedulingService:
                     run.worker_deaths = pool.worker_deaths
                     pool.close()
                 self._stop_event = None
+        if stream_error is not None:
+            raise stream_error
         run.stopped_early = self._stop_requested
         return self._finalize(run)
 
     async def _ingest(self, queue: "asyncio.Queue") -> None:
-        """Pull batches from the async arrival stream into the bounded queue."""
+        """Pull batches from the async arrival stream into the bounded queue.
+
+        The stream always ends with :data:`_STREAM_END`, also when the
+        arrival process raises: the epoch task waits on ``queue.get()`` and
+        would otherwise wait forever.  :meth:`run` re-raises the error once
+        it has served the batches queued before it.  A cancelled ingestion
+        queues nothing, because :meth:`run` cancels it only once it has
+        stopped reading the queue.
+        """
         assert self._stop_event is not None
         stream = arrival_stream(self.arrivals, self.config.n_epochs)
-        async for epoch, demand in stream:
-            if self._stop_event.is_set():
-                break
-            # The draw itself is sync and cheap; backpressure comes from
-            # the bounded put below, which suspends ingestion while the
-            # epoch task is queue_depth batches behind.
-            await queue.put((epoch, demand))
+        try:
+            async for epoch, demand in stream:
+                if self._stop_event.is_set():
+                    break
+                # The draw itself is sync and cheap; backpressure comes from
+                # the bounded put below, which suspends ingestion while the
+                # epoch task is queue_depth batches behind.
+                await queue.put((epoch, demand))
+        except Exception:
+            # A cancel while the queue is full must not swallow the error.
+            with contextlib.suppress(asyncio.CancelledError):
+                await queue.put(_STREAM_END)
+            raise
         await queue.put(_STREAM_END)

@@ -14,7 +14,6 @@ synchronous driver and a plain controller loop see identical arrivals.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
 from typing import AsyncIterator, Callable
 
@@ -59,35 +58,23 @@ class WorkloadArrivals:
 async def arrival_stream(
     process: "Callable[[int], np.ndarray]",
     n_epochs: "int | None" = None,
-    *,
-    pace_s: float = 0.0,
-    sleep: "Callable[[float], object]" = asyncio.sleep,
 ) -> "AsyncIterator[tuple[int, np.ndarray]]":
     """Adapt an arrival process into an async ``(epoch, demand)`` stream.
 
     The demand for epoch ``e`` is exactly ``process(e)`` — the stream adds
-    pacing and cancellability, never randomness — so a service consuming
-    this stream sees the same arrivals as a synchronous
-    :meth:`~repro.analysis.controller.EpochController.run` loop.
+    cancellability, never randomness — so a service consuming this stream
+    sees the same arrivals as a synchronous
+    :meth:`~repro.analysis.controller.EpochController.run` loop.  It yields
+    as fast as the consumer accepts; backpressure comes from the consumer's
+    bounded queue.
 
     Parameters
     ----------
     n_epochs:
         Stop after this many epochs; ``None`` streams forever (the
         consumer cancels).
-    pace_s:
-        Await this long between yields (0 yields as fast as the consumer
-        accepts — backpressure then comes from the consumer's bounded
-        queue).
-    sleep:
-        Injection point for the pacing sleep (tests pass a no-op or a
-        fake-clock sleep).
     """
-    if pace_s < 0:
-        raise ValueError(f"pace_s must be >= 0, got {pace_s}")
     epoch = 0
     while n_epochs is None or epoch < n_epochs:
         yield epoch, process(epoch)
         epoch += 1
-        if pace_s > 0 and (n_epochs is None or epoch < n_epochs):
-            await sleep(pace_s)

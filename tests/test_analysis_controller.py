@@ -192,10 +192,6 @@ class TestDeadlineBackpressure:
             EpochController(
                 fast_ocs_params(8), SolsticeScheduler(), overflow_policy="drop"
             )
-        with pytest.raises(ValueError, match="backpressure_after_misses"):
-            EpochController(
-                fast_ocs_params(8), SolsticeScheduler(), backpressure_after_misses=0
-            )
 
     def test_report_threads_anytime_outcome(self):
         controller = self._bounded()

@@ -323,7 +323,7 @@ class TestFallbackLadder:
         assert anytime.last_outcome.fallback_level == FALLBACK_TDM
 
     def test_l4_eps_only_when_overdrawn(self):
-        # One 50-tick step blows past hard_overdraft×deadline at the very
+        # One 50-tick step blows past HARD_OVERDRAFT×deadline at the very
         # first checkpoint.
         anytime = AnytimeScheduler(
             make_inner(), deadline_s=2.5, clock=TickClock(step=50.0)
@@ -345,10 +345,6 @@ class TestFallbackLadder:
         anytime.schedule(demand, PARAMS)
         # Overdraft outranks warm reuse: do no further scheduling work.
         assert anytime.last_outcome.fallback_level == FALLBACK_EPS_ONLY
-
-    def test_rejects_bad_hard_overdraft(self):
-        with pytest.raises(ValueError, match="hard_overdraft"):
-            AnytimeScheduler(make_inner(), hard_overdraft=0.5)
 
 
 class TestWarmReuseDeadPorts:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,39 +18,58 @@ from repro.obs.baseline import (
     record_baseline,
     write_baseline,
 )
+from repro.obs.diff import QUALITY_COUNTERS, VOLUME_QUALITY_COUNTERS, diff_traces
+from repro.obs.summarize import TraceData
 
 # One tiny point keeps the pipeline-under-test fast; radix 8 still exercises
-# scheduling, both simulators, and the audit counters.
-_POINT_KW = dict(n_ports=8, scheduler="solstice", n_trials=1, repeats=1)
+# scheduling, both simulators, the backup planner, the deadline ladder and
+# the audit counters.
+_POINT_KW = dict(n_ports=8, scheduler="solstice", n_trials=1)
+
+_COMMITTED = Path(__file__).resolve().parents[1] / "BENCH_obs.json"
 
 
 @pytest.fixture(scope="module")
 def baseline() -> dict:
-    return record_baseline(
-        radices=(8,), schedulers=("solstice",), n_trials=1, repeats=1
-    )
+    return record_baseline(radices=(8,), schedulers=("solstice",), n_trials=1)
+
+
+def _drifted(baseline: dict, name: str, delta: float = 1.0) -> dict:
+    """``baseline`` with one quality metric of its point moved by ``delta``
+    (a metric the point lacks starts from 0)."""
+    drifted = copy.deepcopy(baseline)
+    quality = drifted["points"][0]["quality"]
+    quality[name] = quality.get(name, 0.0) + delta
+    return drifted
 
 
 class TestMeasure:
     def test_point_shape(self, baseline):
         (point,) = baseline["points"]
+        assert set(point) == {"radix", "scheduler", "ocs", "quality"}
         assert point["radix"] == 8 and point["scheduler"] == "solstice"
-        timing = point["timing_s"]
-        assert set(timing) > {"total", "backup_plan"}
-        # "total" sums the compare-pipeline stages; backup_plan is the
-        # fast-reroute add-on, timed separately so its <10%-of-h_schedule
-        # bound stays visible.
-        assert timing["total"] == pytest.approx(
-            sum(v for k, v in timing.items() if k not in ("total", "backup_plan")),
-            abs=1e-4,
-        )
-        assert timing["backup_plan"] > 0.0
         quality = point["quality"]
-        assert quality["slices"] > 0
+        assert quality["solstice_slices_total"] > 0
         assert quality["h_configs"] > 0
         assert 0.0 <= quality["h_ocs_fraction"] <= 1.0
         assert 0.0 <= quality["composite_fraction"] <= 1.0
-        assert quality["watchdog_trips"] == 0
+        # The backup planner and the tick-budget ladder (one outcome per
+        # trial) ran in the same registry as the pipeline.
+        assert quality["reroute_backups_planned_total"] > 0
+        ladder = [
+            value
+            for name, value in quality.items()
+            if name.startswith("deadline_fallback_total")
+        ]
+        assert sum(ladder) == 1
+        assert not any(
+            name.startswith("scheduler_watchdog_trips_total") for name in quality
+        )
+
+    def test_fingerprint_is_every_quality_metric_and_nothing_else(self, baseline):
+        names = {name.split("{", 1)[0] for name in baseline["points"][0]["quality"]}
+        assert names <= QUALITY_COUNTERS | VOLUME_QUALITY_COUNTERS
+        assert {"engine_events_total", "cpsched_composite_grants_total"} <= names
 
     def test_quality_is_deterministic(self):
         a = measure_point(**_POINT_KW)
@@ -57,12 +77,9 @@ class TestMeasure:
         assert a["quality"] == b["quality"]
 
     def test_eclipse_uses_steps_counter(self):
-        point = measure_point(n_ports=8, scheduler="eclipse", n_trials=1, repeats=1)
-        assert point["quality"]["slices"] > 0
-
-    def test_repeats_validated(self):
-        with pytest.raises(ValueError, match="repeats"):
-            measure_point(n_ports=8, repeats=0)
+        point = measure_point(n_ports=8, scheduler="eclipse", n_trials=1)
+        assert point["quality"]["eclipse_steps_total"] > 0
+        assert "solstice_slices_total" not in point["quality"]
 
     def test_measure_like_reuses_recorded_axes(self, baseline):
         current = measure_like(baseline)
@@ -80,19 +97,12 @@ class TestCheck:
         # The acceptance criterion: same seed, same commit => zero drift.
         assert check_baseline(baseline, measure_like(baseline)) == []
 
-    def test_synthetic_slowdown_fails(self, baseline):
-        slowed = copy.deepcopy(baseline)
-        for stage in slowed["points"][0]["timing_s"]:
-            slowed["points"][0]["timing_s"][stage] *= 10.0
-        violations = check_baseline(baseline, slowed, min_seconds=0.0)
-        assert violations
-        assert any("regressed" in v for v in violations)
-
     def test_injected_quality_change_fails(self, baseline):
-        drifted = copy.deepcopy(baseline)
-        drifted["points"][0]["quality"]["slices"] += 1
-        violations = check_baseline(baseline, drifted)
-        assert any("quality drift — slices" in v for v in violations)
+        drifted = _drifted(baseline, "solstice_slices_total")
+        (violation,) = check_baseline(baseline, drifted)
+        assert violation.startswith(
+            "solstice radix=8: quality drift — solstice_slices_total "
+        )
 
     def test_float_quality_rtol(self, baseline):
         dusty = copy.deepcopy(baseline)
@@ -104,48 +114,69 @@ class TestCheck:
             "h_ocs_fraction" in v for v in check_baseline(baseline, moved)
         )
 
-    def test_min_seconds_floor_exempts_fast_stages(self, baseline):
-        slowed = copy.deepcopy(baseline)
-        for stage in slowed["points"][0]["timing_s"]:
-            slowed["points"][0]["timing_s"][stage] *= 10.0
-        # Every stage of this tiny point is far below a 1000s floor.
-        assert check_baseline(baseline, slowed, min_seconds=1000.0) == []
-
-    def test_tolerance_scales_gate(self, baseline):
-        slower = copy.deepcopy(baseline)
-        for stage in slower["points"][0]["timing_s"]:
-            slower["points"][0]["timing_s"][stage] *= 1.5
-        assert check_baseline(baseline, slower, tolerance=9.0, min_seconds=0.0) == []
-        assert check_baseline(baseline, slower, tolerance=0.1, min_seconds=0.0)
-
     def test_missing_point_is_violation(self, baseline):
         empty = {**copy.deepcopy(baseline), "points": []}
         violations = check_baseline(baseline, empty)
         assert violations == ["solstice radix=8: point missing from current measurement"]
 
-    def test_negative_tolerance_rejected(self, baseline):
-        with pytest.raises(ValueError, match="tolerance"):
-            check_baseline(baseline, baseline, tolerance=-0.1)
-
-    def test_nan_tolerance_rejected(self, baseline):
-        # NaN compares false both ways, so it would pass every stage.
-        with pytest.raises(ValueError, match="tolerance"):
-            check_baseline(baseline, baseline, tolerance=float("nan"))
-
     @pytest.mark.parametrize(
         "field,value",
-        [("seed", 7), ("ocs", "slow"), ("trials_per_point", 3), ("repeats", 3)],
+        [("seed", 7), ("ocs", "slow"), ("trials_per_point", 3)],
     )
     def test_other_envelope_is_not_comparable(self, baseline, field, value):
-        other = {**copy.deepcopy(baseline), field: value}
-        # Lower min-of-more-repeats timings, or another seed's schedules,
-        # must neither pass nor read as drift against this baseline.
-        for stage in other["points"][0]["timing_s"]:
-            other["points"][0]["timing_s"][stage] /= 10.0
-        other["points"][0]["quality"]["slices"] += 1
-        violations = check_baseline(baseline, other, min_seconds=0.0)
+        other = {**_drifted(baseline, "solstice_slices_total"), field: value}
+        # Another seed's (or OCS class's, or trial count's) schedules must
+        # neither pass nor read as drift against this baseline.
+        violations = check_baseline(baseline, other)
         assert len(violations) == 1
         assert violations[0].startswith(f"not comparable — {field} ")
+
+
+class TestOneQualityRule:
+    """``obs check`` judges drift with ``obs diff``'s list and rule."""
+
+    @staticmethod
+    def _trace(quality: dict) -> TraceData:
+        """The point's unlabeled counters as an ``obs diff`` metrics snapshot."""
+        return TraceData(
+            metrics={
+                name: {"type": "counter", "values": [{"labels": {}, "value": value}]}
+                for name, value in quality.items()
+                if name.endswith("_total")
+            }
+        )
+
+    def test_obs_diff_and_obs_check_report_the_same_drift(self, baseline):
+        drifted = _drifted(baseline, "solstice_slices_total")
+        (violation,) = check_baseline(baseline, drifted)
+        assert "quality drift — solstice_slices_total" in violation
+        (entry,) = diff_traces(
+            self._trace(baseline["points"][0]["quality"]),
+            self._trace(drifted["points"][0]["quality"]),
+        ).quality_drift
+        assert entry["metric"] == "solstice_slices_total"
+        assert entry["b"] - entry["a"] == 1.0
+
+    @pytest.mark.parametrize(
+        "name", ["cpsched_composite_grants_total{kind=o2m}", "engine_events_total"]
+    )
+    def test_counter_outside_the_format_1_fields_is_drift(self, baseline, name):
+        # Format 1 kept seven hand-picked fields; neither counter was one.
+        (violation,) = check_baseline(baseline, _drifted(baseline, name))
+        assert f"quality drift — {name} " in violation
+
+    def test_counter_on_one_side_only_reads_as_zero(self, baseline):
+        trip = "scheduler_watchdog_trips_total{event=cap,scheduler=solstice}"
+        assert trip not in baseline["points"][0]["quality"]
+        (violation,) = check_baseline(baseline, _drifted(baseline, trip))
+        assert violation.endswith(f"quality drift — {trip} 0.0 → 1.0")
+        # A counter that vanishes is drift the other way round.
+        gone = copy.deepcopy(baseline)
+        del gone["points"][0]["quality"]["engine_events_total"]
+        (violation,) = check_baseline(baseline, gone)
+        assert violation.endswith(" → 0.0")
+        # Absent and zero are the same reading.
+        assert check_baseline(baseline, _drifted(baseline, trip, 0.0)) == []
 
 
 class TestFileRoundtrip:
@@ -161,6 +192,19 @@ class TestFileRoundtrip:
         path.write_text(json.dumps({"format": 99, "points": []}))
         with pytest.raises(ValueError, match="unsupported baseline format"):
             load_baseline(path)
+
+    def test_load_rejects_format_1(self, tmp_path, baseline):
+        # Format 1 carried stage timings and its own quality fields.
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({**baseline, "format": 1}))
+        with pytest.raises(ValueError, match="v1 .*record the baseline again"):
+            load_baseline(path)
+
+    def test_committed_baseline_loads(self):
+        payload = load_baseline(_COMMITTED)
+        assert {(p["radix"], p["scheduler"]) for p in payload["points"]} == {
+            (n, s) for n in (32, 64, 128) for s in ("solstice", "eclipse")
+        }
 
     def test_load_rejects_vacuous_trial_count(self, tmp_path, baseline):
         path = tmp_path / "vacuous.json"
@@ -193,32 +237,13 @@ class TestCli:
         # Acceptance criterion: nonzero exit on an injected quality change.
         out = self._record(tmp_path)
         payload = json.loads(open(out).read())
-        payload["points"][0]["quality"]["slices"] += 1
+        payload["points"][0]["quality"]["solstice_slices_total"] += 1
         current = tmp_path / "current.json"
         current.write_text(json.dumps(payload))
         assert (
             main(["obs", "check", "--baseline", out, "--current", str(current)]) == 1
         )
         assert "quality drift" in capsys.readouterr().err
-
-    def test_check_fails_on_synthetic_slowdown(self, tmp_path, capsys):
-        # Acceptance criterion: nonzero exit on a synthetically slowed phase.
-        out = self._record(tmp_path)
-        payload = json.loads(open(out).read())
-        for stage in payload["points"][0]["timing_s"]:
-            payload["points"][0]["timing_s"][stage] *= 10.0
-        current = tmp_path / "current.json"
-        current.write_text(json.dumps(payload))
-        code = main(
-            [
-                "obs", "check",
-                "--baseline", out,
-                "--current", str(current),
-                "--min-seconds", "0",
-            ]
-        )
-        assert code == 1
-        assert "regressed" in capsys.readouterr().err
 
     def test_check_missing_baseline_is_actionable(self, tmp_path):
         with pytest.raises(SystemExit, match="baseline record"):
@@ -227,14 +252,13 @@ class TestCli:
     @pytest.mark.parametrize(
         "flags,message",
         [
-            # Zero trials would time nothing: every stage 0.0 s, a
-            # baseline no later measurement can regress against.
+            # Zero trials would decide nothing: an empty fingerprint no
+            # later measurement can drift from.
             (["--trials", "0"], "trials must be >= 1"),
-            (["--repeats", "0"], "repeats must be >= 1"),
             (["--radices", "x"], "--radices must be comma-separated integers"),
             (["--radices", "2"], "radix 2 too small"),
         ],
-        ids=["trials-0", "repeats-0", "radices-x", "radix-2"],
+        ids=["trials-0", "radices-x", "radix-2"],
     )
     def test_record_rejects_bad_values_in_one_line(self, tmp_path, flags, message):
         out = tmp_path / "b.json"
@@ -242,13 +266,6 @@ class TestCli:
             main(["obs", "baseline", "record", "--out", str(out), "--radices", "8", *flags])
         assert message in str(exc.value.code)
         assert not out.exists()
-
-    @pytest.mark.parametrize("tolerance", ["-1", "nan"])
-    def test_check_rejects_bad_tolerance(self, tmp_path, tolerance):
-        out = self._record(tmp_path)
-        with pytest.raises(SystemExit, match="--tolerance must be a non-negative"):
-            main(["obs", "check", "--baseline", out, "--current", out,
-                  "--tolerance", tolerance])
 
     def test_check_refuses_a_file_from_another_seed(self, tmp_path, capsys):
         out = self._record(tmp_path)

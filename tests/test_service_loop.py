@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import time
 import urllib.request
 
@@ -115,26 +116,56 @@ class TestArrivalStream:
         for epoch, demand in items:
             np.testing.assert_array_equal(demand, arrivals(epoch))
 
-    def test_paces_between_yields(self):
-        naps = []
 
-        async def fake_sleep(seconds):
-            naps.append(seconds)
+def _failing_arrivals(fail_at: int):
+    """Arrivals that raise when asked for epoch ``fail_at``."""
+    arrivals = make_arrivals()
 
-        async def collect():
-            stream = arrival_stream(
-                make_arrivals(), 3, pace_s=0.25, sleep=fake_sleep
-            )
-            return [item async for item in stream]
+    def process(epoch: int) -> np.ndarray:
+        if epoch == fail_at:
+            raise RuntimeError(f"arrival process failed at epoch {fail_at}")
+        return arrivals(epoch)
 
-        items = asyncio.run(collect())
-        assert len(items) == 3
-        assert naps == [0.25, 0.25]  # no trailing sleep after the last yield
+    return process
 
-    def test_rejects_negative_pace(self):
-        stream = arrival_stream(make_arrivals(), 1, pace_s=-1.0)
-        with pytest.raises(ValueError, match="pace_s"):
-            asyncio.run(stream.__anext__())
+
+class TestFailingArrivals:
+    """A raising arrival process ends ``run()`` with its error: no hang, no
+    worker left behind."""
+
+    @pytest.mark.parametrize("n_workers", [0, 1])
+    @pytest.mark.parametrize("fail_at", [0, 1])
+    def test_run_reraises_and_closes_the_pool(self, fail_at, n_workers):
+        service = SchedulingService(
+            make_controller(),
+            _failing_arrivals(fail_at),
+            ServiceConfig(n_epochs=3, n_workers=n_workers),
+        )
+        before = set(multiprocessing.active_children())
+
+        async def bounded():
+            task = asyncio.ensure_future(service.run())
+            try:
+                return await asyncio.wait_for(asyncio.shield(task), timeout=20.0)
+            except asyncio.TimeoutError:
+                task.cancel()
+                await asyncio.gather(task, return_exceptions=True)
+                pytest.fail("run() hung on a failing arrival process")
+
+        with pytest.raises(RuntimeError, match=f"failed at epoch {fail_at}"):
+            asyncio.run(bounded())
+        # The epochs drawn before the failure were served.
+        assert service.status()["epochs_done"] == fail_at
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_sync_driver_raises_at_once(self):
+        service = SchedulingService(
+            make_controller(),
+            _failing_arrivals(1),
+            ServiceConfig(n_epochs=3, n_workers=0),
+        )
+        with pytest.raises(RuntimeError, match="failed at epoch 1"):
+            service.run_sync()
 
 
 class TestConfigValidation:
@@ -334,7 +365,6 @@ class TestSoak:
             deadline_clock=TickClock(step=10.0),
             max_backlog=20.0,
             overflow_policy="shed",
-            backpressure_after_misses=1,
         )
         service = SchedulingService(
             controller,
@@ -357,7 +387,6 @@ class TestSoak:
             deadline_clock=TickClock(step=10.0),
             max_backlog=20.0,
             overflow_policy="park",
-            backpressure_after_misses=1,
         )
         service = SchedulingService(
             controller,

@@ -48,7 +48,6 @@ from repro.core import (
 from repro.core.multipath import MultiPathCpScheduler, multi_path_reduction
 from repro.faults import (
     BackupPlanner,
-    BackupSchedule,
     BackupSet,
     FaultInjector,
     FaultPlan,
@@ -78,7 +77,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BackupPlanner",
-    "BackupSchedule",
     "BackupSet",
     "Coflow",
     "CoflowSet",

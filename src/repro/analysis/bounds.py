@@ -5,19 +5,13 @@ fast *any* schedule could possibly deliver a demand matrix on a given
 switch, so an experiment can report "cp-Switch is within x % of the
 fluid optimum" instead of a bare millisecond count.
 
-All bounds are per-port capacity arguments (conservative — they ignore
-reconfiguration penalties unless stated):
+All bounds are per-port capacity arguments:
 
 * :func:`eps_only_bound` — the busiest port through the EPS alone.
-* :func:`hybrid_bound` — the busiest port through EPS + one OCS circuit
-  (a port can use both fabrics concurrently, but only one circuit at a
-  time), plus at least one reconfiguration if the OCS is used at all.
-* :func:`cp_bound` — the hybrid bound with composite paths: a one-to-many
-  sender may additionally push its aggregate through the composite path's
-  OCS leg, so its effective egress grows to ``Ce + 2·Co`` only if it holds
-  both a direct circuit *and* the composite path — the bound uses
-  ``Ce + Co`` per port plus the composite path as a shared extra ``Co``
-  resource across all ports of each direction.
+* :func:`hybrid_bound` — the busiest port through its EPS link plus its
+  one OCS transceiver, which carries nothing before the first
+  reconfiguration ends.  It holds for the h-Switch and the cp-Switch
+  alike; :func:`cp_bound` is the same function.
 * :func:`reconfiguration_bound` — δ times the minimum number of distinct
   configurations any all-OCS service of the demand needs (the maximum
   row/column *count* of entries too big for the EPS share, a Birkhoff
@@ -35,59 +29,45 @@ from repro.switch.params import SwitchParams
 from repro.utils.validation import VOLUME_TOL, check_demand_matrix
 
 
-def _port_loads(demand: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    return demand.sum(axis=1), demand.sum(axis=0)
+def _peak_port_load(demand: np.ndarray) -> float:
+    """The busiest port's load (Mb): its row (egress) or column (ingress)."""
+    return float(max(demand.sum(axis=1).max(), demand.sum(axis=0).max()))
 
 
 def eps_only_bound(demand: np.ndarray, params: SwitchParams) -> float:
     """Completion lower bound (ms) using the EPS alone."""
     demand = check_demand_matrix(demand)
-    row_loads, col_loads = _port_loads(demand)
-    return float(max(row_loads.max(), col_loads.max()) / params.eps_rate)
+    return _peak_port_load(demand) / params.eps_rate
 
 
 def hybrid_bound(demand: np.ndarray, params: SwitchParams) -> float:
-    """Completion lower bound (ms) for any h-Switch schedule.
+    """Completion lower bound (ms) for any h-Switch or cp-Switch schedule.
 
-    Each port moves at most ``Ce + Co`` concurrently (its EPS link plus
-    one circuit); if any single entry cannot be finished by the EPS alone
-    within that bound, at least one reconfiguration's δ is also paid.
+    Let ``L`` be the busiest port's load.  By time ``t`` that port has
+    moved at most ``Ce·t`` on its EPS link.  Its one OCS transceiver moves
+    at most ``Co`` while it is up, and it is dark until the first
+    reconfiguration δ ends, so it adds at most ``Co·max(0, t − δ)``.  A
+    circuit and a composite path both use that transceiver (a composite
+    path's other leg rides the EPS links, inside ``Ce``), so composite
+    paths add no capacity.  Finishing therefore needs
+    ``L ≤ Ce·t + Co·max(0, t − δ)``, whose least solution is
+
+        ``t = min(L / Ce, (L + Co·δ) / (Ce + Co))``
+
+    — the EPS-only time when the demand fits inside the first gap
+    (``L ≤ Ce·δ``), else the two fabrics together after paying one δ.
+    A degraded or faulted fabric only lowers capacity, so the bound holds
+    under faults too.
     """
     demand = check_demand_matrix(demand)
-    row_loads, col_loads = _port_loads(demand)
-    port_bound = max(row_loads.max(), col_loads.max()) / (
-        params.eps_rate + params.ocs_rate
-    )
-    if port_bound <= 0:
-        return 0.0
-    # Does the fluid EPS alone meet this bound?  If not, some OCS use — and
-    # with it one δ — is unavoidable.
-    needs_ocs = (
-        max(row_loads.max(), col_loads.max()) / params.eps_rate > port_bound + 1e-12
-    )
-    return float(port_bound + (params.reconfig_delay if needs_ocs else 0.0))
+    load = _peak_port_load(demand)
+    ce, co = params.eps_rate, params.ocs_rate
+    return min(load / ce, (load + co * params.reconfig_delay) / (ce + co))
 
 
-def cp_bound(demand: np.ndarray, params: SwitchParams) -> float:
-    """Completion lower bound (ms) for any cp-Switch schedule.
-
-    On top of the per-port ``Ce + Co``, the (single) one-to-many composite
-    path adds at most ``Co`` of shared egress capacity across *all*
-    senders, and the many-to-one path ``Co`` across all receivers:
-
-    ``t ≥ total_row_overload / Co_extra`` arguments reduce, per port, to
-    ``load / (Ce + 2·Co)`` only when that port holds both resources for
-    the entire duration — so the safe (weaker) per-port form used here is
-    ``load / (Ce + 2·Co)``, plus one δ when the EPS alone cannot make it.
-    """
-    demand = check_demand_matrix(demand)
-    row_loads, col_loads = _port_loads(demand)
-    peak = max(row_loads.max(), col_loads.max())
-    port_bound = peak / (params.eps_rate + 2 * params.ocs_rate)
-    if port_bound <= 0:
-        return 0.0
-    needs_ocs = peak / params.eps_rate > port_bound + 1e-12
-    return float(port_bound + (params.reconfig_delay if needs_ocs else 0.0))
+#: The cp-Switch bound is :func:`hybrid_bound`: composite paths share each
+#: port's one OCS transceiver and EPS link (see its docstring).
+cp_bound = hybrid_bound
 
 
 def reconfiguration_bound(demand: np.ndarray, params: SwitchParams, horizon: float) -> float:

@@ -70,7 +70,7 @@ class EpochReport:
     scheduling round excludes them.
 
     With fast-reroute enabled, ``backups_armed`` / ``backup_plan_ms``
-    record the per-epoch backup precompute, and ``reroute_swaps`` /
+    record the per-epoch backup planning, and ``reroute_swaps`` /
     ``recovery_ms`` / ``reparked_mb`` the mid-epoch swaps executed
     (``recovery_ms`` is the worst detection-to-resumption latency).
 
@@ -475,8 +475,8 @@ class EpochController:
         if self._cp_scheduler is not None:
             # The anytime wrapper (when armed) degrades down the fallback
             # ladder instead of blowing the epoch's scheduling budget; the
-            # BackupPlanner below keeps using the raw cp-scheduler — backup
-            # precompute has its own timing story (see faults/reroute.py).
+            # BackupPlanner below reads the raw cp-scheduler's filter
+            # config and derives repairs from whichever schedule came back.
             cp_front = self._anytime if self._anytime is not None else self._cp_scheduler
             cp_schedule = cp_front.schedule(
                 demand,

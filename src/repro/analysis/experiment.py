@@ -31,7 +31,6 @@ from repro.analysis.aggregate import Aggregate, aggregate
 from repro.core.config import FilterConfig
 from repro.core.scheduler import CpSwitchScheduler
 from repro.hybrid.base import HybridScheduler, make_scheduler
-from repro.hybrid.eclipse import EclipseScheduler
 from repro.sim import simulate_cp, simulate_hybrid
 from repro.sim.metrics import SimulationResult
 from repro.switch.params import SwitchParams, ocs_params
@@ -158,7 +157,7 @@ class ExperimentConfig:
 def _resolved_window(window: "float | None", params: SwitchParams) -> float:
     if window is not None:
         return float(window)
-    return EclipseScheduler().resolved_window(params)
+    return params.ocs_class.eclipse_window
 
 
 def run_comparison(config: ExperimentConfig) -> ComparisonAggregate:

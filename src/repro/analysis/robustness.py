@@ -259,7 +259,7 @@ def reroute_trial(
     realizations of ``plan`` (same seed → same outage draws, since both
     executions grant composite ports in the same order): once with the
     seed behaviour — a dead path's parked demand is released to the
-    regular paths and drains on the EPS — and once with a precomputed
+    regular paths and drains on the EPS — and once with a
     :class:`~repro.faults.reroute.BackupSet` armed.  ``horizon`` defaults
     to the schedule's makespan, the window in which stranded volume is
     visible (run-to-completion drains everything and hides the recovery

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.switch.params import SwitchParams
+from repro.switch.params import OcsClass, SwitchParams
 from repro.utils.validation import check_positive
 
 #: Paper default: ``Bt = α · δ · Co`` with α = 1 for the fast OCS.
@@ -32,8 +32,6 @@ DEFAULT_ALPHA_FAST: float = 1.0
 DEFAULT_ALPHA_SLOW: float = 0.1
 #: Paper default: ``Rt = β · n`` with β = 0.7.
 DEFAULT_BETA: float = 0.7
-#: Reconfiguration delays at or below this (ms) use the fast-OCS α default.
-_FAST_DELTA_CUTOFF: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,7 @@ class FilterConfig:
         if alpha is None:
             alpha = (
                 DEFAULT_ALPHA_FAST
-                if params.reconfig_delay <= _FAST_DELTA_CUTOFF
+                if params.ocs_class is OcsClass.FAST
                 else DEFAULT_ALPHA_SLOW
             )
         return alpha * params.reconfig_delay * params.ocs_rate

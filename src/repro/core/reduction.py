@@ -110,6 +110,46 @@ def _blocked_mask(n: int, blocked, name: str) -> "np.ndarray | None":
     return mask
 
 
+def qualifying_lines(
+    demand: np.ndarray,
+    fanout_threshold: int,
+    volume_threshold: float,
+    *,
+    blocked_o2m=None,
+    blocked_m2o=None,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Algorithm 1 lines 3-5: the small entries and the lines they qualify.
+
+    Returns ``(small, row_qualifies, col_qualifies)``: the n×n mask of
+    non-zero entries no larger than ``Bt``, and the n-masks of the rows and
+    columns holding at least ``Rt`` of them whose composite port is not
+    blocked.  ``demand`` must already be validated
+    (:func:`~repro.utils.validation.check_demand_matrix`); the other
+    arguments are those of :func:`cp_switch_demand_reduction`.
+    """
+    if fanout_threshold < 1:
+        raise ValueError(f"fanout_threshold (Rt) must be >= 1, got {fanout_threshold}")
+    check_nonnegative("volume_threshold", volume_threshold)
+    n = demand.shape[0]
+
+    # Line 3: Dlow = ZerosAboveBt(D) — drop entries too big for composites.
+    small = (demand > VOLUME_TOL) & (demand <= volume_threshold)
+
+    # Lines 4-5: qualifying rows/columns by surviving-entry count.
+    row_qualifies = small.sum(axis=1) >= fanout_threshold
+    col_qualifies = small.sum(axis=0) >= fanout_threshold
+
+    # Fault masking: a row/column whose composite port is known dead can
+    # never qualify — its entries stay on the regular paths.
+    row_blocked = _blocked_mask(n, blocked_o2m, "blocked_o2m")
+    if row_blocked is not None:
+        row_qualifies &= ~row_blocked
+    col_blocked = _blocked_mask(n, blocked_m2o, "blocked_m2o")
+    if col_blocked is not None:
+        col_qualifies &= ~col_blocked
+    return small, row_qualifies, col_qualifies
+
+
 def cp_switch_demand_reduction(
     demand: np.ndarray,
     fanout_threshold: int,
@@ -145,28 +185,14 @@ def cp_switch_demand_reduction(
         ``DI[:n, :n] == D - Df``.
     """
     demand = check_demand_matrix(demand)
-    if fanout_threshold < 1:
-        raise ValueError(f"fanout_threshold (Rt) must be >= 1, got {fanout_threshold}")
-    check_nonnegative("volume_threshold", volume_threshold)
     n = demand.shape[0]
-
-    # Line 3: Dlow = ZerosAboveBt(D) — drop entries too big for composites.
-    low = demand.copy()
-    low[low > volume_threshold] = 0.0
-
-    # Lines 4-5: qualifying rows/columns by surviving-entry count.
-    nonzero = low > VOLUME_TOL
-    row_qualifies = nonzero.sum(axis=1) >= fanout_threshold
-    col_qualifies = nonzero.sum(axis=0) >= fanout_threshold
-
-    # Fault masking: a row/column whose composite port is known dead can
-    # never qualify — its entries stay on the regular paths.
-    row_blocked = _blocked_mask(n, blocked_o2m, "blocked_o2m")
-    if row_blocked is not None:
-        row_qualifies &= ~row_blocked
-    col_blocked = _blocked_mask(n, blocked_m2o, "blocked_m2o")
-    if col_blocked is not None:
-        col_qualifies &= ~col_blocked
+    nonzero, row_qualifies, col_qualifies = qualifying_lines(
+        demand,
+        fanout_threshold,
+        volume_threshold,
+        blocked_o2m=blocked_o2m,
+        blocked_m2o=blocked_m2o,
+    )
 
     reduced = np.zeros((n + 1, n + 1), dtype=np.float64)
     filtered = np.zeros_like(demand)

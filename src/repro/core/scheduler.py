@@ -138,6 +138,20 @@ class CpSchedule:
         """Total volume (Mb) delivered over composite paths."""
         return float(sum(e.composite_volume for e in self.entries))
 
+    @property
+    def granted_ports(self) -> "tuple[tuple[str, int], ...]":
+        """The ``(kind, port)`` composite grants, in first-grant order.
+
+        ``kind`` is ``"o2m"`` or ``"m2o"``; each granted port appears once.
+        """
+        granted: dict[tuple[str, int], None] = {}
+        for entry in self.entries:
+            if entry.o2m_port is not None:
+                granted[("o2m", int(entry.o2m_port))] = None
+            if entry.m2o_port is not None:
+                granted[("m2o", int(entry.m2o_port))] = None
+        return tuple(granted)
+
     def reordered(self, order: "list[int]") -> "CpSchedule":
         """Entries permuted by ``order`` — offline execution (§4)."""
         if sorted(order) != list(range(len(self.entries))):

@@ -10,18 +10,19 @@ parked on a dead composite path falls back to the regular EPS/OCS paths,
 and :meth:`repro.sim.metrics.SimulationResult.check_conservation` holds
 under every fault mix.
 
-:mod:`repro.faults.reroute` adds the fast-reroute layer on top: per-epoch
-precomputed backup schedules (:class:`BackupPlanner` → :class:`BackupSet`)
-that the simulator hot-swaps to when an outage is discovered mid-run,
-recovering parked demand at the current phase boundary instead of
-degrading to an EPS-only drain.
+:mod:`repro.faults.reroute` adds the fast-reroute layer on top: per
+epoch, :class:`BackupPlanner` arms one failure class per granted composite
+port (a :class:`BackupSet`).  When an outage is discovered mid-run the
+simulator swaps in that port's repair — the primary reduction's filtered
+demand with the dead port's line masked, derived at swap time — and so
+recovers parked demand at the current phase boundary instead of degrading
+to an EPS-only drain.
 """
 
 from repro.faults.injector import FaultInjector, as_injector
 from repro.faults.plan import FaultPlan, FaultSummary
 from repro.faults.reroute import (
     BackupPlanner,
-    BackupSchedule,
     BackupSet,
     RerouteOutcome,
     SwapEvent,
@@ -29,7 +30,6 @@ from repro.faults.reroute import (
 
 __all__ = [
     "BackupPlanner",
-    "BackupSchedule",
     "BackupSet",
     "FaultInjector",
     "FaultPlan",

@@ -1,39 +1,50 @@
-"""Fast-reroute: precomputed backup schedules for mid-run outage recovery.
+"""Fast-reroute: per-failure-class repairs for mid-run outage recovery.
 
 The cp-Switch's composite paths are physical OCS ports (§2.1).  The seed
 behaviour when one dies mid-schedule is graceful *degradation*: the parked
 filtered demand of the dead path is released back to the regular EPS/OCS
 paths and drains slowly for the rest of the epoch.  IP fast-reroute (LFA)
-inverts the ordering — the repair is computed *before* the failure, so the
+inverts the ordering — the repair is planned *before* the failure, so the
 data plane can swap the instant the failure is detected instead of waiting
 for the next control-plane round.
 
 This module brings that pattern to cp-Switch scheduling:
 
-* :class:`BackupPlanner` precomputes, for a primary
-  :class:`~repro.core.scheduler.CpSchedule`, one :class:`BackupSchedule`
-  per *granted* composite port (the failure classes that can actually
-  strand parked demand) plus a universal fallback, bundled in a
+* :class:`BackupPlanner` arms, for a primary
+  :class:`~repro.core.scheduler.CpSchedule`, one failure class per
+  *granted* composite port (the ports whose death can actually strand
+  parked demand) plus a park-nothing universal fallback, bundled in a
   :class:`BackupSet`;
 * :class:`RerouteRuntime` is driven by the simulator
   (:mod:`repro.sim.cp_sim`): when a granted port is discovered dead it
-  selects the matching backup, re-parks the orphaned filtered demand onto
+  selects the matching repair, re-parks the orphaned filtered demand onto
   composite paths that surviving grants of the schedule still serve, and
   strips the dead grants from the pending tail — recovery happens at the
   current phase boundary, not at the next epoch.
 
-Planning is deliberately **incremental** (cf. *Costly Circuits, Submodular
+Repair is deliberately cheap (cf. *Costly Circuits, Submodular
 Schedules*: cheap repair beats recomputation).  A full re-schedule per
-backup would re-run the inner h-Switch scheduler once per granted port; it
-measured at several *hundred* percent of the primary ``h_schedule`` cost at
-radix 128 — the orphaned entries are individually small, so the repair
-schedule degenerates into one circuit per entry, exactly the regime
-composite paths exist to avoid.  The incremental backup instead re-runs
-only Algorithm 1's demand reduction with the dead port blocked (so the
-*other* direction's row/column qualification is judged against the full
-demand, not the orphan delta) and reuses the primary schedule's surviving
-grants to serve the re-parked demand: measured well under 10 % of
-``h_schedule``.
+failure class would re-run the inner h-Switch scheduler once per granted
+port; it measured at several *hundred* percent of the primary
+``h_schedule`` cost at radix 128 — the orphaned entries are individually
+small, so the repair schedule degenerates into one circuit per entry,
+exactly the regime composite paths exist to avoid.  The repair for a dead
+port is instead Algorithm 1's demand reduction with that port blocked, run
+on the full demand (so the other direction's row/column qualification keeps
+its context), restricted to entries the primary itself parked and a
+surviving grant of the primary schedule still covers.
+
+That re-reduction needs no recomputation: it is the primary's ``Df`` with
+one line masked.  Algorithm 1 files every small entry of a qualifying row
+or column into ``Df`` — its greedy balance only picks which of the two
+paths carries an entry, not whether it is filtered.  Blocking a
+one-to-many port ``p`` un-qualifies row ``p`` and nothing else, so the
+re-reduction keeps an entry of row ``p`` only where its column qualifies
+and agrees with the primary everywhere else; a many-to-one port's column
+is symmetric.  :meth:`BackupPlanner.plan` therefore computes the row/column
+qualification once (:func:`~repro.core.reduction.qualifying_lines`), and
+:meth:`BackupSet.repair` masks the primary's ``Df`` with it when a swap
+fires.
 
 No entropy is consumed at plan or swap time, and a run in which no outage
 fires never invokes the runtime's repair path — fault-free executions with
@@ -48,10 +59,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.core.reduction import reduce_with_config
+from repro.core.config import FilterConfig
+from repro.core.reduction import qualifying_lines
+# Not called here; perfbench's traced run patches this module attribute.
+from repro.core.reduction import reduce_with_config  # noqa: F401
 from repro.utils.validation import VOLUME_TOL, check_demand_matrix
 
-#: The :class:`BackupSchedule` key of the universal fallback.
+#: The swap key of the universal park-nothing fallback.
 FALLBACK_KEY: str = "fallback"
 
 
@@ -63,95 +77,85 @@ def backup_key(kind: str, port: int) -> str:
 
 
 @dataclass(frozen=True)
-class BackupSchedule:
-    """One precomputed repair, valid under one failure class.
+class BackupSet:
+    """The armed failure classes of one primary schedule.
 
     Attributes
     ----------
-    key:
-        ``"o2m:<port>"`` / ``"m2o:<port>"`` for a composite-port outage,
-        or :data:`FALLBACK_KEY` for the park-nothing universal fallback.
+    armed:
+        The primary's granted composite ports ``(kind, port)``, in
+        first-grant order: one new death on any of them selects that
+        port's repair.  Anything else — several simultaneous deaths, or a
+        port the primary never grants — selects the fallback.
     filtered:
-        n×n matrix (Mb) of demand that *may* ride composite paths under
-        this failure class — Algorithm 1's ``Df`` re-derived with the dead
-        port blocked, masked (for incremental backups) to entries a
-        surviving grant of the primary schedule can serve *and* that the
-        primary reduction itself parked.  At swap time the engine parks
-        ``min(filtered, regular residual)``, further capped by the
-        surviving grants' remaining service capacity.
-    blocked_o2m, blocked_m2o:
-        The composite ports this backup assumes unusable (baseline dead
-        ports plus the failure class itself).
+        The primary reduction's ``Df`` (Mb), which every repair masks.
+    row_qualifies, col_qualifies:
+        Algorithm 1's row/column qualification under the base-blocked
+        ports (:func:`~repro.core.reduction.qualifying_lines`).
+    base_blocked_o2m, base_blocked_m2o:
+        The ports already known dead when the primary was scheduled — they
+        are not failure *events* for this run and never trigger a swap.
     """
 
-    key: str
+    armed: "tuple[tuple[str, int], ...]"
     filtered: np.ndarray
-    blocked_o2m: "frozenset[int]" = frozenset()
-    blocked_m2o: "frozenset[int]" = frozenset()
-
-    def __post_init__(self) -> None:
-        filtered = np.asarray(self.filtered, dtype=np.float64)
-        filtered.setflags(write=False)
-        object.__setattr__(self, "filtered", filtered)
-        object.__setattr__(self, "blocked_o2m", frozenset(self.blocked_o2m))
-        object.__setattr__(self, "blocked_m2o", frozenset(self.blocked_m2o))
-
-    @property
-    def parkable_volume(self) -> float:
-        """Upper bound (Mb) on the demand this backup can re-park."""
-        return float(self.filtered.sum())
-
-
-@dataclass(frozen=True)
-class BackupSet:
-    """All precomputed backups for one primary schedule.
-
-    ``per_port`` maps each granted composite path's ``(kind, port)`` to its
-    backup; ``fallback`` covers everything else (unplanned ports, multiple
-    simultaneous deaths).  ``base_blocked_*`` are the ports already known
-    dead when the primary was scheduled — they are not failure *events* for
-    this run and never trigger a swap.
-    """
-
-    per_port: "dict[tuple[str, int], BackupSchedule]"
-    fallback: BackupSchedule
+    row_qualifies: np.ndarray
+    col_qualifies: np.ndarray
     base_blocked_o2m: "frozenset[int]" = frozenset()
     base_blocked_m2o: "frozenset[int]" = frozenset()
     plan_seconds: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "per_port", dict(self.per_port))
+        object.__setattr__(self, "armed", tuple(self.armed))
         object.__setattr__(self, "base_blocked_o2m", frozenset(self.base_blocked_o2m))
         object.__setattr__(self, "base_blocked_m2o", frozenset(self.base_blocked_m2o))
 
     @property
     def n_armed(self) -> int:
-        """Per-failure-class backups precomputed (fallback excluded)."""
-        return len(self.per_port)
+        """Failure classes armed (the fallback excluded)."""
+        return len(self.armed)
 
     def select(
         self,
         dead_o2m: "set[int] | frozenset[int]",
         dead_m2o: "set[int] | frozenset[int]",
         current_key: "str | None" = None,
-    ) -> "BackupSchedule | None":
-        """The backup matching the current dead-port state.
+    ) -> "str | None":
+        """The key of the repair matching the current dead-port state.
 
-        Exactly one *new* death (relative to the baseline) with an armed
-        backup selects that backup; anything else — several simultaneous
-        deaths, or a death the planner never saw granted — selects the
-        fallback.  Returns ``None`` when the matching backup is already
-        active (``current_key``): there is nothing further to swap to.
+        Exactly one *new* death (relative to the baseline) on an armed
+        port selects that port's repair; anything else selects
+        :data:`FALLBACK_KEY`.  Returns ``None`` when the matching repair is
+        already active (``current_key``): there is nothing further to swap
+        to.
         """
         new_dead = [("o2m", p) for p in sorted(set(dead_o2m) - self.base_blocked_o2m)]
         new_dead += [("m2o", p) for p in sorted(set(dead_m2o) - self.base_blocked_m2o)]
-        if len(new_dead) == 1 and new_dead[0] in self.per_port:
-            backup = self.per_port[new_dead[0]]
+        if len(new_dead) == 1 and new_dead[0] in self.armed:
+            key = backup_key(*new_dead[0])
         else:
-            backup = self.fallback
-        if backup.key == current_key:
-            return None
-        return backup
+            key = FALLBACK_KEY
+        return None if key == current_key else key
+
+    def repair(self, key: str, covered: np.ndarray) -> np.ndarray:
+        """The demand (Mb) repair ``key`` may re-park onto ``covered`` entries.
+
+        Algorithm 1 re-run with the key's port blocked, on the entries the
+        primary parked: the primary's ``Df`` with the dead port's row
+        (one-to-many) or column (many-to-one) kept only where the other
+        line qualifies (see the module docstring).  ``covered`` is the
+        n×n mask of entries a surviving grant still serves.  The fallback
+        parks nothing.
+        """
+        if key == FALLBACK_KEY:
+            return np.zeros_like(self.filtered)
+        kind, port = key.split(":")
+        keep = covered.copy()
+        if kind == "o2m":
+            keep[int(port), :] &= self.col_qualifies
+        else:
+            keep[:, int(port)] &= self.row_qualifies
+        return np.where(keep, self.filtered, 0.0)
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,7 @@ class SwapEvent:
     that covers it, or the final-drain start, whichever comes first
     (``nan`` if the horizon truncated the run before either).
     ``released_mb`` is what the outage stranded off the dead path;
-    ``carried_mb`` is what the backup re-parked onto surviving paths.
+    ``carried_mb`` is what the repair re-parked onto surviving paths.
     """
 
     key: str
@@ -223,29 +227,16 @@ class RerouteOutcome:
         }
 
 
-def _granted_ports(entries) -> "list[tuple[str, int]]":
-    """The ``(kind, port)`` composite grants of a base cp-Switch schedule,
-    in first-grant order (deduplicated)."""
-    granted: list[tuple[str, int]] = []
-    seen: set[tuple[str, int]] = set()
-    for entry in entries:
-        for kind, port in (("o2m", entry.o2m_port), ("m2o", entry.m2o_port)):
-            if port is not None and (kind, port) not in seen:
-                seen.add((kind, port))
-                granted.append((kind, int(port)))
-    return granted
-
-
 @dataclass
 class BackupPlanner:
-    """Precompute a :class:`BackupSet` for a primary cp-Switch schedule.
+    """Arm a :class:`BackupSet` for a primary cp-Switch schedule.
 
     Parameters
     ----------
     scheduler:
         The :class:`~repro.core.scheduler.CpSwitchScheduler` that produced
-        the primary (its :class:`~repro.core.config.FilterConfig` drives
-        the backup reductions).
+        the primary (its :class:`~repro.core.config.FilterConfig` resolves
+        the qualification thresholds).
     """
 
     scheduler: "object"
@@ -259,102 +250,46 @@ class BackupPlanner:
         blocked_o2m=(),
         blocked_m2o=(),
     ) -> BackupSet:
-        """Backups for every composite port ``primary`` actually grants.
+        """Arm a failure class for every composite port ``primary`` grants.
 
         ``blocked_o2m`` / ``blocked_m2o`` are the ports already excluded
         when the primary was scheduled (the epoch controller's dead-port
-        carry-over); each backup blocks them *plus* its own failure class.
-        Only base (single path per direction) cp-Switch schedules are
-        supported — the k-path extension's lanes change what a surviving
-        grant may serve.
+        carry-over); the qualification is computed with them blocked, as
+        the primary's own reduction was.  Only base (single path per
+        direction) cp-Switch schedules are supported — the k-path
+        extension's lanes change what a surviving grant may serve.
         """
         demand = check_demand_matrix(demand)
         base_o2m = frozenset(int(p) for p in blocked_o2m)
         base_m2o = frozenset(int(p) for p in blocked_m2o)
-        granted = _granted_ports(primary.entries)
+        armed = primary.granted_ports
         started = time.perf_counter()
         with obs.profiled(
-            "reroute.plan", n=demand.shape[0], granted=len(granted)
+            "reroute.plan", n=demand.shape[0], granted=len(armed)
         ) as span:
-            per_port: dict[tuple[str, int], BackupSchedule] = {}
-            for kind, port in granted:
-                per_port[(kind, port)] = self._plan_port(
-                    demand, primary, params, kind, port, base_o2m, base_m2o
-                )
-            fallback = BackupSchedule(
-                key=FALLBACK_KEY,
-                filtered=np.zeros_like(demand),
-                blocked_o2m=base_o2m,
-                blocked_m2o=base_m2o,
+            config = getattr(self.scheduler, "filter_config", None) or FilterConfig()
+            _, row_qualifies, col_qualifies = qualifying_lines(
+                demand,
+                config.resolve_fanout_threshold(params),
+                config.resolve_volume_threshold(params),
+                blocked_o2m=base_o2m or None,
+                blocked_m2o=base_m2o or None,
             )
-            span.set(armed=len(per_port))
+            span.set(armed=len(armed))
         elapsed = time.perf_counter() - started
         if obs.active():
             obs.get_metrics().counter(
                 "reroute_backups_planned_total",
-                "per-failure-class backup schedules precomputed",
-            ).inc(len(per_port))
+                "per-failure-class backups armed",
+            ).inc(len(armed))
         return BackupSet(
-            per_port=per_port,
-            fallback=fallback,
+            armed=armed,
+            filtered=primary.reduction.filtered,
+            row_qualifies=row_qualifies,
+            col_qualifies=col_qualifies,
             base_blocked_o2m=base_o2m,
             base_blocked_m2o=base_m2o,
             plan_seconds=elapsed,
-        )
-
-    def _plan_port(
-        self,
-        demand: np.ndarray,
-        primary,
-        params,
-        kind: str,
-        port: int,
-        base_o2m: "frozenset[int]",
-        base_m2o: "frozenset[int]",
-    ) -> BackupSchedule:
-        blocked_o2m = base_o2m | ({port} if kind == "o2m" else frozenset())
-        blocked_m2o = base_m2o | ({port} if kind == "m2o" else frozenset())
-        # Incremental repair: re-run only the Algorithm 1 reduction with
-        # the failure class blocked.  The full demand matrix is passed so
-        # row/column qualification keeps its original context — re-reducing
-        # just the orphaned delta would find no qualifying fan-out at all.
-        reduction = reduce_with_config(
-            demand,
-            params,
-            getattr(self.scheduler, "filter_config", None),
-            blocked_o2m=blocked_o2m or None,
-            blocked_m2o=blocked_m2o or None,
-        )
-        # Only entries some *surviving* grant of the primary can serve may
-        # be parked: the engine's composite service covers the whole
-        # row/column of a granted port, so an entry is servable iff its row
-        # has a surviving o2m grant or its column a surviving m2o grant.
-        # And only entries the *primary* reduction also parked: the
-        # primary's regular tail was scheduled with everything else on the
-        # packet/circuit paths, so parking a newly-filtered entry would
-        # idle the circuits that expect it and trade Co-rate service for a
-        # Ce*-rate composite hop.
-        n = demand.shape[0]
-        primary_parked = primary.reduction.filtered > VOLUME_TOL
-        row_granted = np.zeros(n, dtype=bool)
-        col_granted = np.zeros(n, dtype=bool)
-        for g_kind, g_port in _granted_ports(primary.entries):
-            if (g_kind, g_port) == (kind, port):
-                continue
-            if g_kind == "o2m":
-                row_granted[g_port] = True
-            else:
-                col_granted[g_port] = True
-        parkable = np.where(
-            (row_granted[:, None] | col_granted[None, :]) & primary_parked,
-            reduction.filtered,
-            0.0,
-        )
-        return BackupSchedule(
-            key=backup_key(kind, port),
-            filtered=parkable,
-            blocked_o2m=blocked_o2m,
-            blocked_m2o=blocked_m2o,
         )
 
 
@@ -372,11 +307,12 @@ class _OpenSwap:
 class RerouteRuntime:
     """Per-run swap executor, driven by :func:`repro.sim.cp_sim._run`.
 
-    The simulator calls :meth:`on_outage` when a granted composite path is
-    discovered dead, :meth:`note_hold` at the start of every established
-    hold phase (to timestamp recovery), and :meth:`note_drain` when the
-    final merge-and-drain starts.  None of these touch the engine unless a
-    swap actually fires, keeping fault-free runs bit-identical.
+    The simulator reads every configuration's grants through :meth:`strip`,
+    calls :meth:`on_outage` when a granted composite path is discovered
+    dead, :meth:`note_hold` at the start of every established hold phase
+    (to timestamp recovery), and :meth:`note_drain` when the final
+    merge-and-drain starts.  None of these touch the engine unless a swap
+    actually fires, keeping fault-free runs bit-identical.
     """
 
     def __init__(self, backups: BackupSet, engine, injector) -> None:
@@ -394,10 +330,11 @@ class RerouteRuntime:
     def strip(self, composites_for):
         """Wrap a composites accessor to drop grants of dead ports.
 
-        Applied to the pending tail after a swap so a later configuration
-        re-granting the dead port cannot release the re-parked repair
-        demand all over again.  Looks the dead set up live, so one wrapper
-        survives any number of swaps.
+        After a swap, a later configuration re-granting the dead port must
+        not release the re-parked repair demand all over again.  The
+        wrapper looks the dead set up live, and that set stays empty until
+        the first swap, so one wrapper applied before the run returns every
+        grant until then and survives any number of swaps.
         """
 
         def stripped(entry):
@@ -407,27 +344,25 @@ class RerouteRuntime:
                 if (s.kind, s.port) not in self._dead_keys
             ]
 
-        stripped.__wrapped_by_reroute__ = True  # idempotence marker
         return stripped
 
-    def on_outage(self, pending, index, alive_composites, composites_for):
-        """Swap to the matching backup after an outage was discovered.
+    def on_outage(self, pending, index, alive_composites, composites_for) -> None:
+        """Swap to the matching repair after an outage was discovered.
 
         Called right after ``_surviving_composites`` dropped (and released)
-        the dead grants of the configuration at ``pending[index]``.
-        Returns the composites accessor for the pending tail, stripped of
-        dead grants.
+        the dead grants of the configuration at ``pending[index]``;
+        ``composites_for`` is the :meth:`strip`-wrapped accessor.
         """
         injector, engine = self._injector, self._engine
         self._dead_keys = {("o2m", p) for p in injector.dead_o2m} | {
             ("m2o", p) for p in injector.dead_m2o
         }
-        backup = self.backups.select(
+        key = self.backups.select(
             injector.dead_o2m, injector.dead_m2o, self._active_key
         )
-        if backup is None:
-            return composites_for
-        self._active_key = backup.key
+        if key is None:
+            return
+        self._active_key = key
         detected = engine.clock
         released = injector.summary.released_composite - self._released_seen
         self._released_seen = injector.summary.released_composite
@@ -440,7 +375,6 @@ class RerouteRuntime:
             (s.kind, s.port) for e in pending[index + 1 :] for s in composites_for(e)
         }
         remaining |= {(s.kind, s.port) for s in alive_composites}
-        remaining -= self._dead_keys
         n = engine.n
         row_covered = np.zeros(n, dtype=bool)
         col_covered = np.zeros(n, dtype=bool)
@@ -461,20 +395,15 @@ class RerouteRuntime:
         #    cells have no regular residual to take).
         abandoned = engine.merge_composite_into_regular(mask=~covered)
 
-        # 3. Re-park the orphans the backup can still serve, capped by the
+        # 3. Re-park the orphans the repair can still serve, capped by the
         #    surviving grants' remaining service capacity.
-        parkable = np.where(covered, backup.filtered, 0.0)
-        take = np.minimum(parkable, engine.regular)
+        take = np.minimum(self.backups.repair(key, covered), engine.regular)
         take = self._cap_to_capacity(
             take, pending, index, alive_composites, composites_for
         )
         carried = engine.repark_composite(take)
 
-        # 4. Strip the dead grants from the pending tail.
-        if not getattr(composites_for, "__wrapped_by_reroute__", False):
-            composites_for = self.strip(composites_for)
-
-        # 5. Recovery bookkeeping: which surviving grants cover the
+        # 4. Recovery bookkeeping: which surviving grants cover the
         #    re-parked demand, for the resumed_ms timestamp.
         parked_mask = take > VOLUME_TOL
         covering: set[tuple[str, int]] = set()
@@ -486,7 +415,7 @@ class RerouteRuntime:
                 if hit:
                     covering.add((g_kind, g_port))
         swap = _OpenSwap(
-            key=backup.key,
+            key=key,
             detected_ms=detected,
             released_mb=released,
             carried_mb=carried,
@@ -501,7 +430,7 @@ class RerouteRuntime:
         if obs.active():
             obs.get_tracer().event(
                 "sim.reroute_swap",
-                key=backup.key,
+                key=key,
                 detected_ms=detected,
                 released_mb=released,
                 carried_mb=carried,
@@ -510,12 +439,11 @@ class RerouteRuntime:
             metrics = obs.get_metrics()
             metrics.counter(
                 "reroute_swaps_total", "fast-reroute swaps executed"
-            ).labels(key=backup.key).inc()
+            ).labels(key=key).inc()
             metrics.counter(
                 "reroute_reparked_mb_total",
                 "volume (Mb) re-parked onto surviving composite paths",
             ).inc(carried)
-        return composites_for
 
     def _cap_to_capacity(self, take, pending, index, alive_composites, composites_for):
         """Cap the re-parked volume by what surviving grants can still serve.
@@ -539,8 +467,6 @@ class RerouteRuntime:
         col_ms = np.zeros(n)
         for entry in pending[index + 1 :]:
             for grant in composites_for(entry):
-                if (grant.kind, grant.port) in self._dead_keys:
-                    continue
                 if grant.kind == "o2m":
                     row_ms[grant.port] += entry.duration
                 else:

@@ -48,14 +48,6 @@ from repro.matching.max_weight import assignment_to_permutation, max_weight_matc
 from repro.switch.params import SwitchParams
 from repro.utils.validation import VOLUME_TOL, check_demand_matrix
 
-#: Window (ms) paired with fast OCS in the paper's evaluation (§3.1).
-DEFAULT_FAST_WINDOW: float = 1.0
-#: Window (ms) paired with slow OCS in the paper's evaluation (§3.1).
-DEFAULT_SLOW_WINDOW: float = 100.0
-#: Reconfiguration delays at or below this (ms) count as "fast" when the
-#: window is left to default.
-_FAST_DELTA_CUTOFF: float = 1.0
-
 
 @dataclass
 class EclipseScheduler:
@@ -65,7 +57,8 @@ class EclipseScheduler:
     ----------
     window:
         Scheduling window ``W`` in ms.  ``None`` selects the paper's pairing
-        by OCS class: 1 ms when ``δ ≤ 1 ms`` (fast OCS), else 100 ms.
+        by OCS class (:attr:`~repro.switch.params.SwitchParams.ocs_class`):
+        1 ms for the fast OCS, 100 ms for the slow one.
     grid_size:
         Number of candidate durations evaluated per greedy step.
     max_steps:
@@ -97,9 +90,7 @@ class EclipseScheduler:
             if self.window <= 0:
                 raise ValueError(f"window must be positive, got {self.window}")
             return float(self.window)
-        if params.reconfig_delay <= _FAST_DELTA_CUTOFF:
-            return DEFAULT_FAST_WINDOW
-        return DEFAULT_SLOW_WINDOW
+        return params.ocs_class.eclipse_window
 
     def schedule(self, demand: np.ndarray, params: SwitchParams) -> Schedule:
         """Greedy submodular schedule of ``demand`` within the window."""

@@ -94,7 +94,6 @@ class TrialStatus:
     straggler: bool = False
     stale: bool = False
     stale_after_s: float = STALE_AFTER_S
-    deadline_miss_rate: "float | None" = None
 
 
 #: The keys of the service's status snapshot that ``watch`` renders; the
@@ -244,7 +243,6 @@ def collect_state(
         age = _elapsed_s(beat, "started_at_mono", "started_at", now, now_mono)
         idle = _elapsed_s(beat, "last_progress_mono", "last_progress", now, now_mono)
         horizon = _stale_horizon_s(beat)
-        miss_rate = beat.get("deadline_miss_rate")
         in_flight.append(
             TrialStatus(
                 key=key,
@@ -256,9 +254,6 @@ def collect_state(
                 straggler=cutoff is not None and age > cutoff,
                 stale=idle > horizon,
                 stale_after_s=horizon,
-                deadline_miss_rate=(
-                    float(miss_rate) if isinstance(miss_rate, (int, float)) else None
-                ),
             )
         )
     in_flight.sort(key=lambda status: -status.age_s)
@@ -445,15 +440,10 @@ def render_watch(state: WatchState) -> str:
                     f"expected every {_fmt_duration(status.stale_after_s / STALE_INTERVAL_MULTIPLIER)})"
                 )
             suffix = ("  ← " + ", ".join(flags)) if flags else ""
-            miss = (
-                f"  miss-rate {status.deadline_miss_rate:.0%}"
-                if status.deadline_miss_rate is not None
-                else ""
-            )
             lines.append(
                 f"  {status.key:<32} {status.phase:<9} attempt {status.attempt}"
                 f"  spans {status.spans_so_far}"
-                f"  age {_fmt_duration(status.age_s)}{miss}{suffix}"
+                f"  age {_fmt_duration(status.age_s)}{suffix}"
             )
     if state.finished:
         lines.append("sweep complete")

@@ -44,8 +44,9 @@ boot-relative clock shared by every process on the machine — so a reader's
 a true idle duration even across processes.  Records written before the
 monotonic fields existed fall back to the wall-clock judgement.
 
-Writers may attach extra advisory fields (e.g. a controller worker's
-``deadline_miss_rate``); readers ignore what they do not know.
+Writers may attach extra advisory fields (e.g. the scheduling service's
+status snapshot: epoch, backlog, fallback level); readers ignore what they
+do not know.
 
 Heartbeats are advisory: they are never read back by the runner itself,
 never influence scheduling or results (the kill-and-resume test asserts
@@ -236,7 +237,7 @@ class HeartbeatTicker:
     def _beat(self) -> None:
         extra = None
         if self._status_fn is not None:
-            # Advisory extras (e.g. a live deadline_miss_rate); a broken
+            # Advisory extras (e.g. the service's status snapshot); a broken
             # status callback must never kill the heartbeat thread.
             try:
                 extra = self._status_fn()

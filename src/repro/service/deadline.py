@@ -58,7 +58,6 @@ from repro.core.scheduler import (
     CpSwitchScheduler,
     interpret,
 )
-from repro.faults.reroute import _granted_ports
 from repro.hybrid.schedule import Schedule
 from repro.hybrid.tdm import TdmScheduler
 from repro.switch.params import SwitchParams
@@ -483,12 +482,12 @@ class AnytimeScheduler:
         The expensive part of the pipeline is the inner h-Switch call; the
         reduction (O(n²)) and the interpretation (O(n) per configuration)
         are cheap enough to run even past the deadline.  Grants on ports
-        the caller reports dead are stripped — the same validation the
-        fast-reroute planner applies via the grant inventory
-        (:func:`repro.faults.reroute._granted_ports`) — so a stale
-        schedule can never park demand on hardware known unable to serve
-        it; the blocked reduction leaves those rows/columns unfiltered
-        anyway, so the stripped grants carry no volume.
+        the caller reports dead are stripped (counted over the grant
+        inventory, :attr:`~repro.core.scheduler.CpSchedule.granted_ports`,
+        that the fast-reroute planner arms) so a stale schedule can never
+        park demand on hardware known unable to serve it; the blocked
+        reduction leaves those rows/columns unfiltered anyway, so the
+        stripped grants carry no volume.
         """
         dead_o2m = set(int(p) for p in (blocked_o2m or ()))
         dead_m2o = set(int(p) for p in (blocked_m2o or ()))
@@ -501,7 +500,7 @@ class AnytimeScheduler:
         )
         stripped = sum(
             1
-            for kind, port in _granted_ports(prev.entries)
+            for kind, port in prev.granted_ports
             if port in (dead_o2m if kind == "o2m" else dead_m2o)
         )
         schedule = interpret(

@@ -24,13 +24,13 @@ EPS/OCS paths — the cp-Switch degrades gracefully toward h-Switch
 behaviour, completion time rises, and volume is never lost.
 
 ``backups`` arms fast-reroute (:mod:`repro.faults.reroute`): when an
-outage is discovered mid-run, the matching precomputed backup is swapped
-in at the current phase boundary — orphaned filtered demand is re-parked
-onto composite paths that surviving grants still serve, and the dead
-grants are stripped from the pending tail — instead of degrading to an
-EPS-only drain for the rest of the run.  With no outage (or no injector)
-the armed backups are never consulted and execution is bit-identical to a
-run without them.
+outage is discovered mid-run, the matching repair is swapped in at the
+current phase boundary — orphaned filtered demand is re-parked onto
+composite paths that surviving grants still serve, and the dead grants
+are stripped from the pending tail — instead of degrading to an EPS-only
+drain for the rest of the run.  With no outage (or no injector) the armed
+backups are never consulted and execution is bit-identical to a run
+without them.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ def simulate_cp(
         :class:`~repro.faults.injector.FaultInjector`; ``None`` executes
         the fault-free model bit-identically to earlier releases.
     backups:
-        Optional :class:`~repro.faults.reroute.BackupSet` precomputed for
-        ``cp_schedule`` — arms fast-reroute for mid-run composite-port
+        Optional :class:`~repro.faults.reroute.BackupSet` armed for
+        ``cp_schedule`` — fast-reroute for mid-run composite-port
         outages.
     """
     def composites_for(entry) -> "list[CompositeService]":
@@ -206,6 +206,8 @@ def _run(
         if backups is not None and injector is not None
         else None
     )
+    if reroute is not None:
+        composites_for = reroute.strip(composites_for)
 
     def budget(duration: float) -> float:
         if horizon is None:
@@ -234,12 +236,10 @@ def _run(
                 composites = _surviving_composites(engine, injector, composites)
                 if reroute is not None and len(composites) < granted:
                     # An outage surfaced on this configuration's grants:
-                    # swap to the matching precomputed backup at this phase
-                    # boundary.  The current configuration keeps running
-                    # with its surviving grants.
-                    composites_for = reroute.on_outage(
-                        entries, index, composites, composites_for
-                    )
+                    # swap to the matching repair at this phase boundary.
+                    # The current configuration keeps running with its
+                    # surviving grants.
+                    reroute.on_outage(entries, index, composites, composites_for)
             if reroute is not None:
                 reroute.note_hold(composites)
         else:

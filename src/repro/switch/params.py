@@ -33,6 +33,9 @@ SLOW_OCS_DELTA_MS: float = 20.0
 FAST_OCS_WINDOW_MS: float = 1.0
 SLOW_OCS_WINDOW_MS: float = 100.0
 
+#: Reconfiguration penalties at or below this (ms) make an OCS "fast".
+FAST_OCS_MAX_DELTA_MS: float = 1.0
+
 
 class OcsClass(enum.Enum):
     """The two OCS technology classes evaluated in the paper."""
@@ -94,6 +97,13 @@ class SwitchParams:
                 raise ValueError(
                     f"eps_budget (Ce*={self.eps_budget}) cannot exceed eps_rate (Ce={self.eps_rate})"
                 )
+
+    @property
+    def ocs_class(self) -> OcsClass:
+        """The paper's OCS class for this δ: fast when ``δ ≤ 1 ms``."""
+        if self.reconfig_delay <= FAST_OCS_MAX_DELTA_MS:
+            return OcsClass.FAST
+        return OcsClass.SLOW
 
     @property
     def effective_eps_budget(self) -> float:

@@ -7,12 +7,8 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.switch.params import SwitchParams
+from repro.switch.params import OcsClass, SwitchParams
 from repro.utils.validation import check_demand_matrix
-
-#: Reconfiguration delays at or below this (ms) count as "fast OCS" when
-#: picking the paper's volume scale.
-_FAST_DELTA_CUTOFF: float = 1.0
 
 
 def volume_scale_for(params: SwitchParams) -> float:
@@ -21,7 +17,7 @@ def volume_scale_for(params: SwitchParams) -> float:
     §3.2/§3.3 use demands 100× larger with the slow OCS so that serving a
     flow stays comparable to the 1000× larger reconfiguration penalty.
     """
-    return 1.0 if params.reconfig_delay <= _FAST_DELTA_CUTOFF else 100.0
+    return 1.0 if params.ocs_class is OcsClass.FAST else 100.0
 
 
 @dataclass(frozen=True)

@@ -227,22 +227,6 @@ class TestCollectState:
         assert status.stale
         assert "STALE" in render_watch(state)
 
-    def test_deadline_miss_rate_rendered(self, tmp_path):
-        journal = _seed_journal(tmp_path, n_specs=2, ok=())
-        hb = heartbeat_dir(journal.path)
-        hb.mkdir()
-        now = 1000.0
-        write_heartbeat(
-            hb,
-            "unit:0000",
-            phase="running",
-            started_at=now - 1.0,
-            extra={"deadline_miss_rate": 0.25},
-        )
-        state = collect_state(journal.path, now=now)
-        assert state.in_flight[0].deadline_miss_rate == pytest.approx(0.25)
-        assert "miss-rate 25%" in render_watch(state)
-
     def test_render_progress_bar(self, tmp_path):
         journal = _seed_journal(tmp_path, n_specs=4, ok=(0, 1), failed=(2,))
         text = render_watch(collect_state(journal.path))

@@ -9,7 +9,9 @@ The load-bearing invariants:
 * fast-reroute strands no more volume than degrade-to-EPS, and strictly
   less on a workload whose surviving grants cover the orphaned demand;
 * a run in which no fault fires is bit-identical with backups armed
-  (hypothesis-fuzzed) — arming the repair machinery costs nothing.
+  (hypothesis-fuzzed) — arming the repair machinery costs nothing;
+* a repair derived from the primary's reduction equals Algorithm 1 re-run
+  with the dead port blocked (hypothesis-fuzzed against that re-run).
 """
 
 from __future__ import annotations
@@ -23,23 +25,26 @@ from hypothesis.extra.numpy import arrays
 from repro.analysis.controller import EpochController
 from repro.analysis.robustness import outage_plan, reroute_rate_trial, reroute_trial
 from repro.core.config import FilterConfig
+from repro.core.reduction import reduce_with_config
 from repro.core.scheduler import CpSwitchScheduler
 from repro.faults import FaultPlan
 from repro.faults.reroute import (
     FALLBACK_KEY,
     BackupPlanner,
-    BackupSchedule,
     BackupSet,
     RerouteOutcome,
     SwapEvent,
     backup_key,
 )
+from repro.hybrid.base import make_scheduler as make_inner
 from repro.hybrid.eclipse import EclipseScheduler
 from repro.hybrid.solstice import SolsticeScheduler
 from repro.matching import kernels
 from repro.sim import simulate_cp
 from repro.sim.engine import FluidEngine
-from repro.switch.params import fast_ocs_params
+from repro.switch.params import fast_ocs_params, ocs_params
+from repro.utils.validation import VOLUME_TOL
+from repro.workloads.base import volume_scale_for
 
 N = 16
 PARAMS = fast_ocs_params(N)
@@ -98,43 +103,33 @@ class TestBackupKey:
             backup_key("sideways", 0)
 
 
-class TestBackupSchedule:
-    def test_filtered_is_frozen(self):
-        backup = BackupSchedule(key="o2m:0", filtered=np.ones((4, 4)))
-        with pytest.raises(ValueError):
-            backup.filtered[0, 0] = 7.0
-
-    def test_parkable_volume(self):
-        backup = BackupSchedule(key="o2m:0", filtered=np.full((3, 3), 2.0))
-        assert backup.parkable_volume == pytest.approx(18.0)
-
-
 class TestBackupSetSelect:
     def _set(self):
-        per_port = {
-            ("m2o", 4): BackupSchedule(key="m2o:4", filtered=np.zeros((4, 4))),
-            ("o2m", 1): BackupSchedule(key="o2m:1", filtered=np.zeros((4, 4))),
-        }
-        fallback = BackupSchedule(key=FALLBACK_KEY, filtered=np.zeros((4, 4)))
-        return BackupSet(per_port=per_port, fallback=fallback, base_blocked_o2m={7})
+        return BackupSet(
+            armed=(("m2o", 4), ("o2m", 1)),
+            filtered=np.zeros((10, 10)),
+            row_qualifies=np.zeros(10, dtype=bool),
+            col_qualifies=np.zeros(10, dtype=bool),
+            base_blocked_o2m={7},
+        )
 
     def test_single_new_death_selects_per_port(self):
         backups = self._set()
-        assert backups.select(set(), {4}).key == "m2o:4"
-        assert backups.select({1}, set()).key == "o2m:1"
+        assert backups.select(set(), {4}) == "m2o:4"
+        assert backups.select({1}, set()) == "o2m:1"
 
     def test_multiple_deaths_select_fallback(self):
         backups = self._set()
-        assert backups.select({1}, {4}).key == FALLBACK_KEY
+        assert backups.select({1}, {4}) == FALLBACK_KEY
 
     def test_unplanned_death_selects_fallback(self):
         backups = self._set()
-        assert backups.select(set(), {9}).key == FALLBACK_KEY
+        assert backups.select(set(), {9}) == FALLBACK_KEY
 
     def test_base_blocked_ports_are_not_events(self):
         backups = self._set()
         # o2m:7 was dead at plan time; only m2o:4 is a *new* death.
-        assert backups.select({7}, {4}).key == "m2o:4"
+        assert backups.select({7}, {4}) == "m2o:4"
 
     def test_active_backup_selects_none(self):
         backups = self._set()
@@ -182,6 +177,9 @@ class TestMarkDeadValidation:
         assert injector.dead_m2o == {2, 3}
 
 
+COVER_ALL = np.ones((N, N), dtype=bool)
+
+
 class TestBackupPlanner:
     def test_one_backup_per_granted_port(self):
         _, cp_schedule, _, backups = plan_backups()
@@ -191,19 +189,24 @@ class TestBackupPlanner:
                 granted.add(("o2m", entry.o2m_port))
             if entry.m2o_port is not None:
                 granted.add(("m2o", entry.m2o_port))
-        assert set(backups.per_port) == granted
+        assert set(backups.armed) == granted
         assert backups.n_armed == len(granted)
         assert granted, "covering workload must grant composite paths"
 
     def test_backup_blocks_its_failure_class(self):
+        # The dead port's line keeps only entries the crossing line still
+        # qualifies for, as if Algorithm 1 had run with the port blocked.
         _, _, _, backups = plan_backups()
-        for (kind, port), backup in backups.per_port.items():
-            blocked = backup.blocked_o2m if kind == "o2m" else backup.blocked_m2o
-            assert port in blocked
+        for kind, port in backups.armed:
+            repair = backups.repair(backup_key(kind, port), COVER_ALL)
+            if kind == "o2m":
+                assert repair[port, ~backups.col_qualifies].sum() == 0.0
+            else:
+                assert repair[~backups.row_qualifies, port].sum() == 0.0
 
     def test_parkable_masked_to_surviving_grants(self):
         _, cp_schedule, _, backups = plan_backups()
-        for (kind, port), backup in backups.per_port.items():
+        for kind, port in backups.armed:
             rows = np.zeros(N, dtype=bool)
             cols = np.zeros(N, dtype=bool)
             for entry in cp_schedule.entries:
@@ -211,21 +214,22 @@ class TestBackupPlanner:
                     rows[entry.o2m_port] = True
                 if entry.m2o_port is not None and ("m2o", entry.m2o_port) != (kind, port):
                     cols[entry.m2o_port] = True
-            uncovered = ~(rows[:, None] | cols[None, :])
-            assert backup.filtered[uncovered].sum() == 0.0
+            covered = rows[:, None] | cols[None, :]
+            repair = backups.repair(backup_key(kind, port), covered)
+            assert repair[~covered].sum() == 0.0
 
     def test_fallback_parks_nothing(self):
         _, _, _, backups = plan_backups()
-        assert backups.fallback.key == FALLBACK_KEY
-        assert backups.fallback.parkable_volume == 0.0
+        assert backups.repair(FALLBACK_KEY, COVER_ALL).sum() == 0.0
 
     def test_planning_is_deterministic(self):
         _, _, _, a = plan_backups()
         _, _, _, b = plan_backups()
-        assert set(a.per_port) == set(b.per_port)
-        for key in a.per_port:
+        assert a.armed == b.armed
+        for kind, port in a.armed:
+            key = backup_key(kind, port)
             np.testing.assert_array_equal(
-                a.per_port[key].filtered, b.per_port[key].filtered
+                a.repair(key, COVER_ALL), b.repair(key, COVER_ALL)
             )
 
     def test_plan_time_measured(self):
@@ -238,8 +242,7 @@ class TestBackupPlanner:
             demand, cp_schedule, PARAMS, blocked_m2o=[4]
         )
         assert 4 in backups.base_blocked_m2o
-        for backup in backups.per_port.values():
-            assert 4 in backup.blocked_m2o
+        assert not backups.col_qualifies[4]
 
 
 class TestEngineRepark:
@@ -273,7 +276,7 @@ class TestSwapEveryBackend:
         with kernels.use_backend(backend):
             demand, cp_schedule, _, backups = plan_backups(scheduler_name)
             assert backups.n_armed > 0
-            kind, port = sorted(backups.per_port)[-1]
+            kind, port = sorted(backups.armed)[-1]
             horizon = cp_schedule.makespan
             degrade = simulate_cp(
                 demand, cp_schedule, PARAMS, horizon=horizon, faults=killer(kind, port)
@@ -319,7 +322,7 @@ class TestSwapSemantics:
 
     def test_strictly_less_stranded_than_degrade(self):
         demand, cp_schedule, _, backups = plan_backups()
-        kill = next(key for key in sorted(backups.per_port) if key[0] == "m2o")
+        kill = next(key for key in sorted(backups.armed) if key[0] == "m2o")
         horizon = cp_schedule.makespan
         degrade = simulate_cp(
             demand, cp_schedule, PARAMS, horizon=horizon, faults=killer(*kill)
@@ -338,7 +341,7 @@ class TestSwapSemantics:
 
     def test_recovery_within_one_phase(self):
         demand, cp_schedule, _, backups = plan_backups()
-        kill = next(key for key in sorted(backups.per_port) if key[0] == "m2o")
+        kill = next(key for key in sorted(backups.armed) if key[0] == "m2o")
         reroute = simulate_cp(
             demand,
             cp_schedule,
@@ -362,7 +365,7 @@ class TestSwapSemantics:
         # arms agree exactly.
         demand, cp_schedule, _, backups = plan_backups()
         dead = next(
-            ("m2o", p) for p in range(N) if ("m2o", p) not in backups.per_port
+            ("m2o", p) for p in range(N) if ("m2o", p) not in backups.armed
         )
         horizon = cp_schedule.makespan
         degrade = simulate_cp(
@@ -383,7 +386,7 @@ class TestSwapSemantics:
         # Two planned ports dead at once: the first discovery selects its
         # per-port backup, the second (now two new deaths) the fallback.
         demand, cp_schedule, _, backups = plan_backups()
-        m2o_ports = sorted(p for k, p in backups.per_port if k == "m2o")
+        m2o_ports = sorted(p for k, p in backups.armed if k == "m2o")
         if len(m2o_ports) < 2:
             pytest.skip("workload granted fewer than two m2o ports")
         injector = FaultPlan().injector(N)
@@ -504,3 +507,87 @@ class TestFaultFreeBitIdentityFuzz:
         assert plain.served_eps == armed.served_eps
         assert plain.served_composite == armed.served_composite
         assert plain.stranded_volume == armed.stranded_volume
+
+
+def line_demand(n: int, params, rng) -> np.ndarray:
+    """Rows and columns of mixed density, so some qualify and some do not.
+
+    Small entries stay at or under the OCS class's ``Bt``; a few elephants
+    above it keep regular circuits in the schedule.
+    """
+    scale = volume_scale_for(params)
+    row_density = rng.choice([0.3, 0.75, 0.95], n)
+    col_density = rng.choice([0.3, 0.75, 0.95], n)
+    small = rng.random((n, n)) < np.sqrt(row_density[:, None] * col_density[None, :])
+    demand = np.where(small, rng.uniform(0.01, 2.0, (n, n)) * scale, 0.0)
+    demand += np.where(rng.random((n, n)) < 0.05, rng.uniform(5.0, 40.0) * scale, 0.0)
+    np.fill_diagonal(demand, 0.0)
+    return demand
+
+
+def coverage(n: int, grants) -> np.ndarray:
+    """Entries the composite service of ``grants`` reaches."""
+    rows = np.zeros(n, dtype=bool)
+    cols = np.zeros(n, dtype=bool)
+    for kind, port in grants:
+        (rows if kind == "o2m" else cols)[port] = True
+    return rows[:, None] | cols[None, :]
+
+
+class TestRepairMatchesReReduction:
+    """The repair derived at swap time equals Algorithm 1 re-run with the
+    dead port also blocked, masked to entries the primary parked and a
+    surviving grant covers."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(8, 32),
+        ocs=st.sampled_from(["fast", "slow"]),
+        inner=st.sampled_from(["solstice", "eclipse"]),
+        dead=st.tuples(
+            st.sets(st.integers(0, 7), max_size=2),
+            st.sets(st.integers(0, 7), max_size=2),
+        ),
+        subset_seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_repair_equals_blocked_re_reduction(
+        self, seed, n, ocs, inner, dead, subset_seed
+    ):
+        params = ocs_params(ocs, n)
+        demand = line_demand(n, params, np.random.default_rng(seed))
+        base_o2m, base_m2o = dead
+        scheduler = CpSwitchScheduler(make_inner(inner))
+        primary = scheduler.schedule(
+            demand,
+            params,
+            blocked_o2m=base_o2m or None,
+            blocked_m2o=base_m2o or None,
+        )
+        backups = BackupPlanner(scheduler).plan(
+            demand, primary, params, blocked_o2m=base_o2m, blocked_m2o=base_m2o
+        )
+        parked = primary.reduction.filtered > VOLUME_TOL
+        pick = np.random.default_rng(subset_seed)
+        for kind, port in backups.armed:
+            dead_o2m = base_o2m | ({port} if kind == "o2m" else set())
+            dead_m2o = base_m2o | ({port} if kind == "m2o" else set())
+            key = backups.select(dead_o2m, dead_m2o)
+            if port in (base_o2m if kind == "o2m" else base_m2o):
+                assert key == FALLBACK_KEY  # not a new death
+                continue
+            assert key == backup_key(kind, port)
+            re_reduced = reduce_with_config(
+                demand,
+                params,
+                scheduler.filter_config,
+                blocked_o2m=dead_o2m,
+                blocked_m2o=dead_m2o,
+            ).filtered
+            surviving = [g for g in backups.armed if g != (kind, port)]
+            subsets = [surviving, [], *([g] for g in surviving)]
+            subsets.append([g for g in surviving if pick.random() < 0.5])
+            for grants in subsets:
+                covered = coverage(n, grants)
+                expected = np.where(covered & parked, re_reduced, 0.0)
+                np.testing.assert_array_equal(backups.repair(key, covered), expected)

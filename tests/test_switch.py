@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.experiment import ExperimentConfig
+from repro.core.config import DEFAULT_ALPHA_FAST, DEFAULT_ALPHA_SLOW, FilterConfig
+from repro.hybrid.eclipse import EclipseScheduler
 from repro.switch.params import (
     FAST_OCS_DELTA_MS,
     SLOW_OCS_DELTA_MS,
@@ -14,6 +17,8 @@ from repro.switch.params import (
     slow_ocs_params,
 )
 from repro.switch.voq import VirtualOutputQueues
+from repro.workloads.base import volume_scale_for
+from repro.workloads.skewed import SkewedWorkload
 
 
 class TestSwitchParams:
@@ -30,6 +35,24 @@ class TestSwitchParams:
         assert OcsClass.SLOW.reconfig_delay == SLOW_OCS_DELTA_MS
         assert OcsClass.FAST.eclipse_window == 1.0
         assert OcsClass.SLOW.eclipse_window == 100.0
+
+    @pytest.mark.parametrize(
+        "delta, ocs", [(1.0, OcsClass.FAST), (np.nextafter(1.0, 2.0), OcsClass.SLOW)]
+    )
+    def test_ocs_class_rule_agrees_at_the_boundary(self, delta, ocs):
+        # Filtering, Eclipse's window, workload scale and the experiment
+        # window all read the one rule: fast iff δ <= 1 ms.
+        params = SwitchParams(n_ports=8, reconfig_delay=delta)
+        fast = ocs is OcsClass.FAST
+        assert params.ocs_class is ocs
+        alpha = DEFAULT_ALPHA_FAST if fast else DEFAULT_ALPHA_SLOW
+        assert FilterConfig().resolve_volume_threshold(params) == pytest.approx(
+            alpha * delta * params.ocs_rate
+        )
+        assert EclipseScheduler().resolved_window(params) == ocs.eclipse_window
+        experiment = ExperimentConfig(SkewedWorkload(), params)
+        assert experiment.resolved_window() == ocs.eclipse_window
+        assert volume_scale_for(params) == (1.0 if fast else 100.0)
 
     def test_budget_defaults_to_eps_rate(self):
         params = fast_ocs_params(8)

@@ -48,6 +48,11 @@ from repro.matching.max_weight import assignment_to_permutation, max_weight_matc
 from repro.switch.params import SwitchParams
 from repro.utils.validation import VOLUME_TOL, check_demand_matrix
 
+#: One greedy step's choice: (duration, permutation, served-volume matrix).
+_Step = tuple[float, np.ndarray, np.ndarray]
+#: The kernel path's per-duration value bounds, passed from step to step.
+_Carry = tuple[np.ndarray, np.ndarray]
+
 
 @dataclass
 class EclipseScheduler:
@@ -56,9 +61,10 @@ class EclipseScheduler:
     Parameters
     ----------
     window:
-        Scheduling window ``W`` in ms.  ``None`` selects the paper's pairing
-        by OCS class (:attr:`~repro.switch.params.SwitchParams.ocs_class`):
-        1 ms for the fast OCS, 100 ms for the slow one.
+        Scheduling window ``W`` in ms, positive and finite.  ``None``
+        selects the paper's pairing by OCS class
+        (:attr:`~repro.switch.params.SwitchParams.ocs_class`): 1 ms for the
+        fast OCS, 100 ms for the slow one.
     grid_size:
         Number of candidate durations evaluated per greedy step.
     max_steps:
@@ -87,7 +93,7 @@ class EclipseScheduler:
     def resolved_window(self, params: SwitchParams) -> float:
         """The window actually used for ``params`` (resolving the default)."""
         if self.window is not None:
-            if self.window <= 0:
+            if not 0 < self.window < np.inf:  # NaN and inf fail too
                 raise ValueError(f"window must be positive, got {self.window}")
             return float(self.window)
         return params.ocs_class.eclipse_window
@@ -115,6 +121,9 @@ class EclipseScheduler:
         # Steps whose clock advance is below float resolution of the window
         # would let the loop run ~forever without ever filling it.
         min_advance = np.finfo(np.float64).eps * max(window, 1.0)
+        # What the last greedy step learned about each duration's value;
+        # local to this call (see _best_step_kernel).
+        carry: "_Carry | None" = None
         while residual.max(initial=0.0) > VOLUME_TOL:
             if self.budget is not None and not self.budget.checkpoint(
                 "eclipse.step"
@@ -141,7 +150,9 @@ class EclipseScheduler:
                     residual,
                 )
                 break
-            best = self._best_step(residual, ocs_rate, delta, available)
+            best, carry = self._best_step(
+                residual, ocs_rate, delta, available, carry
+            )
             if best is None:
                 break
             duration, permutation, served = best
@@ -216,16 +227,22 @@ class EclipseScheduler:
         ocs_rate: float,
         delta: float,
         available: float,
-    ) -> "tuple[float, np.ndarray, np.ndarray] | None":
+        carry: "_Carry | None",
+    ) -> "tuple[_Step | None, _Carry | None]":
         """Best (duration, permutation, served-volume matrix) this step.
 
-        Returns ``None`` when no candidate serves positive volume.
+        The first element is ``None`` when no candidate serves positive
+        volume.  The second is the carry for the next step: the kernel
+        path's per-duration value bounds (see :meth:`_best_step_kernel`),
+        ``None`` on the oracle path, which ignores ``carry``.
         """
         durations = candidate_durations(
             residual, ocs_rate, available, grid_size=self.grid_size
         )
         if kernels.kernels_active():
-            return self._best_step_kernel(residual, ocs_rate, delta, durations)
+            return self._best_step_kernel(
+                residual, ocs_rate, delta, durations, carry
+            )
         best_rate = 0.0
         best: "tuple[float, np.ndarray, np.ndarray] | None" = None
         for alpha in durations.tolist():
@@ -244,7 +261,7 @@ class EclipseScheduler:
                 permutation[served <= VOLUME_TOL] = 0
                 best_rate = rate
                 best = (alpha, permutation, served)
-        return best
+        return best, None
 
     def _best_step_kernel(
         self,
@@ -252,67 +269,124 @@ class EclipseScheduler:
         ocs_rate: float,
         delta: float,
         durations: np.ndarray,
-    ) -> "tuple[float, np.ndarray, np.ndarray] | None":
+        carry: "_Carry | None",
+    ) -> "tuple[_Step | None, _Carry]":
         """Kernel-backend :meth:`_best_step` — bit-identical decisions.
 
-        Three accelerations over the oracle loop above, none changing any
-        number it publishes:
+        The oracle loop above solves one assignment problem per candidate
+        duration.  This path solves only the candidates that can still
+        matter and picks the same winner:
 
-        * **Bound pruning** — the assignment value is at most the smaller
-          of the row-max and column-max sums of the weights (each matched
-          entry is bounded by its row's and column's maximum, and each row
-          and column is used at most once); the row/col maxes of
-          ``min(residual, cap)`` are ``min(max(residual), cap)``, so the
-          bound is O(n) per candidate against the O(n³) solve.  A 1e-9
-          relative margin swamps summation rounding, so no candidate the
-          oracle would accept is ever pruned.
+        * **Carried bounds** — between greedy steps the residual only
+          shrinks, and an assignment's value never falls as the duration
+          cap grows.  So this step's value at α is at most the value the
+          previous step had at its smallest duration ≥ α.  One always
+          exists after the first step, because the largest candidate,
+          ``available``, shrinks every step.  ``carry`` holds the previous
+          step's durations and, for each, its solved value or, if it was
+          not solved, its bound; the returned carry does the same for this
+          step.  It lives only inside one :meth:`schedule` call and never
+          on ``self``: in one trial an instance schedules the n×n h-Switch
+          demand and then the (n+1)×(n+1) reduced demand, and the deadline
+          ladder reuses instances.
+        * **Row/column-max bound** — the assignment value is also at most
+          the smaller of the row-max and column-max sums of the weights
+          (each matched entry is bounded by its row's and column's
+          maximum, and each row and column is used at most once); the
+          row/col maxes of ``min(residual, cap)`` are
+          ``min(max(residual), cap)``, so this bound is O(n) per candidate
+          against the O(n³) solve.  A candidate's bound is the smaller of
+          the two.
+        * **Solve order and skip rule** — candidates are solved in
+          descending order of bound/(α + δ).  One is skipped when
+          ``bound·(1+1e-9) <= max_rate·(1+1e-12)·(α+δ)``, where
+          ``max_rate`` is the best rate solved so far in this step, or
+          when its bound shows a value ≤ ``VOLUME_TOL`` (the oracle skips
+          those too).
+        * **Winner** — the oracle's ascending record rule,
+          ``rate > best·(1+1e-12)``, applied to the solved candidates in
+          ascending α; not the best rate in solve order.
         * **Saturation sharing** — candidates with
           ``cap >= residual.max()`` all have ``min(residual, cap) ==
           residual`` element-wise, hence one (deterministic) LSAP solve
           serves them all.
         * **Deferred construction** — the served-volume and permutation
-          matrices are materialised once for the winning candidate instead
-          of on every incumbent update (the oracle's rates typically rise
-          with α, so it rebuilds them nearly every iteration).
+          matrices are materialised once for the winning candidate.
+
+        Why the winner is the oracle's.  A bound is an upper bound on the
+        value it stands for: summation and LSAP rounding (about 1e-14
+        relative at n = 129) lie far inside the 1e-9 margin.  Let M be the
+        step's best solved rate and f = 1 + 1e-12.  Every skipped candidate
+        has a rate below M·f/(1+1e-9), which is below M/f^18.  There are at
+        most ``grid_size + 1`` = 17 candidates, so one of the 18 bands
+        [M/f^(j+1), M/f^j), j = 0..17, holds none; let T = M/f^j for that
+        band.  Let G be the first candidate, in ascending α, whose rate is
+        ≥ T.  G exists (the candidate reaching M) and was solved, because
+        every skipped rate is below M/f^18 < T.  Every candidate before G
+        is below T and so, the band being empty, below T/f: G beats every
+        earlier record by more than f and is a record under both rules,
+        whatever earlier candidates each rule saw.  From G on the incumbent
+        is ≥ T, so only candidates above T can become records, and all of
+        those were solved: both rules see the same records from G on and
+        pick the same winner.  "A skipped candidate cannot displace the
+        winner" alone is not enough, because removing a candidate can
+        change the records *before* the winner; the empty band rules that
+        out.  The comparisons' own roundings (an ulp each) only widen the
+        bands by that much, and the argument holds for any ``grid_size``
+        whose (grid_size + 2)·1e-12 stays well inside the 1e-9 margin.
         """
         row_max = residual.max(axis=1)
         col_max = residual.max(axis=0)
         residual_max = float(row_max.max())
+        caps = (durations * ocs_rate)[:, None]
+        bounds = np.minimum(
+            np.minimum(row_max, caps).sum(axis=1),
+            np.minimum(col_max, caps).sum(axis=1),
+        )
+        if carry is not None:
+            previous, carried = carry
+            index = np.searchsorted(previous, durations, side="left")
+            bounds = np.minimum(bounds, np.append(carried, np.inf)[index])
+        alphas = durations.tolist()
+        values = bounds.tolist()  # a solved candidate's entry becomes its value
+        assignments: "list[np.ndarray | None]" = [None] * len(alphas)
         saturated: "tuple[np.ndarray, float] | None" = None
-        best_rate = 0.0
-        best_alpha = 0.0
-        best_assignment: "np.ndarray | None" = None
-        for alpha in durations.tolist():
-            cap = alpha * ocs_rate
-            bound = min(
-                float(np.minimum(row_max, cap).sum()),
-                float(np.minimum(col_max, cap).sum()),
-            )
+        max_rate = 0.0
+        order = np.argsort(-bounds / (durations + delta), kind="stable")
+        for i in order.tolist():
+            alpha, bound = alphas[i], values[i]
             if bound <= VOLUME_TOL * (1 - 1e-9):
                 continue  # value <= VOLUME_TOL: oracle would skip too
-            if bound * (1 + 1e-9) <= best_rate * (1 + 1e-12) * (alpha + delta):
-                continue  # cannot beat the incumbent rate
+            if bound * (1 + 1e-9) <= max_rate * (1 + 1e-12) * (alpha + delta):
+                continue  # cannot reach the best rate solved so far
+            cap = alpha * ocs_rate
             if cap >= residual_max:
                 if saturated is None:
                     saturated = max_weight_matching(residual)
-                assignment, value = saturated
+                assignments[i], values[i] = saturated
             else:
-                assignment, value = max_weight_matching(
+                assignments[i], values[i] = max_weight_matching(
                     np.minimum(residual, cap)
                 )
-            if value <= VOLUME_TOL:
+            if values[i] > VOLUME_TOL:
+                max_rate = max(max_rate, values[i] / (alpha + delta))
+        next_carry = (durations, np.array(values))
+        best_rate = 0.0
+        best: "int | None" = None
+        for i, alpha in enumerate(alphas):
+            if assignments[i] is None or values[i] <= VOLUME_TOL:
                 continue
-            rate = value / (alpha + delta)
+            rate = values[i] / (alpha + delta)
             if rate > best_rate * (1 + 1e-12):
                 best_rate = rate
-                best_alpha = alpha
-                best_assignment = assignment
-        if best_assignment is None:
-            return None
+                best = i
+        if best is None:
+            return None, next_carry
+        best_alpha, best_assignment = alphas[best], assignments[best]
         weights = np.minimum(residual, best_alpha * ocs_rate)
         rows = np.arange(residual.shape[0])
         served = np.zeros_like(residual)
         served[rows, best_assignment] = weights[rows, best_assignment]
         permutation = assignment_to_permutation(best_assignment)
         permutation[served <= VOLUME_TOL] = 0
-        return best_alpha, permutation, served
+        return (best_alpha, permutation, served), next_carry

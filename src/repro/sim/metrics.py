@@ -220,7 +220,7 @@ class SimulationResult:
         return self.ocs_volume_by(window) / self.total_demand
 
     def _integrate(self, time: float, rate_of) -> float:
-        if time < 0:
+        if not time >= 0:  # NaN-safe; inf is the whole run
             raise ValueError(f"time must be non-negative, got {time}")
         volume = 0.0
         for segment in self.segments:

@@ -131,6 +131,19 @@ class TestRunComparison:
         with pytest.raises(ValueError, match=f"n_trials must be >= 1, got {n_trials}"):
             run_comparison(config)
 
+    def test_rejects_nan_window(self):
+        # A NaN window used to report the whole run's OCS fraction, the
+        # same as an infinite one.
+        params = fast_ocs_params(16)
+        config = ExperimentConfig(
+            workload=SkewedWorkload.for_params(params),
+            params=params,
+            n_trials=1,
+            window=float("nan"),
+        )
+        with pytest.raises(ValueError, match="time must be non-negative, got nan"):
+            run_comparison(config)
+
     def test_benchmark_trials_share_the_env_rule(self, monkeypatch):
         from benchmarks.common import trials
 

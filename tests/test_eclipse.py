@@ -62,6 +62,13 @@ class TestEclipseScheduler:
         with pytest.raises(ValueError):
             EclipseScheduler(window=-1.0).resolved_window(fast_ocs_params(8))
 
+    @pytest.mark.parametrize("window", [float("nan"), float("inf")])
+    def test_non_finite_window_rejected(self, window, sparse_demand):
+        # NaN used to return an empty schedule with no diagnostic, inf an
+        # empty one with a clock-stall diagnostic.
+        with pytest.raises(ValueError, match="window must be positive"):
+            EclipseScheduler(window=window).schedule(sparse_demand, fast_ocs_params(8))
+
     def test_schedule_fits_window(self, sparse_demand):
         params = fast_ocs_params(8)
         scheduler = EclipseScheduler()

@@ -1,12 +1,24 @@
 """Kernel-vs-oracle bit-identity suite for the ``REPRO_KERNELS`` backends.
 
 The kernel layer (:func:`repro.matching.kernels.scipy_matching_csr`, the
-``BigSliceState`` warm-start path, the Eclipse bound-pruned greedy) is
-only admissible if it is **bit-identical** to the pure-Python/seed oracles
-it replaces — not approximately equal: the repo's regression gates compare
-schedules and simulations entry-for-entry.  This suite fuzzes that contract with
-hypothesis over random demands and fault plans, plus targeted regressions
-for the three bugfixes that rode along with the kernel work:
+``BigSliceState`` warm-start path, the Eclipse greedy that carries each
+duration's value bound from one step to the next) is only admissible if
+it is **bit-identical** to the pure-Python/seed oracles it replaces — not
+approximately equal: the repo's regression gates compare schedules and
+simulations entry-for-entry.  This suite fuzzes that contract with
+hypothesis over random demands and fault plans.
+
+Float-valued demands never make two Eclipse candidate rates tie, so the
+greedy is also fuzzed on small integer demands with unit OCS rate and
+delay, where rates tie exactly and the kernel's 1e-9 skip margin and its
+ascending record rule decide the winner.  Two wrong kernels pass the
+float fuzz but changed about 5 % of 20,000 such schedules: taking the
+best rate in solve order, and dropping the margin.  A third, carrying the
+bound from the largest previous duration ≤ α, changed 0.75 %.  Two pinned
+examples catch all three on every run.
+
+Targeted regressions cover the three bugfixes that rode along with the
+kernel work:
 
 * the recursive Hopcroft–Karp DFS blowing Python's recursion limit on deep
   augmenting paths (now an explicit-stack walk);
@@ -19,7 +31,7 @@ for the three bugfixes that rode along with the kernel work:
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -49,6 +61,20 @@ def demand_matrices(max_n: int = 7, max_value: float = 30.0):
             ),
             arrays(np.bool_, (n, n)),
         ).map(lambda pair: pair[0] * pair[1])
+    )
+
+
+def tied_demands():
+    """Radix 2–4 demands of integers 1–4 with about half the entries zero.
+
+    With unit OCS rate and delay these make Eclipse's candidate rates tie
+    exactly, which float-valued demands never do.
+    """
+    return st.integers(min_value=2, max_value=4).flatmap(
+        lambda n: st.tuples(
+            arrays(np.int64, (n, n), elements=st.integers(1, 4)),
+            arrays(np.bool_, (n, n)),
+        ).map(lambda pair: (pair[0] * pair[1]).astype(np.float64))
     )
 
 
@@ -235,6 +261,29 @@ class TestSchedulerIdentity:
             oracle = EclipseScheduler().schedule(demand, params)
         with kernels.use_backend(kernels.KERNEL):
             kernel = EclipseScheduler().schedule(demand, params)
+        assert _schedules_equal(oracle, kernel)
+
+    @given(demand=tied_demands(), window=st.integers(min_value=3, max_value=30))
+    @example(  # one greedy step: skip margin and winner rule
+        demand=np.array([[1, 1, 1, 2], [2, 2, 1, 1], [1, 1, 1, 2], [1, 1, 1, 1.0]]),
+        window=3,
+    )
+    @example(  # later steps: the carry comes from the smallest duration >= α
+        demand=np.array([[0, 1, 3, 1], [1, 1, 1, 1], [1, 1, 1, 3], [1, 1, 1, 1.0]]),
+        window=9,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_eclipse_matches_oracle_on_exact_rate_ties(self, demand, window):
+        # Exact ties are where the kernel's skip margin and its ascending
+        # record rule over the solved candidates decide the winner.  Each
+        # pinned demand broke a wrong kernel (see the module docstring).
+        params = SwitchParams(
+            n_ports=demand.shape[0], eps_rate=0.5, ocs_rate=1.0, reconfig_delay=1.0
+        )
+        with kernels.use_backend(kernels.ORACLE):
+            oracle = EclipseScheduler(window=window).schedule(demand, params)
+        with kernels.use_backend(kernels.KERNEL):
+            kernel = EclipseScheduler(window=window).schedule(demand, params)
         assert _schedules_equal(oracle, kernel)
 
     @given(

@@ -1,6 +1,6 @@
 """Regression tests for the silent metric-reporting bugs.
 
-Four bugs, one test class each:
+Five bugs, one test class each:
 
 * ``coflow_completion`` used to drop NaN finish times and max the rest, so
   a coflow whose flows all never finished reported 0.0 ms — the *best*
@@ -14,6 +14,8 @@ Four bugs, one test class each:
   ``finished`` over float dust that conservation happily accepted.
 * ``check_conservation`` compared with ``drift > tol``, which is False for
   NaN, so a run with NaN served volumes passed it.
+* ``ocs_fraction_within(nan)`` checked ``time < 0``, which is False for NaN,
+  and reported the whole run's OCS fraction, the same as ``inf``.
 """
 
 from __future__ import annotations
@@ -122,6 +124,18 @@ class TestZeroDemandConvention:
         np.testing.assert_allclose(
             fraction, result.ocs_volume_by(1.0) / result.total_demand
         )
+
+
+class TestNanTimeRejected:
+    def test_nan_window_raises_and_inf_is_the_whole_run(self):
+        rng = np.random.default_rng(3)
+        demand = rng.uniform(0.0, 20.0, (4, 4))
+        schedule = SolsticeScheduler().schedule(demand, PARAMS)
+        result = simulate_hybrid(demand, schedule, PARAMS)
+        with pytest.raises(ValueError, match="time must be non-negative, got nan"):
+            result.ocs_fraction_within(math.nan)
+        whole_run = result.ocs_volume_by(result.segments[-1].end)
+        assert result.ocs_volume_by(math.inf) == whole_run > 0
 
 
 class TestFinishedRelativeTolerance:

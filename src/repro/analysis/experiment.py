@@ -155,9 +155,17 @@ class ExperimentConfig:
 
 
 def _resolved_window(window: "float | None", params: SwitchParams) -> float:
-    if window is not None:
-        return float(window)
-    return params.ocs_class.eclipse_window
+    """The OCS-fraction window (ms); ``inf`` measures the whole run.
+
+    Checked here, before any trial runs, so a NaN or negative window fails
+    with a message that names it instead of after a full simulation.
+    """
+    if window is None:
+        return params.ocs_class.eclipse_window
+    value = float(window)
+    if not value >= 0.0:
+        raise ValueError(f"OCS-fraction window: time must be non-negative, got {value}")
+    return value
 
 
 def run_comparison(config: ExperimentConfig) -> ComparisonAggregate:
@@ -312,13 +320,14 @@ def comparison_trial(
     scheduler watchdog diagnostics.
     """
     params = ocs_params(ocs, radix)
+    window = _resolved_window(window, params)
     inner = make_scheduler(scheduler)
     return _trial_payload(
         _trial_spec(workload, params, seed, trial, skewed_ports),
         inner,
         CpSwitchScheduler(inner),
         params,
-        _resolved_window(window, params),
+        window,
         trial,
     )
 

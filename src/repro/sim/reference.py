@@ -10,7 +10,11 @@ the kernels that the vectorization work rewrote:
 * :func:`reference_maximum_matching_mask` — the Hopcroft–Karp wrapper
   that builds its CSR graph through scipy's dense→COO→CSR conversion;
 * :func:`reference_cp_switch_demand_reduction` — Algorithm 1 with the
-  numpy-scalar greedy both-qualify loop.
+  numpy-scalar greedy both-qualify loop;
+* :func:`reference_max_min_fair_rates` — the EPS waterfill as two-axis
+  progressive filling that recounts every active flow each round, so the
+  live waterfill (:mod:`repro.sim.rates`) is checked against a copy that
+  does not change with it.
 
 They are **ground truth**: the optimized pipeline must be *bit-identical*
 to the reference on the seeded Figure 5/6 benchmark points (same
@@ -38,7 +42,6 @@ import numpy as np
 
 from repro.hybrid.schedule import Schedule, ScheduleEntry
 from repro.sim.metrics import RateSegment, SimulationResult
-from repro.sim.rates import max_min_fair_rate_matrix
 from repro.switch.params import SwitchParams
 from repro.utils.validation import VOLUME_TOL, check_demand_matrix
 
@@ -51,6 +54,9 @@ except ImportError:  # pragma: no cover - scipy is a hard dependency
 
 #: Durations shorter than this (ms) are treated as elapsed (seed value).
 TIME_TOL: float = 1e-12
+
+#: Saturation tolerance of the waterfill (seed value).
+_RATE_TOL: float = 1e-12
 
 #: Sentinel for "unmatched" in the matching arrays (seed value).
 UNMATCHED: int = -1
@@ -175,7 +181,7 @@ class ReferenceFluidEngine:
         if eps_enabled:
             eps_active = (self.regular > VOLUME_TOL) & (reg_rate <= 0)
             if eps_active.any():
-                eps_rates = max_min_fair_rate_matrix(eps_active, in_cap, out_cap)
+                eps_rates = reference_max_min_fair_rate_matrix(eps_active, in_cap, out_cap)
                 reg_rate += eps_rates
                 eps_total = float(eps_rates.sum())
         return reg_rate, comp_rate, (circuit_total, composite_total, eps_total)
@@ -253,6 +259,82 @@ class ReferenceFluidEngine:
         )
         result.check_conservation(tol=1e-6)
         return result
+
+
+# ---------------------------------------------------------------------- #
+# EPS waterfill (progressive filling as it stood before the one-axis fill)
+# ---------------------------------------------------------------------- #
+
+
+def reference_max_min_fair_rates(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    in_capacity: np.ndarray,
+    out_capacity: np.ndarray,
+) -> np.ndarray:
+    """Max-min fair rates by two-axis progressive filling (frozen copy)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if rows.shape != cols.shape or rows.ndim != 1:
+        raise ValueError("rows and cols must be 1-D arrays of equal length")
+    n_flows = rows.size
+    rates = np.zeros(n_flows, dtype=np.float64)
+    if n_flows == 0:
+        return rates
+
+    n_in = int(in_capacity.shape[0])
+    n_out = int(out_capacity.shape[0])
+    in_rem = np.asarray(in_capacity, dtype=np.float64).copy()
+    out_rem = np.asarray(out_capacity, dtype=np.float64).copy()
+    if np.any(in_rem < -_RATE_TOL) or np.any(out_rem < -_RATE_TOL):
+        raise ValueError("capacities must be non-negative")
+    np.clip(in_rem, 0.0, None, out=in_rem)
+    np.clip(out_rem, 0.0, None, out=out_rem)
+
+    active_idx = np.arange(n_flows)
+    active_rows = rows
+    active_cols = cols
+    for _round in range(n_in + n_out + 1):
+        if active_idx.size == 0:
+            break
+        in_count = np.bincount(active_rows, minlength=n_in)
+        out_count = np.bincount(active_cols, minlength=n_out)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            in_share = np.where(in_count > 0, in_rem / np.maximum(in_count, 1), np.inf)
+            out_share = np.where(out_count > 0, out_rem / np.maximum(out_count, 1), np.inf)
+        step = min(in_share.min(), out_share.min())
+        if step > _RATE_TOL and np.isfinite(step):
+            rates[active_idx] += step
+            in_rem -= step * in_count
+            out_rem -= step * out_count
+            np.maximum(in_rem, 0.0, out=in_rem)
+            np.maximum(out_rem, 0.0, out=out_rem)
+        in_saturated = (in_rem <= _RATE_TOL * np.maximum(in_count, 1)) & (in_count > 0)
+        out_saturated = (out_rem <= _RATE_TOL * np.maximum(out_count, 1)) & (out_count > 0)
+        frozen_now = in_saturated[active_rows] | out_saturated[active_cols]
+        if not frozen_now.any():
+            break
+        keep = ~frozen_now
+        active_idx = active_idx[keep]
+        active_rows = active_rows[keep]
+        active_cols = active_cols[keep]
+    return rates
+
+
+def reference_max_min_fair_rate_matrix(
+    active: np.ndarray,
+    in_capacity: np.ndarray,
+    out_capacity: np.ndarray,
+) -> np.ndarray:
+    """Matrix-shaped wrapper over :func:`reference_max_min_fair_rates`."""
+    active = np.asarray(active, dtype=bool)
+    rates = np.zeros(active.shape, dtype=np.float64)
+    rows, cols = np.nonzero(active)
+    if rows.size:
+        rates[rows, cols] = reference_max_min_fair_rates(
+            rows, cols, in_capacity, out_capacity
+        )
+    return rates
 
 
 # ---------------------------------------------------------------------- #

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.analysis.aggregate import Aggregate, aggregate, ratio_of_means
+from repro.analysis import experiment
 from repro.analysis.experiment import (
     DEFAULT_TRIALS,
     ComparisonAggregate,
     ExperimentConfig,
+    comparison_trial,
     default_trials,
     run_comparison,
 )
@@ -45,6 +47,10 @@ class TestAggregate:
     def test_format(self):
         agg = aggregate([1.23456, 1.23456])
         assert f"{agg:.2f}" == "1.23"
+
+
+def _no_trial(*args, **kwargs):
+    raise AssertionError("a trial ran before the window was checked")
 
 
 class TestRunComparison:
@@ -143,6 +149,33 @@ class TestRunComparison:
         )
         with pytest.raises(ValueError, match="time must be non-negative, got nan"):
             run_comparison(config)
+
+    @pytest.mark.parametrize("window", [-1.0, float("nan")])
+    def test_bad_window_fails_before_any_trial(self, window, monkeypatch):
+        monkeypatch.setattr(experiment, "_trial_payload", _no_trial)
+        params = fast_ocs_params(16)
+        config = ExperimentConfig(
+            workload=SkewedWorkload.for_params(params),
+            params=params,
+            n_trials=1,
+            window=window,
+        )
+        with pytest.raises(ValueError, match="window: time must be non-negative"):
+            run_comparison(config)
+
+    @pytest.mark.parametrize("window", [-1.0, float("nan")])
+    def test_comparison_trial_checks_the_window_first(self, window, monkeypatch):
+        monkeypatch.setattr(experiment, "_trial_payload", _no_trial)
+        with pytest.raises(ValueError, match="window: time must be non-negative"):
+            comparison_trial(workload="skewed", ocs="fast", radix=16, window=window)
+
+    def test_infinite_window_measures_the_whole_run(self):
+        whole = comparison_trial(
+            workload="skewed", ocs="fast", radix=16, window=float("inf")
+        )
+        long = comparison_trial(workload="skewed", ocs="fast", radix=16, window=1e9)
+        for switch in ("h", "cp"):
+            assert whole[switch]["ocs_fraction"] == long[switch]["ocs_fraction"] > 0.0
 
     def test_benchmark_trials_share_the_env_rule(self, monkeypatch):
         from benchmarks.common import trials

@@ -11,7 +11,8 @@ splits — checking the invariants that must hold regardless:
 * finish times within [0, clock] and only for demanded entries;
 * horizon-bounded runs never deliver more than unbounded ones;
 * the same event times and finish times as the frozen seed engine
-  (:class:`~repro.sim.reference.ReferenceFluidEngine`).
+  (:class:`~repro.sim.reference.ReferenceFluidEngine`), with and without
+  lane-masked composite grants.
 """
 
 from __future__ import annotations
@@ -50,7 +51,12 @@ def _prefix_permutation(args):
     return matrix
 
 
-def phases(circuits=partial_permutations()):
+def lane_masks():
+    """A k-path lane: the partners a composite grant may serve."""
+    return st.one_of(st.none(), arrays(np.bool_, (N,)))
+
+
+def phases(circuits=partial_permutations(), lanes=st.none()):
     return st.lists(
         st.tuples(
             st.floats(0.0, 0.5, allow_nan=False),  # duration
@@ -59,6 +65,8 @@ def phases(circuits=partial_permutations()):
             st.integers(min_value=0, max_value=N - 1),  # o2m port
             st.booleans(),  # grant an m2o path?
             st.integers(min_value=0, max_value=N - 1),  # m2o port
+            lanes,  # o2m lane mask
+            lanes,  # m2o lane mask
         ),
         min_size=0,
         max_size=4,
@@ -75,14 +83,16 @@ def _run(demand, phase_list, horizon=None, engine_cls=FluidEngine, park=True):
         filtered = np.where(demand < 5.0, demand, 0.0)
         engine.assign_composite(filtered)
     clock_budget = horizon
-    for duration, circuits, use_o2m, o2m_port, use_m2o, m2o_port in phase_list:
+    for (
+        duration, circuits, use_o2m, o2m_port, use_m2o, m2o_port, o2m_lane, m2o_lane
+    ) in phase_list:
         if clock_budget is not None:
             duration = min(duration, max(0.0, clock_budget - engine.clock))
         composites = []
         if use_o2m:
-            composites.append(CompositeService("o2m", o2m_port))
+            composites.append(CompositeService("o2m", o2m_port, lane_mask=o2m_lane))
         if use_m2o:
-            composites.append(CompositeService("m2o", m2o_port))
+            composites.append(CompositeService("m2o", m2o_port, lane_mask=m2o_lane))
         engine.run_phase(duration, circuits=circuits, composites=composites)
     if horizon is None:
         engine.merge_composite_into_regular()
@@ -156,8 +166,9 @@ class TestEngineFuzz:
     @given(
         demand=demands(),
         # A None phase is a reconfiguration gap, so the same EPS flow set
-        # recurs across phase boundaries.
-        phase_list=phases(st.one_of(st.none(), partial_permutations())),
+        # recurs across phase boundaries; lane masks restrict a composite
+        # grant to some of its row's or column's entries, as k-path grants do.
+        phase_list=phases(st.one_of(st.none(), partial_permutations()), lane_masks()),
         park=st.booleans(),
     )
     @settings(max_examples=100, deadline=None)

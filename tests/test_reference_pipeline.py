@@ -4,7 +4,8 @@ The reference module exists so the optimized hot path can be checked
 against ground truth; these tests pin both directions of that contract:
 the reference preserves the seed behaviour (including the phase-skip dust
 bug), and the live pipeline is bit-identical to it on the seeded Figure
-5/6 workload at radix 32/64/128 under both Solstice and Eclipse.
+5/6 workload at radix 32/64/128 under both Solstice and Eclipse, and at
+radix 256 under Solstice.
 
 The seed pipeline is composed here, from the frozen kernels, because this
 is the only place that compares against it.
@@ -220,8 +221,13 @@ class TestReferencePreservesSeedBehaviour:
 
 _POINTS = pytest.mark.parametrize(
     "n_ports,scheduler",
-    [(n, scheduler) for scheduler in ("solstice", "eclipse") for n in (32, 64, 128)],
+    [(n, scheduler) for scheduler in ("solstice", "eclipse") for n in (32, 64, 128)]
+    # The radix the sweep-solstice-256 benchmark workload runs at.
+    + [(256, "solstice")],
 )
+
+#: Seeded trials per radix (one at 256, where a trial takes seconds).
+_TRIALS = {256: 1}
 
 
 class TestBitIdenticalEquivalence:
@@ -231,7 +237,9 @@ class TestBitIdenticalEquivalence:
     def test_hybrid_pipeline_bit_identical(self, n_ports, scheduler):
         params = fast_ocs_params(n_ports)
         live = make_scheduler(scheduler)
-        for trial, demand in enumerate(_seeded_demands(n_ports)):
+        for trial, demand in enumerate(
+            _seeded_demands(n_ports, _TRIALS.get(n_ports, 2))
+        ):
             ref = reference_simulate_hybrid(
                 demand, reference_hybrid_schedule(demand, params, scheduler), params
             )
@@ -244,7 +252,9 @@ class TestBitIdenticalEquivalence:
     def test_cp_pipeline_bit_identical(self, n_ports, scheduler):
         params = fast_ocs_params(n_ports)
         live = CpSwitchScheduler(make_scheduler(scheduler))
-        for trial, demand in enumerate(_seeded_demands(n_ports)):
+        for trial, demand in enumerate(
+            _seeded_demands(n_ports, _TRIALS.get(n_ports, 2))
+        ):
             ref = reference_simulate_cp(
                 demand, reference_cp_schedule(demand, params, scheduler), params
             )

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.sim.rates import max_min_fair_rate_matrix, max_min_fair_rates
+from repro.sim.reference import reference_max_min_fair_rates
 
 
 def caps(n, value=10.0):
@@ -117,3 +121,69 @@ class TestMaxMinFairRates:
         assert rates.shape == (3, 3)
         assert rates[0, 1] == pytest.approx(10.0)
         assert rates.sum() == pytest.approx(10.0)
+
+
+# Capacities mix zero, sub-tolerance (< 1e-12), tied and arbitrary values:
+# zero and sub-tolerance ports freeze their flows in the first round, ties
+# saturate several ports at once, and arbitrary values stagger the
+# bottlenecks so that many solves need three or more rounds.
+_CAPACITY = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1e-12),
+    st.sampled_from([1.0, 2.5, 10.0]),
+    st.floats(1e-12, 20.0),
+)
+
+
+@st.composite
+def waterfill_cases(draw):
+    n_in = draw(st.integers(1, 8))
+    n_out = draw(st.integers(1, 8))
+    n_flows = draw(st.integers(0, 24))
+    # Endpoints are drawn independently, so flows share ports and may
+    # even repeat a (row, col) pair.
+    rows = draw(arrays(np.int64, n_flows, elements=st.integers(0, n_in - 1)))
+    cols = draw(arrays(np.int64, n_flows, elements=st.integers(0, n_out - 1)))
+    in_cap = draw(arrays(np.float64, n_in, elements=_CAPACITY))
+    out_cap = draw(arrays(np.float64, n_out, elements=_CAPACITY))
+    return rows, cols, in_cap, out_cap
+
+
+def _levels(rates: np.ndarray) -> int:
+    """Distinct positive rates: each filling round freezes at most one."""
+    return np.unique(rates[rates > 0]).size
+
+
+class TestMatchesFrozenProgressiveFilling:
+    """The one-axis fill must be bit-identical to two-axis progressive
+    filling (:func:`repro.sim.reference.reference_max_min_fair_rates`)."""
+
+    @given(case=waterfill_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_bit_identical_to_frozen_copy(self, case):
+        rows, cols, in_cap, out_cap = case
+        live = max_min_fair_rates(rows, cols, in_cap, out_cap)
+        frozen = reference_max_min_fair_rates(rows, cols, in_cap, out_cap)
+        assert live.dtype == frozen.dtype
+        assert live.tobytes() == frozen.tobytes()
+
+    def test_inputs_are_not_modified(self):
+        in_cap = np.array([3.0, 5.0])
+        out_cap = np.array([4.0, 0.0])
+        max_min_fair_rates(np.array([0, 1, 1]), np.array([0, 0, 1]), in_cap, out_cap)
+        np.testing.assert_array_equal(in_cap, [3.0, 5.0])
+        np.testing.assert_array_equal(out_cap, [4.0, 0.0])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_staggered_bottlenecks_need_many_rounds(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 12
+        rows, cols = np.nonzero(rng.random((n, n)) < 0.3)
+        in_cap = rng.uniform(0.5, 10.0, n)
+        out_cap = rng.uniform(0.5, 10.0, n)
+        in_cap[rng.random(n) < 0.2] = 0.0
+        out_cap[rng.random(n) < 0.2] = 5e-13
+        live = max_min_fair_rates(rows, cols, in_cap, out_cap)
+        frozen = reference_max_min_fair_rates(rows, cols, in_cap, out_cap)
+        assert _levels(frozen) >= 3
+        assert live.tobytes() == frozen.tobytes()

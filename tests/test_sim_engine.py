@@ -9,6 +9,7 @@ from repro.core.cpsched import cpsched
 from repro.sim import engine as engine_module
 from repro.sim.engine import CompositeService, FluidEngine
 from repro.sim.rates import max_min_fair_rates
+from repro.sim.reference import ReferenceFluidEngine
 from repro.switch.params import SwitchParams, fast_ocs_params
 
 
@@ -270,3 +271,92 @@ class TestWaterfillReuse:
         # 0.1 ms at Ce/2, then 0.1 ms at the full Ce = 10 Mb/ms.
         assert engine.regular[1, 2] == pytest.approx(98.5)
         assert engine.regular[2, 3] == pytest.approx(99.0)
+
+
+class TestIncrementalEvents:
+    """A drain recomputes what it changed, and nothing is left to catch up.
+
+    A drained residual left among the served ones would read as a zero
+    drain time on the next event, which the engine takes for dust and
+    answers with a full recomputation: the results would still match,
+    but only through a dust snap.  So each case checks the residuals,
+    finish times and event times against the frozen seed engine, and
+    that no dust was snapped.
+    """
+
+    @staticmethod
+    def run_both(demand, phases, filtered=None, n=4, **params_kwargs):
+        params = SwitchParams(n_ports=n, **params_kwargs)
+        engines = (FluidEngine(demand, params), ReferenceFluidEngine(demand, params))
+        for engine in engines:
+            if filtered is not None:
+                engine.assign_composite(filtered)
+            for duration, circuits, composites in phases:
+                if duration is None:
+                    engine.merge_composite_into_regular()
+                engine.run_phase(duration, circuits=circuits, composites=composites)
+        return engines
+
+    @staticmethod
+    def assert_same(live, seed):
+        np.testing.assert_array_equal(live.finish_times, seed.finish_times)
+        np.testing.assert_array_equal(live.regular, seed.regular)
+        np.testing.assert_array_equal(live.composite, seed.composite)
+        assert live.clock == seed.clock
+        assert [(s.start, s.end) for s in live.segments] == [
+            (s.start, s.end) for s in seed.segments
+        ]
+        assert live._dust_snaps == 0
+
+    def test_eps_drain(self):
+        demand = np.zeros((4, 4))
+        demand[0, 1] = 10.0
+        demand[0, 2] = 20.0
+        demand[3, 2] = 5.0
+        live, seed = self.run_both(demand, [(None, None, ())])
+        self.assert_same(live, seed)
+        assert len(live.segments) == 3
+
+    def test_circuit_drain_between_eps_drains(self):
+        demand = np.zeros((4, 4))
+        demand[0, 1] = 10.0  # circuit: drains at 0.1 ms
+        demand[2, 3] = 0.5  # EPS, alone on its ports: drains at 0.05 ms
+        demand[2, 1] = 4.0  # EPS, shares input 2 with (2, 3)
+        circuits = np.zeros((4, 4), dtype=np.int8)
+        circuits[0, 1] = 1
+        live, seed = self.run_both(demand, [(0.5, circuits, ()), (None, None, ())])
+        self.assert_same(live, seed)
+
+    def test_composite_drain_moves_the_reservations(self):
+        # Port 0 fans out to 1..3 on a composite path at min(Ce*, Co/count):
+        # 20/3 per entry, then 10 once an entry drains.  Its reservation on
+        # output 1 squeezes the EPS flow (3, 1) until entry (0, 1) drains.
+        demand = np.zeros((4, 4))
+        demand[0, 1:4] = [1.0, 2.0, 3.0]
+        demand[3, 1] = 10.0
+        filtered = np.zeros((4, 4))
+        filtered[0, 1:4] = demand[0, 1:4]
+        live, seed = self.run_both(
+            demand,
+            [(1.0, None, (CompositeService("o2m", 0),)), (None, None, ())],
+            filtered=filtered,
+            ocs_rate=20.0,
+        )
+        self.assert_same(live, seed)
+        assert live.served_composite == pytest.approx(6.0)
+
+    def test_first_advance_snaps_dust_left_by_assign(self):
+        # Parking all but 1e-10 Mb of entry (0, 1) leaves sub-tolerance
+        # dust on the regular side, where nothing serves it; the seed
+        # engine snaps it on its first advance, and so must this one.
+        demand = np.zeros((4, 4))
+        demand[0, 1] = 10.0
+        demand[2, 3] = 5.0
+        filtered = np.zeros((4, 4))
+        filtered[0, 1] = 10.0 - 1e-10
+        live, seed = self.run_both(
+            demand, [(0.1, None, (CompositeService("o2m", 0),))], filtered=filtered
+        )
+        assert 0.0 < 10.0 - filtered[0, 1] <= 1e-9
+        self.assert_same(live, seed)
+        assert live.regular[0, 1] == 0.0

@@ -233,6 +233,9 @@ class TestEpsDegradationPhase:
             engine.run_phase(0.1, eps_port_scale=np.ones(4))
         with pytest.raises(ValueError):
             engine.run_phase(0.1, eps_port_scale=np.full(8, 1.5))
+        with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+            engine.run_phase(0.1, eps_port_scale=np.full(8, np.nan))
+        assert engine.clock == 0.0
 
     def test_degraded_port_serves_slower(self, fast_params):
         demand = np.zeros((8, 8))

@@ -11,7 +11,7 @@
 """
 
 from repro.core.config import FilterConfig
-from repro.core.cpsched import cpsched, cpsched_with_served
+from repro.core.cpsched import cpsched
 from repro.core.divide import DividedPermutation, divide_by_type
 from repro.core.reduction import ReducedDemand, cp_switch_demand_reduction
 from repro.core.scheduler import CompositeScheduleEntry, CpSchedule, CpSwitchScheduler
@@ -25,6 +25,5 @@ __all__ = [
     "ReducedDemand",
     "cp_switch_demand_reduction",
     "cpsched",
-    "cpsched_with_served",
     "divide_by_type",
 ]

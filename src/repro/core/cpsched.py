@@ -18,15 +18,16 @@ is exactly the time for the smallest active residual ``Rm`` to finish at
 the current rate.  Many-to-one paths are the mirror image with sources in
 place of destinations.
 
-This module provides the verbatim algorithm (:func:`cpsched`) plus a
-variant that also reports the service rate timeline
-(:func:`cpsched_with_served`), which the fluid simulator uses to attribute
-per-entry finish times.
+:func:`cpsched` runs that loop over the endpoints sorted once by demand,
+so the active ones are a suffix whose start moves right as they drain;
+each step reads the smallest from the suffix head and updates the suffix
+in place.  Every endpoint sees the same operations as in a loop that
+re-scans all endpoints per step, so the residuals are the same bits.
+The fluid simulator (:mod:`repro.sim.engine`) serves composite paths at
+the same rates inside its own event loop.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,54 +59,6 @@ def cpsched(
     -------
     ``R`` — residual demands (Mb), same shape as ``S``.
     """
-    remaining, _events = _run(demands, duration, ocs_rate, eps_rate, record=False)
-    return remaining
-
-
-@dataclass(frozen=True)
-class CompositeServiceSegment:
-    """One constant-rate segment of a composite path's service timeline.
-
-    Attributes
-    ----------
-    start, end:
-        Segment boundaries in ms *relative to the composite path start*.
-    rate:
-        Per-active-endpoint service rate during the segment (Mb/ms).
-    active:
-        Indices of endpoints served during the segment.
-    """
-
-    start: float
-    end: float
-    rate: float
-    active: np.ndarray
-
-
-def cpsched_with_served(
-    demands: np.ndarray,
-    duration: float,
-    ocs_rate: float,
-    eps_rate: float,
-) -> "tuple[np.ndarray, list[CompositeServiceSegment]]":
-    """Algorithm 2 plus the piecewise-constant service timeline.
-
-    Returns ``(residual, segments)`` where the segments partition
-    ``[0, time actually used]`` and reconstruct exactly how much every
-    endpoint received at every instant — the simulator uses this to compute
-    per-entry completion times without re-deriving the rate policy.
-    """
-    return _run(demands, duration, ocs_rate, eps_rate, record=True)
-
-
-def _run(
-    demands: np.ndarray,
-    duration: float,
-    ocs_rate: float,
-    eps_rate: float,
-    *,
-    record: bool,
-) -> "tuple[np.ndarray, list[CompositeServiceSegment]]":
     remaining = np.asarray(demands, dtype=np.float64).copy()
     if remaining.ndim != 1:
         raise ValueError(f"demands must be a 1-D vector, got shape {remaining.shape}")
@@ -115,29 +68,28 @@ def _run(
     check_positive("ocs_rate", ocs_rate)
     check_positive("eps_rate", eps_rate)
 
-    segments: list[CompositeServiceSegment] = []
+    # Sorted once, the active endpoints (residual above VOLUME_TOL) are a
+    # suffix, and they stay one: every active residual falls by the same
+    # amount and is clamped at zero, both monotone under rounding.
+    order = remaining.argsort()
+    level = remaining[order]
+    size = level.size
+    start = int(level.searchsorted(VOLUME_TOL, side="right"))
     tau = float(duration)
-    elapsed = 0.0
-    while tau > 0:
-        active = np.nonzero(remaining > VOLUME_TOL)[0]
-        active_count = active.size
-        if active_count == 0:
-            break
-        smallest = float(remaining[active].min())
+    while tau > 0 and start < size:
+        active_count = size - start
+        smallest = float(level[start])
         rate = min(eps_rate, ocs_rate / active_count)
         # Paper line 6: time until the smallest active residual drains.
         tmax = max(smallest / eps_rate, smallest * active_count / ocs_rate)
         tcurr = min(tmax, tau)
-        remaining[active] = np.maximum(remaining[active] - tcurr * rate, 0.0)
-        if record:
-            segments.append(
-                CompositeServiceSegment(
-                    start=elapsed, end=elapsed + tcurr, rate=rate, active=active
-                )
-            )
-        elapsed += tcurr
+        active = level[start:]
+        np.subtract(active, tcurr * rate, out=active)
+        np.maximum(active, 0.0, out=active)
+        start += int(active.searchsorted(VOLUME_TOL, side="right"))
         tau -= tcurr
-    return remaining, segments
+    remaining[order] = level
+    return remaining
 
 
 def composite_path_rate(active_count: int, ocs_rate: float, eps_rate: float) -> float:

@@ -20,6 +20,10 @@ indices* and the caller fetches the demand vectors from ``Df``
 A corner case the reduction can produce: ``P[n, n] == 1`` (the two
 composite "ports" matched to each other) carries no demand — ``DI[n, n]``
 is always 0 — and is ignored.
+
+:func:`split_matching` is the same split on a configuration's matching
+(see :mod:`repro.hybrid.schedule`), in O(n); the cp-Switch interpretation
+uses it on schedule entries, which were validated when they were built.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.validation import check_permutation
+from repro.utils.validation import permutation_matching
 
 
 @dataclass(frozen=True)
@@ -68,18 +72,34 @@ def divide_by_type(permutation: np.ndarray) -> DividedPermutation:
     -------
     DividedPermutation
     """
-    perm = check_permutation(permutation, partial=True)
+    perm, matching = permutation_matching(permutation, partial=True)
     m = perm.shape[0]
     if m < 2:
         raise ValueError(f"reduced permutation must be at least 2x2, got {m}x{m}")
     n = m - 1
+    _, o2m_port, m2o_port = split_matching(matching)
+    return DividedPermutation(
+        regular=perm[:n, :n].copy(), o2m_port=o2m_port, m2o_port=m2o_port
+    )
 
-    regular = perm[:n, :n].copy()
 
-    o2m_rows = np.nonzero(perm[:n, n])[0]
-    o2m_port = int(o2m_rows[0]) if o2m_rows.size else None
+def split_matching(matching: np.ndarray) -> "tuple[np.ndarray, int | None, int | None]":
+    """Algorithm 3 on a reduced-space matching of shape ``(n+1,)``.
 
-    m2o_cols = np.nonzero(perm[n, :n])[0]
-    m2o_port = int(m2o_cols[0]) if m2o_cols.size else None
-
-    return DividedPermutation(regular=regular, o2m_port=o2m_port, m2o_port=m2o_port)
+    Returns the regular circuits as an ``(n,)`` matching (the sender's
+    circuit to the composite port ``n`` removed), the sender granted the
+    one-to-many path and the receiver granted the many-to-one path (each
+    ``None`` if not granted).  Input ``n`` matched to output ``n`` is the
+    ``P[n, n]`` corner and grants nothing.  The caller guarantees a valid
+    matching (no output used twice).
+    """
+    n = matching.shape[0] - 1
+    regular = matching[:n].copy()
+    senders = np.flatnonzero(regular == n)
+    o2m_port = None
+    if senders.size:
+        o2m_port = int(senders[0])
+        regular[o2m_port] = -1
+    receiver = int(matching[n])
+    m2o_port = receiver if 0 <= receiver < n else None
+    return regular, o2m_port, m2o_port

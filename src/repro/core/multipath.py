@@ -51,7 +51,7 @@ from repro.utils.validation import (
     VOLUME_TOL,
     check_demand_matrix,
     check_nonnegative,
-    check_permutation,
+    permutation_matching,
 )
 
 #: Sentinel in the path-assignment maps for "not on a composite path".
@@ -213,6 +213,10 @@ class MultiPathScheduleEntry:
 
     ``o2m_grants`` maps composite-path index → granted sender;
     ``m2o_grants`` maps composite-path index → granted receiver.
+    ``matching`` holds ``regular``'s circuits as an ``(n,)`` matching (see
+    :mod:`repro.hybrid.schedule`), derived in the scan that validates
+    ``regular`` or, from :meth:`trusted`, split from the reduced
+    configuration's matching.
     """
 
     regular: np.ndarray
@@ -220,6 +224,40 @@ class MultiPathScheduleEntry:
     composite_served: np.ndarray
     o2m_grants: "dict[int, int]"
     m2o_grants: "dict[int, int]"
+    matching: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        perm, matching = permutation_matching(self.regular, partial=True)
+        perm.setflags(write=False)
+        matching.setflags(write=False)
+        object.__setattr__(self, "regular", perm)
+        object.__setattr__(self, "matching", matching)
+
+    @classmethod
+    def trusted(
+        cls,
+        regular: np.ndarray,
+        matching: np.ndarray,
+        duration: float,
+        composite_served: np.ndarray,
+        o2m_grants: "dict[int, int]",
+        m2o_grants: "dict[int, int]",
+    ) -> "MultiPathScheduleEntry":
+        """Construct without re-validating ``regular`` (see
+        :meth:`repro.core.scheduler.CompositeScheduleEntry.trusted`)."""
+        entry = object.__new__(cls)
+        regular.setflags(write=False)
+        matching.setflags(write=False)
+        for name, value in (
+            ("regular", regular),
+            ("duration", duration),
+            ("composite_served", composite_served),
+            ("o2m_grants", o2m_grants),
+            ("m2o_grants", m2o_grants),
+            ("matching", matching),
+        ):
+            object.__setattr__(entry, name, value)
+        return entry
 
     @property
     def composite_volume(self) -> float:
@@ -269,21 +307,31 @@ def divide_by_type_multipath(
     index → port.  Matches among composite endpoints (``P[n:, n:]``) carry
     no demand and are ignored.
     """
-    perm = check_permutation(permutation, partial=True)
+    perm, matching = permutation_matching(permutation, partial=True)
     m = perm.shape[0]
     n = int(n_ports)
     if m <= n:
         raise ValueError(f"permutation of size {m} cannot host {n} ports + paths")
-    regular = perm[:n, :n].copy()
-    o2m_grants: dict[int, int] = {}
+    _, o2m_grants, m2o_grants = _split_matching_multipath(matching, n)
+    return perm[:n, :n].copy(), o2m_grants, m2o_grants
+
+
+def _split_matching_multipath(
+    matching: np.ndarray, n: int
+) -> "tuple[np.ndarray, dict[int, int], dict[int, int]]":
+    """:func:`divide_by_type_multipath` on a valid ``(n+k,)`` matching, in
+    O(n + k): the regular ``(n,)`` matching and the grants, each dict in
+    ascending path order."""
+    regular = matching[:n].copy()
+    senders = np.flatnonzero(regular >= n)
+    paths = regular[senders] - n
+    regular[senders] = -1
+    order = np.argsort(paths)
+    o2m_grants = dict(zip(paths[order].tolist(), senders[order].tolist()))
     m2o_grants: dict[int, int] = {}
-    for p in range(m - n):
-        senders = np.nonzero(perm[:n, n + p])[0]
-        if senders.size:
-            o2m_grants[p] = int(senders[0])
-        receivers = np.nonzero(perm[n + p, :n])[0]
-        if receivers.size:
-            m2o_grants[p] = int(receivers[0])
+    for p, receiver in enumerate(matching[n:].tolist()):
+        if 0 <= receiver < n:
+            m2o_grants[p] = receiver
     return regular, o2m_grants, m2o_grants
 
 
@@ -327,8 +375,8 @@ class MultiPathCpScheduler:
         entries: list[MultiPathScheduleEntry] = []
         for item in reduced_schedule:
             previous = filtered.copy()
-            regular, o2m_grants, m2o_grants = divide_by_type_multipath(
-                item.permutation, n
+            matching, o2m_grants, m2o_grants = _split_matching_multipath(
+                item.matching, n
             )
             for path, sender in o2m_grants.items():
                 lane = filtered[sender, :] * (reduction.o2m_path[sender, :] == path)
@@ -341,8 +389,9 @@ class MultiPathCpScheduler:
                 served = lane - remaining
                 filtered[:, receiver] -= served
             entries.append(
-                MultiPathScheduleEntry(
-                    regular=regular,
+                MultiPathScheduleEntry.trusted(
+                    regular=item.permutation[:n, :n].copy(),
+                    matching=matching,
                     duration=item.duration,
                     composite_served=previous - filtered,
                     o2m_grants=o2m_grants,

@@ -30,12 +30,16 @@ import numpy as np
 from repro import obs
 from repro.core.config import FilterConfig
 from repro.core.cpsched import cpsched
-from repro.core.divide import divide_by_type
+from repro.core.divide import split_matching
 from repro.core.reduction import ReducedDemand, reduce_with_config
 from repro.hybrid.base import HybridScheduler
 from repro.hybrid.schedule import Schedule
 from repro.switch.params import SwitchParams
-from repro.utils.validation import check_demand_matrix, check_nonnegative, check_permutation
+from repro.utils.validation import (
+    check_demand_matrix,
+    check_nonnegative,
+    permutation_matching,
+)
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,11 @@ class CompositeScheduleEntry:
     o2m_port, m2o_port:
         Ports granted the one-to-many / many-to-one composite path
         (``None`` if not granted).
+    matching:
+        ``regular``'s circuits as an ``(n,)`` matching (see
+        :mod:`repro.hybrid.schedule`), derived in the scan that validates
+        ``regular`` or, from :meth:`trusted`, split from the reduced
+        configuration's matching.
     """
 
     regular: np.ndarray
@@ -62,12 +71,50 @@ class CompositeScheduleEntry:
     composite_served: np.ndarray
     o2m_port: "int | None" = None
     m2o_port: "int | None" = None
+    matching: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        perm = check_permutation(self.regular, partial=True)
+        perm, matching = permutation_matching(self.regular, partial=True)
         perm.setflags(write=False)
+        matching.setflags(write=False)
         object.__setattr__(self, "regular", perm)
+        object.__setattr__(self, "matching", matching)
         check_nonnegative("duration", self.duration)
+        self._freeze_served()
+
+    @classmethod
+    def trusted(
+        cls,
+        regular: np.ndarray,
+        matching: np.ndarray,
+        duration: float,
+        composite_served: np.ndarray,
+        o2m_port: "int | None" = None,
+        m2o_port: "int | None" = None,
+    ) -> "CompositeScheduleEntry":
+        """Construct without re-validating ``regular``.
+
+        For an interpretation step whose reduced configuration was
+        validated when its schedule entry was built: the caller guarantees
+        a C-contiguous int8 partial permutation, ``matching`` describing
+        exactly its circuits, and a finite non-negative duration.
+        """
+        entry = object.__new__(cls)
+        regular.setflags(write=False)
+        matching.setflags(write=False)
+        for name, value in (
+            ("regular", regular),
+            ("duration", duration),
+            ("composite_served", composite_served),
+            ("o2m_port", o2m_port),
+            ("m2o_port", m2o_port),
+            ("matching", matching),
+        ):
+            object.__setattr__(entry, name, value)
+        entry._freeze_served()
+        return entry
+
+    def _freeze_served(self) -> None:
         served = np.asarray(self.composite_served, dtype=np.float64)
         if served.shape != self.regular.shape:
             raise ValueError(
@@ -290,9 +337,12 @@ def interpret(
 ) -> CpSchedule:
     """Algorithm 4 steps 3-4: interpret a reduced-space schedule.
 
-    Each permutation is split by DivideByType (Algorithm 3); each composite
-    grant then serves the filtered demand ``reduction.filtered`` with
-    CPSched (Algorithm 2) under the reserved EPS budget Ce*.
+    Each configuration's matching is split by DivideByType (Algorithm 3,
+    :func:`~repro.core.divide.split_matching`); each composite grant then
+    serves the filtered demand ``reduction.filtered`` with CPSched
+    (Algorithm 2) under the reserved EPS budget Ce*.  The schedule's
+    entries were validated when they were built, so nothing here scans a
+    permutation again.
 
     Grants on ``dead_o2m`` / ``dead_m2o`` ports are stripped: the entry
     keeps its regular circuits and serves nothing over that composite path.
@@ -315,9 +365,11 @@ def interpret(
             # EPS drain.
             break
         previous = filtered.copy()
-        divided = divide_by_type(item.permutation)
-        o2m_port = None if divided.o2m_port in dead_o2m else divided.o2m_port
-        m2o_port = None if divided.m2o_port in dead_m2o else divided.m2o_port
+        matching, o2m_port, m2o_port = split_matching(item.matching)
+        if o2m_port in dead_o2m:
+            o2m_port = None
+        if m2o_port in dead_m2o:
+            m2o_port = None
         if o2m_port is not None:
             filtered[o2m_port, :] = cpsched(
                 filtered[o2m_port, :], item.duration, params.ocs_rate, eps_budget
@@ -326,9 +378,11 @@ def interpret(
             filtered[:, m2o_port] = cpsched(
                 filtered[:, m2o_port], item.duration, params.ocs_rate, eps_budget
             )
+        n = matching.shape[0]
         entries.append(
-            CompositeScheduleEntry(
-                regular=divided.regular,
+            CompositeScheduleEntry.trusted(
+                regular=item.permutation[:n, :n].copy(),
+                matching=matching,
                 duration=item.duration,
                 composite_served=previous - filtered,
                 o2m_port=o2m_port,

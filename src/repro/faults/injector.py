@@ -101,21 +101,24 @@ class FaultInjector:
     def surviving_circuits(self, circuits: "np.ndarray | None") -> "np.ndarray | None":
         """Drop each circuit of an established configuration independently.
 
-        Returns ``circuits`` unchanged when the channel is off (keeping the
-        fault-free path bit-identical); otherwise a copy with failed
-        circuits zeroed.
+        ``circuits`` is the configuration's matching (entry ``i`` the
+        output of input ``i``'s circuit, -1 for none).  Returns it
+        unchanged when the channel is off (keeping the fault-free path
+        bit-identical); otherwise a copy with failed circuits set to -1.
         """
         if circuits is None or self.plan.circuit_failure_rate == 0.0:
             return circuits
-        # One draw per circuit, in row-major key order.
-        keys = np.flatnonzero(np.asarray(circuits) != 0)
-        if keys.size == 0:
+        # One draw per circuit, in ascending input-port order: the
+        # row-major order of the permutation matrix's circuits, so a
+        # seeded plan fails the same circuits it did on matrices.
+        inputs = np.flatnonzero(np.asarray(circuits) >= 0)
+        if inputs.size == 0:
             return circuits
-        failed = self._rng.random(keys.size) < self.plan.circuit_failure_rate
+        failed = self._rng.random(inputs.size) < self.plan.circuit_failure_rate
         if not failed.any():
             return circuits
         survived = np.array(circuits, copy=True)
-        survived.flat[keys[failed]] = 0
+        survived[inputs[failed]] = -1
         self.summary.failed_circuits += int(failed.sum())
         return survived
 

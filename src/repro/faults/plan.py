@@ -54,7 +54,7 @@ class FaultPlan:
         Probability that a (successful) reconfiguration straggles, taking
         ``straggle_factor`` times the nominal δ.
     straggle_factor:
-        Multiplier (≥ 1) applied to δ for a straggling reconfiguration.
+        Finite multiplier (≥ 1) applied to δ for a straggling reconfiguration.
     circuit_failure_rate:
         Per-circuit probability that one circuit of an established
         configuration fails to set up and serves zero rate.
@@ -95,9 +95,9 @@ class FaultPlan:
                 "eps_degradation_factor must be in (0, 1], "
                 f"got {self.eps_degradation_factor}"
             )
-        if self.straggle_factor < 1.0:
+        if not 1.0 <= self.straggle_factor < float("inf"):  # NaN fails too
             raise ValueError(
-                f"straggle_factor must be >= 1, got {self.straggle_factor}"
+                f"straggle_factor must be finite and >= 1, got {self.straggle_factor}"
             )
 
     @property

@@ -48,8 +48,9 @@ from repro.matching.max_weight import assignment_to_permutation, max_weight_matc
 from repro.switch.params import SwitchParams
 from repro.utils.validation import VOLUME_TOL, check_demand_matrix
 
-#: One greedy step's choice: (duration, permutation, served-volume matrix).
-_Step = tuple[float, np.ndarray, np.ndarray]
+#: One greedy step's choice: (duration, permutation, matching, served-volume
+#: matrix).
+_Step = tuple[float, np.ndarray, np.ndarray, np.ndarray]
 #: The kernel path's per-duration value bounds, passed from step to step.
 _Carry = tuple[np.ndarray, np.ndarray]
 
@@ -155,7 +156,7 @@ class EclipseScheduler:
             )
             if best is None:
                 break
-            duration, permutation, served = best
+            duration, permutation, matching, served = best
             if duration + delta <= min_advance:
                 self._degrade(
                     "clock-stall",
@@ -168,7 +169,7 @@ class EclipseScheduler:
                 break
             residual -= served
             np.clip(residual, 0.0, None, out=residual)
-            entries.append(ScheduleEntry(permutation=permutation, duration=duration))
+            entries.append(ScheduleEntry.trusted(permutation, duration, matching))
             clock += duration + delta
 
         if obs.active():
@@ -229,7 +230,7 @@ class EclipseScheduler:
         available: float,
         carry: "_Carry | None",
     ) -> "tuple[_Step | None, _Carry | None]":
-        """Best (duration, permutation, served-volume matrix) this step.
+        """Best (duration, permutation, matching, served volume) this step.
 
         The first element is ``None`` when no candidate serves positive
         volume.  The second is the carry for the next step: the kernel
@@ -244,7 +245,7 @@ class EclipseScheduler:
                 residual, ocs_rate, delta, durations, carry
             )
         best_rate = 0.0
-        best: "tuple[float, np.ndarray, np.ndarray] | None" = None
+        best: "_Step | None" = None
         for alpha in durations.tolist():
             weights = np.minimum(residual, alpha * ocs_rate)
             assignment, value = max_weight_matching(weights)
@@ -252,15 +253,8 @@ class EclipseScheduler:
                 continue
             rate = value / (alpha + delta)
             if rate > best_rate * (1 + 1e-12):
-                rows = np.arange(residual.shape[0])
-                served = np.zeros_like(residual)
-                served[rows, assignment] = weights[rows, assignment]
-                # Prune circuits that carry nothing: they would otherwise
-                # read as spurious composite-path assignments downstream.
-                permutation = assignment_to_permutation(assignment)
-                permutation[served <= VOLUME_TOL] = 0
                 best_rate = rate
-                best = (alpha, permutation, served)
+                best = _step(alpha, assignment, weights)
         return best, None
 
     def _best_step_kernel(
@@ -382,11 +376,25 @@ class EclipseScheduler:
                 best = i
         if best is None:
             return None, next_carry
-        best_alpha, best_assignment = alphas[best], assignments[best]
+        best_alpha = alphas[best]
         weights = np.minimum(residual, best_alpha * ocs_rate)
-        rows = np.arange(residual.shape[0])
-        served = np.zeros_like(residual)
-        served[rows, best_assignment] = weights[rows, best_assignment]
-        permutation = assignment_to_permutation(best_assignment)
-        permutation[served <= VOLUME_TOL] = 0
-        return (best_alpha, permutation, served), next_carry
+        return _step(best_alpha, assignments[best], weights), next_carry
+
+
+def _step(alpha: float, assignment: np.ndarray, weights: np.ndarray) -> _Step:
+    """The step holding ``assignment`` for ``alpha``, with ``weights`` the
+    residual capped at ``alpha * Co``.
+
+    Circuits that carry nothing are pruned from the permutation and the
+    matching: they would otherwise read as spurious composite-path grants
+    downstream.
+    """
+    rows = np.arange(weights.shape[0])
+    carried = weights[rows, assignment]
+    served = np.zeros_like(weights)
+    served[rows, assignment] = carried
+    idle = carried <= VOLUME_TOL
+    permutation = assignment_to_permutation(assignment)
+    permutation[rows[idle], assignment[idle]] = 0
+    matching = np.where(idle, np.int64(-1), assignment)
+    return alpha, permutation, matching, served

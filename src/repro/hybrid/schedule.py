@@ -4,6 +4,12 @@ An OCS schedule is an ordered list of (permutation matrix, duration) pairs
 (§2.2): during entry *k* the OCS is configured as the (possibly partial)
 permutation ``P_k`` for ``t_k`` milliseconds, preceded by a reconfiguration
 penalty δ during which the OCS carries no traffic.  The EPS runs throughout.
+
+Each entry also carries its circuits as a *matching*: an ``(m,)`` integer
+array whose entry ``i`` is the output port input ``i``'s circuit reaches,
+or -1 if input ``i`` has no circuit.  The simulator and the cp-Switch
+interpretation work from the matching, so a configuration costs O(m)
+there instead of a scan of the m×m matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.utils.validation import check_nonnegative, check_permutation
+from repro.utils.validation import check_nonnegative, permutation_matching
 
 
 @dataclass(frozen=True)
@@ -29,30 +35,42 @@ class ScheduleEntry:
     duration:
         Time the configuration is held, ms (excluding the reconfiguration
         penalty, which the simulator charges separately).
+    matching:
+        The permutation's circuits as an ``(m,)`` matching (module
+        docstring), derived in the scan that validates the permutation.
     """
 
     permutation: np.ndarray
     duration: float
+    matching: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        perm = check_permutation(self.permutation, partial=True)
+        perm, matching = permutation_matching(self.permutation, partial=True)
         perm.setflags(write=False)
+        matching.setflags(write=False)
         object.__setattr__(self, "permutation", perm)
+        object.__setattr__(self, "matching", matching)
         check_nonnegative("duration", self.duration)
 
     @classmethod
-    def trusted(cls, permutation: np.ndarray, duration: float) -> "ScheduleEntry":
+    def trusted(
+        cls, permutation: np.ndarray, duration: float, matching: np.ndarray
+    ) -> "ScheduleEntry":
         """Construct without re-validating ``permutation``.
 
-        For hot paths that build the permutation from an already-verified
-        perfect matching (kernel BigSlice): the caller guarantees a square
-        C-contiguous int8 0/1 matrix with at most one 1 per row/column and
-        a finite non-negative duration.  The array is frozen in place.
+        For schedulers that build the permutation from a matching they
+        already hold (BigSlice's perfect matching, Eclipse's assignment):
+        the caller guarantees a square C-contiguous int8 0/1 matrix with at
+        most one 1 per row/column, ``matching`` describing exactly its
+        circuits, and a finite non-negative duration.  Both arrays are
+        frozen in place.
         """
         entry = object.__new__(cls)
         permutation.setflags(write=False)
+        matching.setflags(write=False)
         object.__setattr__(entry, "permutation", permutation)
         object.__setattr__(entry, "duration", duration)
+        object.__setattr__(entry, "matching", matching)
         return entry
 
     @property
@@ -63,8 +81,8 @@ class ScheduleEntry:
     @property
     def circuits(self) -> "list[tuple[int, int]]":
         """The (input, output) pairs connected by this configuration."""
-        rows, cols = np.nonzero(self.permutation)
-        return list(zip(rows.tolist(), cols.tolist()))
+        rows = np.flatnonzero(self.matching >= 0)
+        return list(zip(rows.tolist(), self.matching[rows].tolist()))
 
 
 @dataclass(frozen=True)
@@ -129,7 +147,8 @@ class Schedule:
         served = 0.0
         for entry in self.entries:
             capacity = entry.duration * ocs_rate
-            rows, cols = np.nonzero(entry.permutation)
+            rows = np.flatnonzero(entry.matching >= 0)
+            cols = entry.matching[rows]
             take = np.minimum(residual[rows, cols], capacity)
             residual[rows, cols] -= take
             served += float(take.sum())

@@ -79,6 +79,21 @@ class BigSliceState:
         self._nz_cols = nz_cols.astype(np.int32)
         self._indptr = np.zeros(n + 1, dtype=np.int32)
 
+    def refresh(self) -> np.ndarray:
+        """Current values of the live entries, in row-major order.
+
+        Drops the tracked positions the last subtraction took to
+        ``VOLUME_TOL`` or below.  Every untracked entry is at or below it,
+        so an empty result means ``matrix.max() <= VOLUME_TOL``.
+        """
+        vals = self.matrix[self._nz_rows, self._nz_cols]
+        alive = vals > VOLUME_TOL
+        if not alive.all():
+            self._nz_rows = self._nz_rows[alive]
+            self._nz_cols = self._nz_cols[alive]
+            vals = vals[alive]
+        return vals
+
     def quantile_index(self, m: int, max_probes: int) -> np.ndarray:
         """Positions ``np.quantile(values, grid, method="nearest")`` picks.
 
@@ -193,17 +208,11 @@ def _big_slice_kernel(
       its last successful probe is likewise at the winner.
     """
     matrix = state.matrix
-    # Refresh the live nonzero structure: gather current values at the
-    # tracked positions and drop the ones the last subtraction killed.
-    # ``matrix[matrix > VOLUME_TOL]`` extracts in row-major order — exactly
-    # the order the tracked positions are kept in — so the value multiset
-    # and its sort below match the oracle's bit-for-bit.
-    vals = matrix[state._nz_rows, state._nz_cols]
-    alive = vals > VOLUME_TOL
-    if not alive.all():
-        state._nz_rows = state._nz_rows[alive]
-        state._nz_cols = state._nz_cols[alive]
-        vals = vals[alive]
+    # Refresh the live nonzero structure.  ``matrix[matrix > VOLUME_TOL]``
+    # extracts in row-major order — exactly the order the tracked positions
+    # are kept in — so the value multiset and its sort below match the
+    # oracle's bit-for-bit.
+    vals = state.refresh()
     if vals.size == 0:
         raise ValueError("big_slice called on an (effectively) empty matrix")
     # Sorted unique positive values, as ``np.unique`` would produce them —

@@ -513,8 +513,9 @@ class AnytimeScheduler:
         tdm_schedule = TdmScheduler().schedule(demand, params)
         zeros = np.zeros_like(demand)
         entries = tuple(
-            CompositeScheduleEntry(
+            CompositeScheduleEntry.trusted(
                 regular=entry.permutation,
+                matching=entry.matching,
                 duration=entry.duration,
                 composite_served=zeros,
             )

@@ -89,7 +89,6 @@ def simulate_cp(
         cp_schedule.entries,
         cp_schedule.reduction.filtered,
         composites_for,
-        lambda entry: entry.regular,
         params,
         horizon,
         n_configs=cp_schedule.n_configs,
@@ -139,7 +138,6 @@ def simulate_multipath(
         mp_schedule.entries,
         reduction.filtered,
         composites_for,
-        lambda entry: entry.regular,
         params,
         horizon,
         n_configs=mp_schedule.n_configs,
@@ -175,7 +173,6 @@ def _run(
     entries,
     filtered: "np.ndarray | None",
     composites_for,
-    circuits_for,
     params: SwitchParams,
     horizon: "float | None",
     *,
@@ -186,6 +183,7 @@ def _run(
 ) -> SimulationResult:
     """The phase loop shared by h-, cp- and k-path execution.
 
+    Every entry carries its circuits as ``entry.matching``.
     ``filtered=None`` (h-Switch) parks nothing on composite paths, so the
     final drain has no composite residual to merge back.
     """
@@ -228,7 +226,7 @@ def _run(
             truncated = True
             break
         if established:
-            circuits = circuits_for(entry)
+            circuits = entry.matching
             composites = composites_for(entry)
             if injector is not None:
                 circuits = injector.surviving_circuits(circuits)

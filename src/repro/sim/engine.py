@@ -19,13 +19,15 @@ engine repeatedly:
 Every event drains at least one entry or ends the phase, so the engine
 performs O(non-zero entries + phases) rate computations per simulation.
 
-Hot-path layout: all per-phase state lives in flat 1-D arrays over the
-*support* — the entries that can ever carry volume (``demand > VOLUME_TOL``,
-refreshed whenever volume moves between the two matrices).  The full
-``regular`` / ``composite`` matrices are gathered into one flat residual
-vector (regular residuals, then composite ones) at the start of each phase
-and scattered back once at the end; the seed implementation instead
-rebuilt full n×n rate matrices on every event (see
+Hot-path layout: all state lives in flat 1-D arrays over the *support* —
+the entries that can ever carry volume (``demand > VOLUME_TOL``, refreshed
+whenever volume moves between the two matrices).  The engine's residuals
+are one flat vector (regular residuals, then composite ones), gathered
+from the ``regular`` / ``composite`` matrices when the support is rebuilt
+and carried from phase to phase; the matrices are written back only when
+something reads them or volume moves between them (a put and a take over
+distinct keys are inverse, so the values are the same bits).  The seed
+implementation instead rebuilt full n×n rate matrices on every event (see
 :mod:`repro.sim.reference` for that frozen baseline).  The support's flat
 indices are stored row-major sorted, which makes each row a contiguous
 slice (one-to-many composite paths) and keeps the EPS flow ordering
@@ -81,12 +83,13 @@ composite drains move the EPS capacities and re-solve the waterfill,
 which costs more than the rates.
 
 Fixed per-phase work matters as much as per-event work: an h-Switch run
-at radix 256 has only about two events per phase.  A phase finds its
-circuits with one boolean scan, ``np.flatnonzero(circuits != 0)``, which
-yields the same row-major keys ``row*n + col`` as the support and makes
-checking that no port is used twice O(n); a dense ``np.nonzero`` over
-the n×n permutation costs over ten times as much, more than any other
-per-phase step.
+at radix 256 has only about two events per phase.  A phase takes its
+circuits as a matching (entry ``i`` the output of input ``i``'s circuit,
+-1 for none), which every schedule entry carries from construction.  Its
+inputs in ascending order give the same row-major keys ``row*n + col``
+as a scan of the permutation matrix would, and checking it — shape
+``(n,)``, values in ``[-1, n)``, no output used twice — is O(n), so a
+configuration costs O(n) plus the entries it serves.
 
 The EPS waterfill is solved again only when its inputs change.  The engine
 keeps the last solve with its exact inputs (the flow positions and the
@@ -165,8 +168,8 @@ class FluidEngine:
             )
         self.params = params
         self.n = params.n_ports
-        self.regular = demand.copy()
-        self.composite = np.zeros_like(demand)
+        self._regular = demand.copy()
+        self._composite = np.zeros_like(demand)
         self.demanded = demand > VOLUME_TOL
         self.finish_times = np.full(demand.shape, np.nan)
         self.clock = 0.0
@@ -180,6 +183,39 @@ class FluidEngine:
         self._rebuild_support()
 
     # ------------------------------------------------------------------ #
+    # residual matrices
+    # ------------------------------------------------------------------ #
+
+    @property
+    def regular(self) -> np.ndarray:
+        """Residual demand on the regular paths (n×n, Mb), read-only."""
+        return self._matrix(self._regular)
+
+    @property
+    def composite(self) -> np.ndarray:
+        """Residual filtered demand parked on composite paths (n×n, Mb),
+        read-only."""
+        return self._matrix(self._composite)
+
+    def _matrix(self, matrix: np.ndarray) -> np.ndarray:
+        self._write_back()
+        view = matrix.view()
+        view.flags.writeable = False
+        return view
+
+    def _write_back(self) -> None:
+        """Scatter the flat residual into the matrices, if they lag it.
+
+        Between phases the flat residual is the engine's state; the
+        matrices are written only when something reads them or volume
+        moves between them.
+        """
+        if self._matrices_stale:
+            np.put(self._regular, self._flat, self._residual[: self._nnz])
+            np.put(self._composite, self._flat, self._residual[self._nnz :])
+            self._matrices_stale = False
+
+    # ------------------------------------------------------------------ #
     # support bookkeeping
     # ------------------------------------------------------------------ #
 
@@ -187,11 +223,12 @@ class FluidEngine:
         """Re-derive the flat index bookkeeping from the current matrices.
 
         Called whenever volume moves between matrices outside a phase
-        (construction, ``assign_composite``, ``merge_composite_into_regular``)
-        so the per-phase flat arrays always cover every entry that can
-        still carry volume.
+        (construction, ``assign_composite``, ``merge_composite_into_regular``,
+        ``release_composite``, ``repark_composite``) so the flat arrays
+        always cover every entry that can still carry volume.  The caller
+        has written the flat residual back before moving volume.
         """
-        support = (self.regular > VOLUME_TOL) | (self.composite > VOLUME_TOL)
+        support = (self._regular > VOLUME_TOL) | (self._composite > VOLUME_TOL)
         rows, cols = np.nonzero(support)
         n = self.n
         self._rows = rows
@@ -205,9 +242,13 @@ class FluidEngine:
         self._col_order = np.argsort(cols, kind="stable")
         self._col_start = np.searchsorted(cols[self._col_order], np.arange(n + 1))
         self._flat_demanded = self.demanded[rows, cols]
-        # A phase's residuals: regular at support position p, composite at
+        # The residuals: regular at support position p, composite at
         # nnz + p, so one index array addresses every served residual.
-        self._residual = np.empty(2 * self._nnz)
+        # Gathered from the matrices here, then carried from phase to phase.
+        self._residual = np.concatenate(
+            (self._regular.take(self._flat), self._composite.take(self._flat))
+        )
+        self._matrices_stale = False
         self._comp_rate = np.zeros(self._nnz)
         self._in_cap = np.empty(n)
         self._out_cap = np.empty(n)
@@ -238,14 +279,15 @@ class FluidEngine:
         ``DI[:n, :n] = D − Df``.
         """
         filtered = np.asarray(filtered, dtype=np.float64)
-        if filtered.shape != self.regular.shape:
+        self._write_back()
+        if filtered.shape != self._regular.shape:
             raise ValueError(f"filtered shape {filtered.shape} != demand shape")
-        if np.any(filtered > self.regular + 1e-9):
+        if np.any(filtered > self._regular + 1e-9):
             raise ValueError("filtered demand exceeds remaining regular demand")
         if self.clock > 0:
             raise RuntimeError("assign_composite must run before the first phase")
-        self.regular = np.maximum(self.regular - filtered, 0.0)
-        self.composite = self.composite + filtered
+        self._regular = np.maximum(self._regular - filtered, 0.0)
+        self._composite = self._composite + filtered
         self._rebuild_support()
 
     def merge_composite_into_regular(
@@ -259,19 +301,20 @@ class FluidEngine:
         drain it instead of it sitting parked until the horizon.  Returns
         the volume (Mb) moved.
         """
+        self._write_back()
         if mask is None:
-            moved = float(self.composite.sum())
-            self.regular += self.composite
-            self.composite[:] = 0.0
+            moved = float(self._composite.sum())
+            self._regular += self._composite
+            self._composite[:] = 0.0
         else:
-            if mask.shape != self.composite.shape:
+            if mask.shape != self._composite.shape:
                 raise ValueError(f"mask shape {mask.shape} != demand shape")
-            take = np.where(mask, self.composite, 0.0)
+            take = np.where(mask, self._composite, 0.0)
             moved = float(take.sum())
             if moved <= 0.0:
                 return 0.0
-            self.regular += take
-            np.maximum(self.composite - take, 0.0, out=self.composite)
+            self._regular += take
+            np.maximum(self._composite - take, 0.0, out=self._composite)
         self._rebuild_support()
         return moved
 
@@ -297,14 +340,16 @@ class FluidEngine:
             raise ValueError(f"kind must be 'o2m' or 'm2o', got {kind!r}")
         if not 0 <= port < self.n:
             raise ValueError(f"port must be in [0, {self.n}), got {port}")
-        residual = self.composite[port, :] if kind == "o2m" else self.composite[:, port]
+        self._write_back()
+        composite = self._composite
+        residual = composite[port, :] if kind == "o2m" else composite[:, port]
         mask = residual > 0.0
         if lane_mask is not None:
             mask &= self._lane(lane_mask)
         released = float(residual[mask].sum())
         if released <= 0.0:
             return 0.0
-        regular = self.regular[port, :] if kind == "o2m" else self.regular[:, port]
+        regular = self._regular[port, :] if kind == "o2m" else self._regular[:, port]
         regular[mask] += residual[mask]
         residual[mask] = 0.0
         self.released_composite += released
@@ -337,17 +382,18 @@ class FluidEngine:
         Returns the volume (Mb) actually re-parked.
         """
         filtered = np.asarray(filtered, dtype=np.float64)
-        if filtered.shape != self.regular.shape:
+        self._write_back()
+        if filtered.shape != self._regular.shape:
             raise ValueError(f"filtered shape {filtered.shape} != demand shape")
         if np.any(filtered < 0.0):
             raise ValueError("filtered demand must be non-negative")
-        take = np.minimum(filtered, self.regular)
+        take = np.minimum(filtered, self._regular)
         take[take <= VOLUME_TOL] = 0.0
         parked = float(take.sum())
         if parked <= 0.0:
             return 0.0
-        self.regular = np.maximum(self.regular - take, 0.0)
-        self.composite = self.composite + take
+        self._regular = np.maximum(self._regular - take, 0.0)
+        self._composite = self._composite + take
         self._rebuild_support()
         if obs.active():
             obs.get_tracer().event("engine.composite_repark", reparked_mb=parked)
@@ -383,9 +429,12 @@ class FluidEngine:
             Phase length (ms), finite and non-negative; ``None`` runs until
             all residual demand is drained (the final EPS-only drain).
         circuits:
-            n×n 0/1 partial permutation of regular OCS circuits active in
-            this phase, or ``None`` (e.g. during reconfiguration).  Any
-            other shape, or a port connected twice, raises ``ValueError``.
+            The regular OCS circuits active in this phase as a matching:
+            an ``(n,)`` integer array whose entry ``i`` is the output port
+            input ``i``'s circuit reaches, or -1 if input ``i`` has no
+            circuit; ``None`` (e.g. during reconfiguration) means no
+            circuits.  Another shape or dtype, a value outside ``[-1, n)``
+            or an output used twice raises ``ValueError``.
         composites:
             Active composite paths.  A port outside ``[0, n)`` or a lane
             mask whose shape is not ``(n,)`` raises ``ValueError``.
@@ -419,20 +468,25 @@ class FluidEngine:
         if circuits is not None:
             circuits = np.asarray(circuits)
             n = self.n
-            if circuits.shape != (n, n):
+            if circuits.shape != (n,):
                 raise ValueError(
-                    f"circuits has shape {circuits.shape}, expected ({n}, {n})"
+                    f"circuits has shape {circuits.shape}, expected ({n},)"
                 )
-            # One boolean scan yields the row-major keys row*n + col, sorted,
-            # so a port used twice is a repeated row or a repeated column.
-            keys = np.flatnonzero(circuits != 0)
-            if keys.size:
-                rows = keys // n
-                if (rows[1:] == rows[:-1]).any() or (
-                    np.bincount(keys - rows * n).max() > 1
-                ):
-                    raise ValueError("circuits connect a port more than once")
-            circuit_pos = self._positions_of(keys)
+            if circuits.dtype.kind not in "iu":
+                raise ValueError(
+                    f"circuits must be integers, got dtype {circuits.dtype}"
+                )
+            # Ascending inputs give the row-major keys row*n + col, sorted
+            # like the support; an input has one output by construction.
+            inputs = np.flatnonzero(circuits >= 0)
+            outputs = circuits[inputs]
+            if circuits.min() < -1 or (outputs.size and outputs.max() >= n):
+                raise ValueError(
+                    f"circuits must map each input to an output in [0, {n}) or -1"
+                )
+            if outputs.size and np.bincount(outputs, minlength=n).max() > 1:
+                raise ValueError("circuits connect a port more than once")
+            circuit_pos = self._positions_of(inputs * n + outputs)
         else:
             circuit_pos = _EMPTY_POS
         services = []
@@ -473,13 +527,12 @@ class FluidEngine:
             segments_before = len(self.segments)
             dust_before = self._dust_snaps
 
-        # ---- gather residuals over the support -------------------------
+        # ---- the flat residuals over the support -----------------------
         nnz = self._nnz
         residual = self._residual
         reg = residual[:nnz]
         comp = residual[nnz:]
-        np.take(self.regular, self._flat, out=reg)
-        np.take(self.composite, self._flat, out=comp)
+        self._matrices_stale = True  # the phase moves them; see _write_back
         ocs_rate = self.params.ocs_rate
         circuit_rates = np.full(circuit_pos.size, ocs_rate)
 
@@ -599,10 +652,6 @@ class FluidEngine:
                     )
                 if eps_drained or composite_drained:
                     eps_pos, eps_rates, eps_total = self._eps_rates(flows)
-
-        # ---- scatter residuals back ------------------------------------
-        np.put(self.regular, self._flat, reg)
-        np.put(self.composite, self._flat, comp)
 
         if obs_on:
             events = len(self.segments) - segments_before
@@ -879,7 +928,8 @@ class FluidEngine:
 
     def residual_total(self) -> float:
         """Total undelivered volume (Mb)."""
-        return float(self.regular.sum() + self.composite.sum())
+        self._write_back()
+        return float(self._regular.sum() + self._composite.sum())
 
     def result(
         self,
@@ -921,7 +971,7 @@ class FluidEngine:
             served_composite=self.served_composite,
             served_eps=self.served_eps,
             total_demand=self.total_demand,
-            residual=(self.regular + self.composite) if allow_residual else None,
+            residual=(self._regular + self._composite) if allow_residual else None,
             released_composite=self.released_composite,
             fault_summary=fault_summary,
             reroute=reroute,

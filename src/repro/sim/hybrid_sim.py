@@ -69,7 +69,6 @@ def simulate_hybrid(
         schedule.entries,
         None,
         lambda entry: (),
-        lambda entry: entry.permutation,
         params,
         horizon,
         n_configs=schedule.n_configs,

@@ -64,26 +64,37 @@ def check_permutation(perm: np.ndarray, *, partial: bool = True) -> np.ndarray:
 
     A permutation matrix here is a 0/1 square matrix with at most one 1 per
     row and per column; with ``partial=False`` exactly one per row/column is
-    required.
+    required.  Returns it as a C-contiguous int8 matrix.
+    """
+    return permutation_matching(perm, partial=partial)[0]
+
+
+def permutation_matching(
+    perm: np.ndarray, *, partial: bool = True
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Validate a permutation matrix and return it with its matching.
+
+    The matrix comes back as in :func:`check_permutation`.  The *matching*
+    is an ``(m,)`` int64 array whose entry ``i`` is the column of row
+    ``i``'s 1, or -1 for an empty row.  One scan over the matrix finds the
+    nonzeros; checking them and deriving the matching costs O(nonzeros).
     """
     arr = np.asarray(perm)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"permutation must be square 2-D, got shape {arr.shape}")
-    if arr.dtype == np.bool_ or np.issubdtype(arr.dtype, np.integer):
-        # Integral entries are 0/1 iff min and max are — two cheap
-        # reductions instead of np.unique + isin on the full matrix.
-        if arr.size and (arr.min() < 0 or arr.max() > 1):
-            raise ValueError("permutation entries must be 0 or 1")
-    else:
-        values = np.unique(arr)
-        if not np.all(np.isin(values, (0, 1))):
-            raise ValueError("permutation entries must be 0 or 1")
-    rows = np.count_nonzero(arr, axis=1)
-    cols = np.count_nonzero(arr, axis=0)
+    m = arr.shape[0]
+    keys = np.flatnonzero(arr)
+    if (arr.flat[keys] != 1).any():  # negative, fractional and NaN entries
+        raise ValueError("permutation entries must be 0 or 1")
+    # Row-major keys: a row used twice repeats a neighbour's row.
+    rows = keys // max(m, 1)
+    cols = keys - rows * m
+    repeated = (np.diff(rows) == 0).any() or (np.bincount(cols, minlength=m) > 1).any()
     if partial:
-        if np.any(rows > 1) or np.any(cols > 1):
+        if repeated:
             raise ValueError("partial permutation has a row or column with >1 entry")
-    else:
-        if np.any(rows != 1) or np.any(cols != 1):
-            raise ValueError("full permutation must have exactly one entry per row/column")
-    return np.ascontiguousarray(arr, dtype=np.int8)
+    elif repeated or keys.size != m:
+        raise ValueError("full permutation must have exactly one entry per row/column")
+    matching = np.full(m, -1, dtype=np.int64)
+    matching[rows] = cols
+    return np.ascontiguousarray(arr, dtype=np.int8), matching

@@ -209,7 +209,7 @@ class TestReferencePreservesSeedBehaviour:
     def test_optimized_engine_snaps_dust_and_keeps_serving(self):
         params = SwitchParams(n_ports=2, ocs_rate=1e4)
         demand = np.array([[0.0, 5e-9], [20.0, 0.0]])
-        circuits = np.array([[0, 1], [0, 0]], dtype=np.int8)
+        circuits = np.array([1, -1])  # the seed engine's [[0, 1], [0, 0]]
         engine = FluidEngine(demand, params)
         engine.run_phase(2.5, circuits=circuits)
         # Fixed behaviour: the dust entry snaps to zero at the clock and

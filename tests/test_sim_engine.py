@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.cpsched import cpsched
+from repro.matching import matching_to_permutation
 from repro.sim import engine as engine_module
 from repro.sim.engine import CompositeService, FluidEngine
 from repro.sim.rates import max_min_fair_rates
@@ -17,6 +18,15 @@ from repro.utils.validation import VOLUME_TOL
 def make_engine(demand, n=4, **params_kwargs) -> FluidEngine:
     params = SwitchParams(n_ports=n, **params_kwargs)
     return FluidEngine(np.asarray(demand, dtype=float), params)
+
+
+def matching(*circuits, n=4) -> np.ndarray:
+    """The matching of the (input, output) ``circuits`` on an n-port switch."""
+    result = np.full(n, -1)
+    for row, col in circuits:
+        result[row] = col
+    return result
+
 
 
 class TestEpsOnlyService:
@@ -55,9 +65,7 @@ class TestCircuitService:
         demand = np.zeros((4, 4))
         demand[1, 2] = 50.0
         engine = make_engine(demand)
-        circuits = np.zeros((4, 4), dtype=np.int8)
-        circuits[1, 2] = 1
-        engine.run_phase(1.0, circuits=circuits)
+        engine.run_phase(1.0, circuits=matching((1, 2)))
         # 50 Mb at Co = 100 Mb/ms -> 0.5 ms.
         assert engine.finish_times[1, 2] == pytest.approx(0.5)
 
@@ -65,9 +73,7 @@ class TestCircuitService:
         demand = np.zeros((4, 4))
         demand[1, 2] = 110.0
         engine = make_engine(demand)
-        circuits = np.zeros((4, 4), dtype=np.int8)
-        circuits[1, 2] = 1
-        engine.run_phase(1.0, circuits=circuits)
+        engine.run_phase(1.0, circuits=matching((1, 2)))
         # Exactly 100 Mb through the circuit, none through EPS.
         assert engine.regular[1, 2] == pytest.approx(10.0)
         assert engine.served_eps == pytest.approx(0.0)
@@ -78,9 +84,7 @@ class TestCircuitService:
         demand[1, 2] = 100.0
         demand[0, 3] = 5.0
         engine = make_engine(demand)
-        circuits = np.zeros((4, 4), dtype=np.int8)
-        circuits[1, 2] = 1
-        engine.run_phase(1.0, circuits=circuits)
+        engine.run_phase(1.0, circuits=matching((1, 2)))
         assert engine.finish_times[0, 3] == pytest.approx(0.5)  # 5 Mb at Ce
 
     def test_reconfig_phase_is_eps_only(self):
@@ -213,8 +217,7 @@ class TestLifecycle:
         engine = FluidEngine(demand, params)
         filtered = np.where(demand < 2.0, demand, 0.0)
         engine.assign_composite(filtered)
-        circuits = np.zeros((n, n), dtype=np.int8)
-        circuits[0, 0] = 1
+        circuits = matching((0, 0), n=n)
         engine.run_phase(0.05, circuits=circuits, composites=[CompositeService("o2m", 1)])
         engine.merge_composite_into_regular()
         engine.run_phase(None)
@@ -243,12 +246,10 @@ class TestLifecycle:
 
     def test_circuits_sharing_a_port_rejected(self):
         engine = make_engine(np.ones((4, 4)))
-        for second in ((0, 3), (2, 1)):  # input 0 twice, output 1 twice
-            circuits = np.zeros((4, 4), dtype=np.int8)
-            circuits[0, 1] = 1
-            circuits[second] = 1
-            with pytest.raises(ValueError, match="more than once"):
-                engine.run_phase(0.1, circuits=circuits)
+        # A matching gives each input one output, so only an output can be
+        # used twice: here output 1, by inputs 0 and 2.
+        with pytest.raises(ValueError, match="more than once"):
+            engine.run_phase(0.1, circuits=np.array([1, -1, 1, -1]))
         assert engine.clock == 0.0
 
 
@@ -300,9 +301,7 @@ class TestWaterfillReuse:
         demand[0, 1] = 10.0  # circuit entry: drains at 0.1 ms
         demand[2, 3] = 10.0  # EPS entry: served throughout
         engine = make_engine(demand)
-        circuits = np.zeros((4, 4), dtype=np.int8)
-        circuits[0, 1] = 1
-        engine.run_phase(0.5, circuits=circuits)
+        engine.run_phase(0.5, circuits=matching((0, 1)))
         engine.run_phase(0.2)  # reconfiguration gap: the same EPS flow
         # Events: the circuit drain, the configuration's end, the gap.
         assert len(engine.segments) == 3
@@ -321,13 +320,9 @@ class TestWaterfillReuse:
         parked = np.zeros((4, 4))
         parked[2, 3] = 100.0
         engine.assign_composite(parked)
-        circuits = np.zeros((4, 4), dtype=np.int8)
-        circuits[0, 1] = 1
-        engine.run_phase(0.1, circuits=circuits)
+        engine.run_phase(0.1, circuits=matching((0, 1)))
         engine.merge_composite_into_regular()
-        circuits = np.zeros((4, 4), dtype=np.int8)
-        circuits[1, 0] = 1
-        engine.run_phase(0.1, circuits=circuits)
+        engine.run_phase(0.1, circuits=matching((1, 0)))
         # 0.1 ms at Ce/2, then 0.1 ms at the full Ce = 10 Mb/ms.
         assert engine.regular[1, 2] == pytest.approx(98.5)
         assert engine.regular[2, 3] == pytest.approx(99.0)
@@ -347,15 +342,17 @@ class TestIncrementalEvents:
     @staticmethod
     def run_both(demand, phases, filtered=None, n=4, **params_kwargs):
         params = SwitchParams(n_ports=n, **params_kwargs)
-        engines = (FluidEngine(demand, params), ReferenceFluidEngine(demand, params))
-        for engine in engines:
+        live, seed = FluidEngine(demand, params), ReferenceFluidEngine(demand, params)
+        for engine in (live, seed):
             if filtered is not None:
                 engine.assign_composite(filtered)
             for duration, circuits, composites in phases:
                 if duration is None:
                     engine.merge_composite_into_regular()
+                if engine is seed and circuits is not None:
+                    circuits = matching_to_permutation(circuits, n)
                 engine.run_phase(duration, circuits=circuits, composites=composites)
-        return engines
+        return live, seed
 
     @staticmethod
     def assert_same(live, seed):
@@ -382,9 +379,9 @@ class TestIncrementalEvents:
         demand[0, 1] = 10.0  # circuit: drains at 0.1 ms
         demand[2, 3] = 0.5  # EPS, alone on its ports: drains at 0.05 ms
         demand[2, 1] = 4.0  # EPS, shares input 2 with (2, 3)
-        circuits = np.zeros((4, 4), dtype=np.int8)
-        circuits[0, 1] = 1
-        live, seed = self.run_both(demand, [(0.5, circuits, ()), (None, None, ())])
+        live, seed = self.run_both(
+            demand, [(0.5, matching((0, 1)), ()), (None, None, ())]
+        )
         self.assert_same(live, seed)
 
     def test_composite_drain_moves_the_reservations(self):
@@ -458,8 +455,7 @@ class TestIncrementalEvents:
         demand[0, 1:4] = [1.0, 2.0, 3.0]
         filtered = np.zeros((4, 4))
         filtered[0, 1:4] = demand[0, 1:4]
-        circuits = np.zeros((4, 4), dtype=np.int8)
-        circuits[1, 2] = circuits[2, 0] = 1
+        circuits = matching((1, 2), (2, 0))
         live, seed = self.run_both(
             demand,
             [(1.0, circuits, (CompositeService("o2m", 0),)), (None, None, ())],
@@ -505,11 +501,11 @@ class TestIncrementalEvents:
         seed.assign_composite(parked)
         np.testing.assert_array_equal(live.regular, seed.regular)
         np.testing.assert_array_equal(live.composite, seed.composite)
-        circuits = np.zeros((4, 4), dtype=np.int8)
-        circuits[0, 1] = circuits[3, 2] = 1
+        circuits = matching((0, 1), (3, 2))
         grants = (CompositeService("m2o", 1), CompositeService("m2o", 2))
-        for engine in (live, seed):
-            engine.run_phase(1.0, circuits=circuits, composites=grants)
+        live.run_phase(1.0, circuits=circuits, composites=grants)
+        seed_circuits = matching_to_permutation(circuits, 4)
+        seed.run_phase(1.0, circuits=seed_circuits, composites=grants)
         self.assert_same(live, seed)
         assert live.finish_times[3, 2] == pytest.approx(0.48)
         assert live.finish_times[0, 1] == pytest.approx(0.8)

@@ -67,8 +67,7 @@ class TestCircuitCornerCases:
         demand = np.zeros((4, 4))
         demand[0, 1] = 5.0
         engine = engine_for(demand)
-        circuits = np.zeros((4, 4), dtype=np.int8)
-        circuits[2, 3] = 1  # no demand there
+        circuits = np.array([-1, -1, 3, -1])  # input 2 -> output 3: no demand there
         engine.run_phase(0.3, circuits=circuits)
         assert engine.served_ocs_direct == 0.0
         # EPS still worked on the real entry.
@@ -78,9 +77,7 @@ class TestCircuitCornerCases:
         demand = np.zeros((4, 4))
         demand[0, 1] = 10.0  # drains in 0.1 ms at Co
         engine = engine_for(demand)
-        circuits = np.zeros((4, 4), dtype=np.int8)
-        circuits[0, 1] = 1
-        engine.run_phase(1.0, circuits=circuits)
+        engine.run_phase(1.0, circuits=np.array([1, -1, -1, -1]))
         assert engine.finish_times[0, 1] == pytest.approx(0.1)
         assert engine.clock == pytest.approx(1.0)  # phase runs to the end
         assert engine.served_ocs_direct == pytest.approx(10.0)
@@ -88,13 +85,10 @@ class TestCircuitCornerCases:
     def test_full_permutation_all_served_in_parallel(self):
         n = 4
         demand = np.full((n, n), 0.0)
-        perm = np.zeros((n, n), dtype=np.int8)
-        for i in range(n):
-            j = (i + 1) % n
-            demand[i, j] = 50.0
-            perm[i, j] = 1
+        circuits = (np.arange(n) + 1) % n
+        demand[np.arange(n), circuits] = 50.0
         engine = engine_for(demand)
-        engine.run_phase(1.0, circuits=perm)
+        engine.run_phase(1.0, circuits=circuits)
         # All four circuits at Co concurrently: everything done at 0.5 ms.
         finish = engine.finish_times[demand > 0]
         np.testing.assert_allclose(finish, 0.5)

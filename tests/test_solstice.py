@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.hybrid.solstice.scheduler import SolsticeScheduler
+from repro.hybrid.solstice.scheduler import SolsticeScheduler, eps_finishes_leftover
 from repro.hybrid.solstice.slicing import big_slice
 from repro.hybrid.solstice.stuffing import quick_stuff, stuffing_overhead
 from repro.switch.params import fast_ocs_params
@@ -170,3 +172,91 @@ class TestSolsticeScheduler:
         params = fast_ocs_params(8)
         schedule = SolsticeScheduler().schedule(skewed_demand, params)
         assert schedule.n_configs >= 4
+
+
+def dense_stop(leftover, eps_rate, makespan):
+    """The stopping rule as the Solstice loop wrote it before
+    :func:`eps_finishes_leftover`: dense sums on every slice."""
+    port_load = max(leftover.sum(axis=1).max(), leftover.sum(axis=0).max())
+    return port_load <= VOLUME_TOL or port_load / eps_rate <= makespan
+
+
+@st.composite
+def stop_cases(draw):
+    """A leftover on a random support (up to n terms per port, zeros
+    allowed on it), an EPS rate and a makespan at, one ulp either side of,
+    or away from the dense port load / Ce; sometimes scaled so that the
+    port load sits at or around ``VOLUME_TOL``."""
+    n = draw(st.integers(1, 24))
+    density = draw(st.sampled_from([0.1, 0.3, 0.7, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((n, n)) < density
+    leftover = np.where(mask, 10.0 ** rng.uniform(-3.0, 3.0, (n, n)), 0.0)
+    leftover[rng.random((n, n)) < 0.2] = 0.0  # drained entries on the support
+    eps_rate = draw(st.sampled_from([10.0, 3.0, 0.7, 12.5]))
+    load = max(leftover.sum(axis=1).max(), leftover.sum(axis=0).max())
+    if load > 0 and draw(st.booleans()):
+        factor = draw(st.sampled_from([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0]))
+        leftover *= VOLUME_TOL * factor / load
+        load = max(leftover.sum(axis=1).max(), leftover.sum(axis=0).max())
+    at = load / eps_rate
+    makespan = draw(
+        st.sampled_from(
+            [at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf), 0.0, at * 2]
+        )
+    )
+    return leftover, np.nonzero(mask), eps_rate, float(makespan)
+
+
+class TestStopRule:
+    """The kernel's support-sum stop decision is the dense rule's."""
+
+    @given(case=stop_cases())
+    @settings(max_examples=600, deadline=None)
+    def test_support_decision_equals_the_dense_rule(self, case):
+        leftover, support, eps_rate, makespan = case
+        expected = dense_stop(leftover, eps_rate, makespan)
+        assert eps_finishes_leftover(leftover, eps_rate, makespan, support) == expected
+        assert eps_finishes_leftover(leftover, eps_rate, makespan) == expected
+
+    def test_support_sum_one_ulp_off_the_dense_sum(self):
+        # A row whose sequential (bincount) sum differs from numpy's
+        # pairwise row sum: the support sum alone would decide wrongly one
+        # ulp from the boundary; the margin hands that case to the dense
+        # sums.
+        rng = np.random.default_rng(0)
+        while True:
+            row = rng.uniform(0.0, 100.0, 16)
+            sequential = 0.0
+            for value in row:
+                sequential += value
+            if sequential != row.sum():
+                break
+        leftover = np.zeros((16, 16))
+        leftover[0] = row
+        support = np.nonzero(leftover)
+        load = leftover.sum(axis=1).max()
+        for makespan in (load / 10.0, np.nextafter(load / 10.0, -np.inf)):
+            assert eps_finishes_leftover(
+                leftover, 10.0, makespan, support
+            ) == dense_stop(leftover, 10.0, makespan)
+
+    def test_empty_leftover_stops(self):
+        leftover = np.zeros((3, 3))
+        assert eps_finishes_leftover(leftover, 10.0, 0.0, np.nonzero(leftover))
+
+    def test_kernel_and_oracle_schedules_are_byte_identical(self, skewed_demand):
+        from repro.matching import kernels
+
+        params = fast_ocs_params(8)
+        demand = skewed_demand * 3.0
+        with kernels.use_backend("oracle"):
+            oracle = SolsticeScheduler().schedule(demand, params)
+        with kernels.use_backend("kernel"):
+            kernel = SolsticeScheduler().schedule(demand, params)
+        assert len(kernel) == len(oracle)
+        for ours, theirs in zip(kernel, oracle):
+            assert ours.permutation.tobytes() == theirs.permutation.tobytes()
+            assert ours.matching.tobytes() == theirs.matching.tobytes()
+            assert ours.duration == theirs.duration
+

@@ -371,28 +371,22 @@ def cmd_schedule(args) -> int:
     if args.switch == "h":
         schedule = inner.schedule(demand, params)
         result = simulate_hybrid(demand, schedule, params)
-        configs = [
-            (entry.circuits, entry.duration) for entry in schedule
-        ]
     else:
-        cp_schedule = CpSwitchScheduler(inner).schedule(demand, params)
-        result = simulate_cp(demand, cp_schedule, params)
-        configs = []
-        for entry in cp_schedule:
-            rows, cols = np.nonzero(entry.regular)
-            circuits = list(zip(rows.tolist(), cols.tolist()))
-            grants = []
-            if entry.o2m_port is not None:
-                grants.append(f"o2m@{entry.o2m_port}")
-            if entry.m2o_port is not None:
-                grants.append(f"m2o@{entry.m2o_port}")
-            configs.append((circuits + grants, entry.duration))
+        schedule = CpSwitchScheduler(inner).schedule(demand, params)
+        result = simulate_cp(demand, schedule, params)
 
     for diag in getattr(inner, "last_diagnostics", []):
         print(f"scheduler watchdog: {diag.event}: {diag.detail}", file=sys.stderr)
     print(f"{args.switch}-Switch / {args.scheduler} on {demand.shape[0]} ports:")
-    for index, (circuits, duration) in enumerate(configs):
-        print(f"  config {index}: {duration:.4f} ms, {circuits}")
+    for index, entry in enumerate(schedule):
+        inputs = np.flatnonzero(entry.matching >= 0)
+        circuits = list(zip(inputs.tolist(), entry.matching[inputs].tolist()))
+        if args.switch == "cp":
+            if entry.o2m_port is not None:
+                circuits.append(f"o2m@{entry.o2m_port}")
+            if entry.m2o_port is not None:
+                circuits.append(f"m2o@{entry.m2o_port}")
+        print(f"  config {index}: {entry.duration:.4f} ms, {circuits}")
     print(
         f"completion {result.completion_time:.3f} ms over {result.n_configs} configurations "
         f"(makespan {result.makespan:.3f} ms)"

@@ -12,7 +12,7 @@
 
 from repro.core.config import FilterConfig
 from repro.core.cpsched import cpsched
-from repro.core.divide import DividedPermutation, divide_by_type
+from repro.core.divide import divide_by_type
 from repro.core.reduction import ReducedDemand, cp_switch_demand_reduction
 from repro.core.scheduler import CompositeScheduleEntry, CpSchedule, CpSwitchScheduler
 
@@ -20,7 +20,6 @@ __all__ = [
     "CompositeScheduleEntry",
     "CpSchedule",
     "CpSwitchScheduler",
-    "DividedPermutation",
     "FilterConfig",
     "ReducedDemand",
     "cp_switch_demand_reduction",

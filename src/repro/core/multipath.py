@@ -18,9 +18,17 @@ Layout of the reduced matrix (m = n + k):
 
 Because an entry's service depends on *which* path it was assigned to, the
 reduction also returns per-entry path-assignment maps, which the extended
-scheduler uses to route CPSched over the right subset of ``Df``.
-With ``k = 1`` every result coincides with the base Algorithm 1/4 output
-(tested), so this module is a strict generalization.
+scheduler uses to route CPSched over the right subset of ``Df`` (the
+path's *lane*).
+
+With ``k = 1`` this is not the base Algorithm 1/4.  The reduction filters
+the same entries as Algorithm 1 and puts every entry whose row or column
+alone qualifies on the same path (``test_k1_filters_like_algorithm_1``),
+but its greedy scans entries in row-major order while Algorithm 1 books
+those single-side entries first, so an entry whose row and column both
+qualify can go the other way.  And each grant here serves only its lane,
+while Algorithm 4 serves the whole filtered row or column.  So a k = 1
+schedule and its simulation generally differ from Algorithm 4's.
 
 Design note — port-sticky balancing.  The paper's sketch balances "the
 minimal composite entry"; taken per *entry* that would shard one sender's
@@ -44,15 +52,11 @@ import numpy as np
 
 from repro.core.config import FilterConfig
 from repro.core.cpsched import cpsched
+from repro.core.scheduler import _check_cp_entry, _check_cp_schedule, _served_since
 from repro.hybrid.base import HybridScheduler
 from repro.hybrid.schedule import Schedule
 from repro.switch.params import SwitchParams
-from repro.utils.validation import (
-    VOLUME_TOL,
-    check_demand_matrix,
-    check_nonnegative,
-    permutation_matching,
-)
+from repro.utils.validation import VOLUME_TOL, check_demand_matrix, check_nonnegative
 
 #: Sentinel in the path-assignment maps for "not on a composite path".
 NO_PATH: int = -1
@@ -211,53 +215,21 @@ def multi_path_reduction(
 class MultiPathScheduleEntry:
     """One k-path cp-Switch configuration.
 
-    ``o2m_grants`` maps composite-path index → granted sender;
-    ``m2o_grants`` maps composite-path index → granted receiver.
-    ``matching`` holds ``regular``'s circuits as an ``(n,)`` matching (see
-    :mod:`repro.hybrid.schedule`), derived in the scan that validates
-    ``regular`` or, from :meth:`trusted`, split from the reduced
-    configuration's matching.
+    ``matching`` holds the regular circuits as an ``(n,)`` matching (see
+    :mod:`repro.hybrid.schedule`); ``o2m_grants`` maps composite-path
+    index → granted sender and ``m2o_grants`` composite-path index →
+    granted receiver.  Validated and frozen as
+    :class:`~repro.core.scheduler.CompositeScheduleEntry` is.
     """
 
-    regular: np.ndarray
+    matching: np.ndarray
     duration: float
     composite_served: np.ndarray
     o2m_grants: "dict[int, int]"
     m2o_grants: "dict[int, int]"
-    matching: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        perm, matching = permutation_matching(self.regular, partial=True)
-        perm.setflags(write=False)
-        matching.setflags(write=False)
-        object.__setattr__(self, "regular", perm)
-        object.__setattr__(self, "matching", matching)
-
-    @classmethod
-    def trusted(
-        cls,
-        regular: np.ndarray,
-        matching: np.ndarray,
-        duration: float,
-        composite_served: np.ndarray,
-        o2m_grants: "dict[int, int]",
-        m2o_grants: "dict[int, int]",
-    ) -> "MultiPathScheduleEntry":
-        """Construct without re-validating ``regular`` (see
-        :meth:`repro.core.scheduler.CompositeScheduleEntry.trusted`)."""
-        entry = object.__new__(cls)
-        regular.setflags(write=False)
-        matching.setflags(write=False)
-        for name, value in (
-            ("regular", regular),
-            ("duration", duration),
-            ("composite_served", composite_served),
-            ("o2m_grants", o2m_grants),
-            ("m2o_grants", m2o_grants),
-            ("matching", matching),
-        ):
-            object.__setattr__(entry, name, value)
-        return entry
+        _check_cp_entry(self)
 
     @property
     def composite_volume(self) -> float:
@@ -266,7 +238,8 @@ class MultiPathScheduleEntry:
 
 @dataclass(frozen=True)
 class MultiPathCpSchedule:
-    """Schedule produced by :class:`MultiPathCpScheduler`."""
+    """Schedule produced by :class:`MultiPathCpScheduler`; validated and
+    frozen as :class:`~repro.core.scheduler.CpSchedule` is."""
 
     entries: "tuple[MultiPathScheduleEntry, ...]"
     reconfig_delay: float
@@ -275,12 +248,7 @@ class MultiPathCpSchedule:
     reduced_schedule: Schedule
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        # Freeze the residual, mirroring CpSchedule: the simulator reads it
-        # after scheduling to drain leftovers on the EPS.
-        residual = np.asarray(self.filtered_residual, dtype=np.float64)
-        residual.setflags(write=False)
-        object.__setattr__(self, "filtered_residual", residual)
+        _check_cp_schedule(self)
 
     @property
     def n_configs(self) -> int:
@@ -299,29 +267,20 @@ class MultiPathCpSchedule:
 
 
 def divide_by_type_multipath(
-    permutation: np.ndarray, n_ports: int
+    matching: np.ndarray, n_ports: int
 ) -> "tuple[np.ndarray, dict[int, int], dict[int, int]]":
-    """k-path generalization of Algorithm 3.
+    """k-path generalization of Algorithm 3, on a configuration's
+    ``(n+k,)`` matching (validated when its entry was built), in O(n + k).
 
-    Returns ``(regular, o2m_grants, m2o_grants)`` where grants map path
-    index → port.  Matches among composite endpoints (``P[n:, n:]``) carry
-    no demand and are ignored.
+    Returns the regular circuits as a new ``(n,)`` matching and the grants,
+    each a dict path index → port in ascending path order.  Circuits among
+    composite endpoints (``P[n:, n:]``) carry no demand and are ignored.
     """
-    perm, matching = permutation_matching(permutation, partial=True)
-    m = perm.shape[0]
     n = int(n_ports)
-    if m <= n:
-        raise ValueError(f"permutation of size {m} cannot host {n} ports + paths")
-    _, o2m_grants, m2o_grants = _split_matching_multipath(matching, n)
-    return perm[:n, :n].copy(), o2m_grants, m2o_grants
-
-
-def _split_matching_multipath(
-    matching: np.ndarray, n: int
-) -> "tuple[np.ndarray, dict[int, int], dict[int, int]]":
-    """:func:`divide_by_type_multipath` on a valid ``(n+k,)`` matching, in
-    O(n + k): the regular ``(n,)`` matching and the grants, each dict in
-    ascending path order."""
+    if matching.shape[0] <= n:
+        raise ValueError(
+            f"a configuration of {matching.shape[0]} ports cannot host {n} ports + paths"
+        )
     regular = matching[:n].copy()
     senders = np.flatnonzero(regular >= n)
     paths = regular[senders] - n
@@ -374,10 +333,12 @@ class MultiPathCpScheduler:
         filtered = reduction.filtered.copy()
         entries: list[MultiPathScheduleEntry] = []
         for item in reduced_schedule:
-            previous = filtered.copy()
-            matching, o2m_grants, m2o_grants = _split_matching_multipath(
+            matching, o2m_grants, m2o_grants = divide_by_type_multipath(
                 item.matching, n
             )
+            rows = list(o2m_grants.values())
+            cols = list(m2o_grants.values())
+            before = filtered[rows], filtered[:, cols]
             for path, sender in o2m_grants.items():
                 lane = filtered[sender, :] * (reduction.o2m_path[sender, :] == path)
                 remaining = cpsched(lane, item.duration, params.ocs_rate, eps_budget)
@@ -389,11 +350,10 @@ class MultiPathCpScheduler:
                 served = lane - remaining
                 filtered[:, receiver] -= served
             entries.append(
-                MultiPathScheduleEntry.trusted(
-                    regular=item.permutation[:n, :n].copy(),
+                MultiPathScheduleEntry(
                     matching=matching,
                     duration=item.duration,
-                    composite_served=previous - filtered,
+                    composite_served=_served_since(filtered, rows, cols, before),
                     o2m_grants=o2m_grants,
                     m2o_grants=m2o_grants,
                 )

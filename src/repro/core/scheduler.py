@@ -7,8 +7,9 @@ The pipeline (Figure 4 of the paper):
 2. **Delegate** ``DI`` to any h-Switch scheduler (Solstice or Eclipse here)
    — this is the reduction that lets cp-Switch ride on the existing body of
    hybrid-switch scheduling research.
-3. **Interpret** each returned permutation with DivideByType (Algorithm 3):
-   entries in the last row/column are composite-path grants.
+3. **Interpret** each returned configuration with DivideByType
+   (Algorithm 3): circuits to or from the last port are composite-path
+   grants.
 4. **Schedule within** each granted composite path with CPSched
    (Algorithm 2) under the reserved EPS budget ``Ce*``, recording exactly
    how much of ``Df`` each configuration serves.
@@ -30,15 +31,15 @@ import numpy as np
 from repro import obs
 from repro.core.config import FilterConfig
 from repro.core.cpsched import cpsched
-from repro.core.divide import split_matching
+from repro.core.divide import divide_by_type
 from repro.core.reduction import ReducedDemand, reduce_with_config
 from repro.hybrid.base import HybridScheduler
 from repro.hybrid.schedule import Schedule
 from repro.switch.params import SwitchParams
 from repro.utils.validation import (
     check_demand_matrix,
+    check_matching,
     check_nonnegative,
-    permutation_matching,
 )
 
 
@@ -48,8 +49,9 @@ class CompositeScheduleEntry:
 
     Attributes
     ----------
-    regular:
-        n×n partial permutation of regular OCS-OCS circuits.
+    matching:
+        The regular OCS-OCS circuits as an ``(n,)`` matching (see
+        :mod:`repro.hybrid.schedule`), stored as a read-only int64 copy.
     duration:
         Hold time (ms), reconfiguration penalty excluded.
     composite_served:
@@ -59,74 +61,67 @@ class CompositeScheduleEntry:
     o2m_port, m2o_port:
         Ports granted the one-to-many / many-to-one composite path
         (``None`` if not granted).
-    matching:
-        ``regular``'s circuits as an ``(n,)`` matching (see
-        :mod:`repro.hybrid.schedule`), derived in the scan that validates
-        ``regular`` or, from :meth:`trusted`, split from the reduced
-        configuration's matching.
     """
 
-    regular: np.ndarray
+    matching: np.ndarray
     duration: float
     composite_served: np.ndarray
     o2m_port: "int | None" = None
     m2o_port: "int | None" = None
-    matching: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        perm, matching = permutation_matching(self.regular, partial=True)
-        perm.setflags(write=False)
-        matching.setflags(write=False)
-        object.__setattr__(self, "regular", perm)
-        object.__setattr__(self, "matching", matching)
-        check_nonnegative("duration", self.duration)
-        self._freeze_served()
-
-    @classmethod
-    def trusted(
-        cls,
-        regular: np.ndarray,
-        matching: np.ndarray,
-        duration: float,
-        composite_served: np.ndarray,
-        o2m_port: "int | None" = None,
-        m2o_port: "int | None" = None,
-    ) -> "CompositeScheduleEntry":
-        """Construct without re-validating ``regular``.
-
-        For an interpretation step whose reduced configuration was
-        validated when its schedule entry was built: the caller guarantees
-        a C-contiguous int8 partial permutation, ``matching`` describing
-        exactly its circuits, and a finite non-negative duration.
-        """
-        entry = object.__new__(cls)
-        regular.setflags(write=False)
-        matching.setflags(write=False)
-        for name, value in (
-            ("regular", regular),
-            ("duration", duration),
-            ("composite_served", composite_served),
-            ("o2m_port", o2m_port),
-            ("m2o_port", m2o_port),
-            ("matching", matching),
-        ):
-            object.__setattr__(entry, name, value)
-        entry._freeze_served()
-        return entry
-
-    def _freeze_served(self) -> None:
-        served = np.asarray(self.composite_served, dtype=np.float64)
-        if served.shape != self.regular.shape:
-            raise ValueError(
-                f"composite_served shape {served.shape} != regular shape {self.regular.shape}"
-            )
-        served.setflags(write=False)
-        object.__setattr__(self, "composite_served", served)
+        _check_cp_entry(self)
 
     @property
     def composite_volume(self) -> float:
         """Volume (Mb) the composite paths carry in this configuration."""
         return float(self.composite_served.sum())
+
+
+def _check_cp_entry(entry) -> None:
+    """Validate and freeze the fields every cp-Switch entry type shares
+    (this one and the k-path entry): the matching, a finite non-negative
+    duration and an n×n ``composite_served``."""
+    matching = check_matching(entry.matching)
+    object.__setattr__(entry, "matching", matching)
+    check_nonnegative("duration", entry.duration)
+    served = np.asarray(entry.composite_served, dtype=np.float64)
+    n = matching.shape[0]
+    if served.shape != (n, n):
+        raise ValueError(
+            f"composite_served shape {served.shape} != ({n}, {n}) of the matching"
+        )
+    served.setflags(write=False)
+    object.__setattr__(entry, "composite_served", served)
+
+
+def _check_cp_schedule(schedule) -> None:
+    """Validate and freeze the fields every cp-Switch schedule type shares
+    (this one and the k-path schedule)."""
+    object.__setattr__(schedule, "entries", tuple(schedule.entries))
+    check_nonnegative("reconfig_delay", schedule.reconfig_delay)
+    # The residual is part of the schedule's provenance and the simulator
+    # reads it later.
+    residual = np.asarray(schedule.filtered_residual, dtype=np.float64)
+    residual.setflags(write=False)
+    object.__setattr__(schedule, "filtered_residual", residual)
+
+
+def _served_since(
+    filtered: np.ndarray,
+    rows: "list[int]",
+    cols: "list[int]",
+    before: "tuple[np.ndarray, np.ndarray]",
+) -> np.ndarray:
+    """``composite_served`` of one configuration: ``before`` (the granted
+    ``rows`` and ``cols`` of ``filtered``, taken before the grants ran)
+    minus their values now, and zero off those lines, which the grants do
+    not touch.  Where a granted row crosses a granted column both writes
+    store the same difference."""
+    served = np.zeros_like(filtered)
+    served[rows] = before[0] - filtered[rows]
+    served[:, cols] = before[1] - filtered[:, cols]
+    return served
 
 
 @dataclass(frozen=True)
@@ -156,13 +151,7 @@ class CpSchedule:
     reduced_schedule: Schedule
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        check_nonnegative("reconfig_delay", self.reconfig_delay)
-        # Freeze the residual, mirroring CompositeScheduleEntry: it is part
-        # of the schedule's provenance and the simulator reads it later.
-        residual = np.asarray(self.filtered_residual, dtype=np.float64)
-        residual.setflags(write=False)
-        object.__setattr__(self, "filtered_residual", residual)
+        _check_cp_schedule(self)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -281,7 +270,7 @@ class CpSwitchScheduler:
         with obs.profiled("cpsched.inner", scheduler=self.inner.name):
             reduced_schedule = self.inner.schedule(reduction.reduced, params)
 
-        # Steps 3-4: interpret each permutation; schedule within composite
+        # Steps 3-4: interpret each configuration; schedule within composite
         # paths under the reserved EPS budget Ce*.
         with obs.profiled("cpsched.interpret") as interpret_span:
             cp_schedule = interpret(
@@ -338,11 +327,10 @@ def interpret(
     """Algorithm 4 steps 3-4: interpret a reduced-space schedule.
 
     Each configuration's matching is split by DivideByType (Algorithm 3,
-    :func:`~repro.core.divide.split_matching`); each composite grant then
+    :func:`~repro.core.divide.divide_by_type`); each composite grant then
     serves the filtered demand ``reduction.filtered`` with CPSched
-    (Algorithm 2) under the reserved EPS budget Ce*.  The schedule's
-    entries were validated when they were built, so nothing here scans a
-    permutation again.
+    (Algorithm 2) under the reserved EPS budget Ce*.  Only the granted row
+    and column of ``filtered`` change, so only they are copied.
 
     Grants on ``dead_o2m`` / ``dead_m2o`` ports are stripped: the entry
     keeps its regular circuits and serves nothing over that composite path.
@@ -364,12 +352,14 @@ def interpret(
             # dropped configurations would have served merges back for the
             # EPS drain.
             break
-        previous = filtered.copy()
-        matching, o2m_port, m2o_port = split_matching(item.matching)
+        matching, o2m_port, m2o_port = divide_by_type(item.matching)
         if o2m_port in dead_o2m:
             o2m_port = None
         if m2o_port in dead_m2o:
             m2o_port = None
+        rows = [] if o2m_port is None else [o2m_port]
+        cols = [] if m2o_port is None else [m2o_port]
+        before = filtered[rows], filtered[:, cols]
         if o2m_port is not None:
             filtered[o2m_port, :] = cpsched(
                 filtered[o2m_port, :], item.duration, params.ocs_rate, eps_budget
@@ -378,13 +368,11 @@ def interpret(
             filtered[:, m2o_port] = cpsched(
                 filtered[:, m2o_port], item.duration, params.ocs_rate, eps_budget
             )
-        n = matching.shape[0]
         entries.append(
-            CompositeScheduleEntry.trusted(
-                regular=item.permutation[:n, :n].copy(),
+            CompositeScheduleEntry(
                 matching=matching,
                 duration=item.duration,
-                composite_served=previous - filtered,
+                composite_served=_served_since(filtered, rows, cols, before),
                 o2m_port=o2m_port,
                 m2o_port=m2o_port,
             )

@@ -44,13 +44,12 @@ from repro.hybrid.diagnostics import SchedulerDiagnostics
 from repro.hybrid.eclipse.durations import candidate_durations
 from repro.hybrid.schedule import Schedule, ScheduleEntry
 from repro.matching import kernels
-from repro.matching.max_weight import assignment_to_permutation, max_weight_matching
+from repro.matching.max_weight import max_weight_matching
 from repro.switch.params import SwitchParams
 from repro.utils.validation import VOLUME_TOL, check_demand_matrix
 
-#: One greedy step's choice: (duration, permutation, matching, served-volume
-#: matrix).
-_Step = tuple[float, np.ndarray, np.ndarray, np.ndarray]
+#: One greedy step's choice: (duration, matching, served-volume matrix).
+_Step = tuple[float, np.ndarray, np.ndarray]
 #: The kernel path's per-duration value bounds, passed from step to step.
 _Carry = tuple[np.ndarray, np.ndarray]
 
@@ -156,7 +155,7 @@ class EclipseScheduler:
             )
             if best is None:
                 break
-            duration, permutation, matching, served = best
+            duration, matching, served = best
             if duration + delta <= min_advance:
                 self._degrade(
                     "clock-stall",
@@ -169,7 +168,7 @@ class EclipseScheduler:
                 break
             residual -= served
             np.clip(residual, 0.0, None, out=residual)
-            entries.append(ScheduleEntry.trusted(permutation, duration, matching))
+            entries.append(ScheduleEntry(matching=matching, duration=duration))
             clock += duration + delta
 
         if obs.active():
@@ -230,7 +229,7 @@ class EclipseScheduler:
         available: float,
         carry: "_Carry | None",
     ) -> "tuple[_Step | None, _Carry | None]":
-        """Best (duration, permutation, matching, served volume) this step.
+        """Best (duration, matching, served volume) this step.
 
         The first element is ``None`` when no candidate serves positive
         volume.  The second is the carry for the next step: the kernel
@@ -304,8 +303,8 @@ class EclipseScheduler:
           ``cap >= residual.max()`` all have ``min(residual, cap) ==
           residual`` element-wise, hence one (deterministic) LSAP solve
           serves them all.
-        * **Deferred construction** — the served-volume and permutation
-          matrices are materialised once for the winning candidate.
+        * **Deferred construction** — the served-volume matrix and the
+          pruned matching are built once, for the winning candidate.
 
         Why the winner is the oracle's.  A bound is an upper bound on the
         value it stands for: summation and LSAP rounding (about 1e-14
@@ -385,16 +384,12 @@ def _step(alpha: float, assignment: np.ndarray, weights: np.ndarray) -> _Step:
     """The step holding ``assignment`` for ``alpha``, with ``weights`` the
     residual capped at ``alpha * Co``.
 
-    Circuits that carry nothing are pruned from the permutation and the
-    matching: they would otherwise read as spurious composite-path grants
-    downstream.
+    Circuits that carry nothing are pruned from the matching: they would
+    otherwise read as spurious composite-path grants downstream.
     """
     rows = np.arange(weights.shape[0])
     carried = weights[rows, assignment]
     served = np.zeros_like(weights)
     served[rows, assignment] = carried
-    idle = carried <= VOLUME_TOL
-    permutation = assignment_to_permutation(assignment)
-    permutation[rows[idle], assignment[idle]] = 0
-    matching = np.where(idle, np.int64(-1), assignment)
-    return alpha, permutation, matching, served
+    matching = np.where(carried <= VOLUME_TOL, np.int64(-1), assignment)
+    return alpha, matching, served

@@ -1,24 +1,25 @@
 """Schedule containers shared by every scheduler in the library.
 
-An OCS schedule is an ordered list of (permutation matrix, duration) pairs
+An OCS schedule is an ordered list of (configuration, duration) pairs
 (§2.2): during entry *k* the OCS is configured as the (possibly partial)
 permutation ``P_k`` for ``t_k`` milliseconds, preceded by a reconfiguration
 penalty δ during which the OCS carries no traffic.  The EPS runs throughout.
 
-Each entry also carries its circuits as a *matching*: an ``(m,)`` integer
+Each entry holds its configuration as a *matching*: an ``(m,)`` integer
 array whose entry ``i`` is the output port input ``i``'s circuit reaches,
-or -1 if input ``i`` has no circuit.  The simulator and the cp-Switch
-interpretation work from the matching, so a configuration costs O(m)
-there instead of a scan of the m×m matrix.
+or -1 if input ``i`` has no circuit.  The schedulers find their
+configurations as matchings and hand them over, the entry validates one
+in O(m) when it is built, and the simulator and the cp-Switch
+interpretation read it; no m×m matrix is built anywhere on the way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.validation import check_nonnegative, permutation_matching
+from repro.utils.validation import check_matching, check_nonnegative
 
 
 @dataclass(frozen=True)
@@ -27,56 +28,28 @@ class ScheduleEntry:
 
     Attributes
     ----------
-    permutation:
-        m×m 0/1 matrix with at most one 1 per row/column.  For a plain
-        h-Switch schedule m = n; for a schedule produced from a reduced
-        cp-Switch demand m = n + 1 and the last row/column stand for the
-        composite paths.
+    matching:
+        The configuration's circuits as an ``(m,)`` matching (module
+        docstring), stored as a read-only int64 copy.  For a plain h-Switch
+        schedule m = n; for a schedule produced from a reduced cp-Switch
+        demand m = n + 1 and input/output ``n`` stands for the composite
+        paths.
     duration:
         Time the configuration is held, ms (excluding the reconfiguration
         penalty, which the simulator charges separately).
-    matching:
-        The permutation's circuits as an ``(m,)`` matching (module
-        docstring), derived in the scan that validates the permutation.
     """
 
-    permutation: np.ndarray
+    matching: np.ndarray
     duration: float
-    matching: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        perm, matching = permutation_matching(self.permutation, partial=True)
-        perm.setflags(write=False)
-        matching.setflags(write=False)
-        object.__setattr__(self, "permutation", perm)
-        object.__setattr__(self, "matching", matching)
+        object.__setattr__(self, "matching", check_matching(self.matching))
         check_nonnegative("duration", self.duration)
-
-    @classmethod
-    def trusted(
-        cls, permutation: np.ndarray, duration: float, matching: np.ndarray
-    ) -> "ScheduleEntry":
-        """Construct without re-validating ``permutation``.
-
-        For schedulers that build the permutation from a matching they
-        already hold (BigSlice's perfect matching, Eclipse's assignment):
-        the caller guarantees a square C-contiguous int8 0/1 matrix with at
-        most one 1 per row/column, ``matching`` describing exactly its
-        circuits, and a finite non-negative duration.  Both arrays are
-        frozen in place.
-        """
-        entry = object.__new__(cls)
-        permutation.setflags(write=False)
-        matching.setflags(write=False)
-        object.__setattr__(entry, "permutation", permutation)
-        object.__setattr__(entry, "duration", duration)
-        object.__setattr__(entry, "matching", matching)
-        return entry
 
     @property
     def size(self) -> int:
-        """Matrix dimension m of the permutation."""
-        return self.permutation.shape[0]
+        """Port count m of the configuration."""
+        return self.matching.shape[0]
 
     @property
     def circuits(self) -> "list[tuple[int, int]]":
@@ -104,7 +77,7 @@ class Schedule:
         check_nonnegative("reconfig_delay", self.reconfig_delay)
         sizes = {entry.size for entry in self.entries}
         if len(sizes) > 1:
-            raise ValueError(f"schedule mixes permutation sizes: {sorted(sizes)}")
+            raise ValueError(f"schedule mixes configuration sizes: {sorted(sizes)}")
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -195,7 +195,7 @@ class SolsticeScheduler:
             if decomposed:
                 break  # stuffed matrix fully decomposed
             try:
-                threshold, permutation = big_slice(stuffed, state=slice_state)
+                threshold, matching = big_slice(stuffed, state=slice_state)
             except ValueError as exc:
                 # Equal-sum invariant broken (adversarial stuffing residue):
                 # stop extracting circuits; the EPS drains the leftover.
@@ -220,31 +220,22 @@ class SolsticeScheduler:
             capacity = duration * ocs_rate
             if slice_state is not None:
                 # O(n) fancy-indexed subtraction along the matched entries.
-                # Boolean masking with a full permutation visits the same
-                # entries in the same (row-major) order, so the arithmetic
-                # is element-for-element identical to the oracle branch.
-                cols = slice_state.last_match
-                stuffed[rows, cols] = np.maximum(
-                    stuffed[rows, cols] - threshold, 0.0
+                # The oracle's boolean mask visits the same entries in the
+                # same (row-major) order, so the arithmetic is
+                # element-for-element identical to the oracle branch.
+                stuffed[rows, matching] = np.maximum(
+                    stuffed[rows, matching] - threshold, 0.0
                 )
-                leftover[rows, cols] = np.maximum(
-                    leftover[rows, cols] - capacity, 0.0
-                )
-                # The permutation was built from a verified perfect
-                # matching; skip re-validation on the hot path.
-                entries.append(
-                    ScheduleEntry.trusted(
-                        permutation, duration, cols.astype(np.int64)
-                    )
+                leftover[rows, matching] = np.maximum(
+                    leftover[rows, matching] - capacity, 0.0
                 )
             else:
-                mask = permutation.astype(bool)
+                mask = np.zeros((n, n), dtype=bool)
+                mask[rows, matching] = True
                 stuffed[mask] = np.maximum(stuffed[mask] - threshold, 0.0)
                 # Circuits serve real demand up to the slice capacity.
                 leftover[mask] = np.maximum(leftover[mask] - capacity, 0.0)
-                entries.append(
-                    ScheduleEntry(permutation=permutation, duration=duration)
-                )
+            entries.append(ScheduleEntry(matching=matching, duration=duration))
             makespan += duration + delta
         else:
             # Configuration cap hit with demand still uncovered — the EPS

@@ -3,7 +3,7 @@
 Given a stuffed (equal row/column sum) matrix ``E``, BigSlice finds a large
 threshold ``r`` such that the bipartite graph with an edge wherever
 ``E[i, j] >= r`` admits a perfect matching, and returns that matching with
-``r``.  Scheduling the matching for ``r / Co`` and subtracting ``r`` from
+``r`` (as an ``(n,)`` matching, see :mod:`repro.hybrid.schedule`).  Scheduling the matching for ``r / Co`` and subtracting ``r`` from
 every matched entry keeps all row and column sums equal (they each drop by
 exactly ``r``), preserving the invariant — and with it the existence of the
 next perfect matching.
@@ -61,9 +61,6 @@ class BigSliceState:
     def __init__(self, matrix: np.ndarray) -> None:
         self.matrix = matrix
         self.infeasible_at: float = np.inf
-        #: ``match_left`` of the slice most recently returned — the
-        #: scheduler uses it for O(n) fancy-indexed subtraction.
-        self.last_match: "np.ndarray | None" = None
         self._qidx: "dict[tuple[int, int], np.ndarray]" = {}
         self._grids: "dict[int, np.ndarray]" = {}
         n = matrix.shape[0]
@@ -133,10 +130,11 @@ def big_slice(
 
     Returns
     -------
-    threshold, permutation:
+    threshold, matching:
         The slicing threshold ``r`` (Mb) — the minimum entry the returned
-        matching touches — and a full n×n 0/1 permutation matrix supported
-        on entries ``>= r``.
+        matching touches — and the perfect matching, an ``(n,)`` int64
+        array whose entry ``i`` is input ``i``'s output, supported on
+        entries ``>= r``.
 
     Raises
     ------
@@ -175,12 +173,9 @@ def big_slice(
         else:
             hi = mid - 1
 
-    rows = np.arange(n)
     # Tighten: the slice can be as thick as the thinnest matched entry.
-    threshold = float(matrix[rows, best_match].min())
-    permutation = np.zeros((n, n), dtype=np.int8)
-    permutation[rows, best_match] = 1
-    return threshold, permutation
+    threshold = float(matrix[np.arange(n), best_match].min())
+    return threshold, best_match
 
 
 def _big_slice_kernel(
@@ -287,11 +282,5 @@ def _big_slice_kernel(
     if star < 0:
         raise ValueError(_NOT_STUFFED_MSG)
 
-    match = match_star
-    state.last_match = match
-
-    rows = state._rows
-    threshold = float(matrix[rows, match].min())
-    permutation = np.zeros((n, n), dtype=np.int8)
-    permutation[rows, match] = 1
-    return threshold, permutation
+    threshold = float(matrix[state._rows, match_star].min())
+    return threshold, match_star

@@ -67,13 +67,14 @@ class TdmScheduler:
             if port_load <= VOLUME_TOL or port_load / params.eps_rate <= makespan:
                 break
             progressed = False
-            for perm in rounds:
-                rows, cols = np.nonzero(perm)
+            for matching in rounds:
+                rows = np.flatnonzero(matching >= 0)
+                cols = matching[rows]
                 live = residual[rows, cols] > VOLUME_TOL
                 if not live.any():
                     continue
-                active = np.zeros_like(perm)
-                active[rows[live], cols[live]] = 1
+                active = np.full_like(matching, -1)
+                active[rows[live]] = cols[live]
                 if self.adaptive:
                     duration = float(residual[rows[live], cols[live]].max()) / params.ocs_rate
                 else:
@@ -82,7 +83,7 @@ class TdmScheduler:
                 residual[rows[live], cols[live]] = np.maximum(
                     residual[rows[live], cols[live]] - served, 0.0
                 )
-                entries.append(ScheduleEntry(permutation=active, duration=duration))
+                entries.append(ScheduleEntry(matching=active, duration=duration))
                 makespan += duration + delta
                 progressed = True
             if not progressed:
@@ -103,19 +104,18 @@ class TdmScheduler:
 
     @staticmethod
     def _edge_coloring(mask: np.ndarray) -> "list[np.ndarray]":
-        """Greedy partition of demanded entries into permutation rounds."""
+        """Greedy partition of demanded entries into rounds, each a matching
+        (see :mod:`repro.hybrid.schedule`)."""
         remaining = mask.copy()
         rounds: list[np.ndarray] = []
         while remaining.any():
-            perm = np.zeros(mask.shape, dtype=np.int8)
-            used_rows = np.zeros(mask.shape[0], dtype=bool)
+            matching = np.full(mask.shape[0], -1, dtype=np.int64)
             used_cols = np.zeros(mask.shape[1], dtype=bool)
             rows, cols = np.nonzero(remaining)
             for i, j in zip(rows.tolist(), cols.tolist()):
-                if not used_rows[i] and not used_cols[j]:
-                    perm[i, j] = 1
-                    used_rows[i] = True
+                if matching[i] < 0 and not used_cols[j]:
+                    matching[i] = j
                     used_cols[j] = True
                     remaining[i, j] = False
-            rounds.append(perm)
+            rounds.append(matching)
         return rounds

@@ -49,14 +49,6 @@ def max_weight_matching(weights: np.ndarray, *, use_scipy: bool = True) -> "tupl
     return _hungarian(w)
 
 
-def assignment_to_permutation(assignment: np.ndarray) -> np.ndarray:
-    """0/1 permutation matrix from an assignment vector."""
-    n = assignment.shape[0]
-    perm = np.zeros((n, n), dtype=np.int8)
-    perm[np.arange(n), assignment] = 1
-    return perm
-
-
 def _hungarian(weights: np.ndarray) -> "tuple[np.ndarray, float]":
     """Pure-Python O(n^3) Hungarian algorithm (maximization form).
 

@@ -513,8 +513,7 @@ class AnytimeScheduler:
         tdm_schedule = TdmScheduler().schedule(demand, params)
         zeros = np.zeros_like(demand)
         entries = tuple(
-            CompositeScheduleEntry.trusted(
-                regular=entry.permutation,
+            CompositeScheduleEntry(
                 matching=entry.matching,
                 duration=entry.duration,
                 composite_served=zeros,

@@ -119,7 +119,7 @@ from repro import obs
 from repro.sim.metrics import RateSegment, SimulationResult
 from repro.sim.rates import max_min_fair_rates
 from repro.switch.params import SwitchParams
-from repro.utils.validation import VOLUME_TOL, check_demand_matrix
+from repro.utils.validation import VOLUME_TOL, check_demand_matrix, check_matching
 
 #: Durations shorter than this (ms) are treated as elapsed.
 TIME_TOL: float = 1e-12
@@ -466,27 +466,11 @@ class FluidEngine:
 
         # ---- phase-constant bookkeeping --------------------------------
         if circuits is not None:
-            circuits = np.asarray(circuits)
-            n = self.n
-            if circuits.shape != (n,):
-                raise ValueError(
-                    f"circuits has shape {circuits.shape}, expected ({n},)"
-                )
-            if circuits.dtype.kind not in "iu":
-                raise ValueError(
-                    f"circuits must be integers, got dtype {circuits.dtype}"
-                )
+            circuits = check_matching(circuits, self.n)
             # Ascending inputs give the row-major keys row*n + col, sorted
-            # like the support; an input has one output by construction.
+            # like the support.
             inputs = np.flatnonzero(circuits >= 0)
-            outputs = circuits[inputs]
-            if circuits.min() < -1 or (outputs.size and outputs.max() >= n):
-                raise ValueError(
-                    f"circuits must map each input to an output in [0, {n}) or -1"
-                )
-            if outputs.size and np.bincount(outputs, minlength=n).max() > 1:
-                raise ValueError("circuits connect a port more than once")
-            circuit_pos = self._positions_of(inputs * n + outputs)
+            circuit_pos = self._positions_of(inputs * self.n + circuits[inputs])
         else:
             circuit_pos = _EMPTY_POS
         services = []

@@ -43,7 +43,7 @@ import numpy as np
 from repro.hybrid.schedule import Schedule, ScheduleEntry
 from repro.sim.metrics import RateSegment, SimulationResult
 from repro.switch.params import SwitchParams
-from repro.utils.validation import VOLUME_TOL, check_demand_matrix
+from repro.utils.validation import VOLUME_TOL, check_demand_matrix, matching_from_permutation
 
 try:  # scipy backend, as in the seed hopcroft_karp module
     from scipy.sparse import csr_matrix as _csr_matrix
@@ -460,7 +460,7 @@ def reference_solstice_schedule(demand: np.ndarray, params: SwitchParams) -> Sch
         stuffed[mask] = np.maximum(stuffed[mask] - threshold, 0.0)
         capacity = duration * ocs_rate
         leftover[mask] = np.maximum(leftover[mask] - capacity, 0.0)
-        entries.append(ScheduleEntry(permutation=permutation, duration=duration))
+        entries.append(ScheduleEntry(matching_from_permutation(permutation), duration))
         makespan += duration + delta
 
     return Schedule(entries=tuple(entries), reconfig_delay=delta)

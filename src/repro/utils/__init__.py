@@ -13,9 +13,10 @@ from repro.utils.units import (
 )
 from repro.utils.validation import (
     check_demand_matrix,
+    check_matching,
     check_nonnegative,
-    check_permutation,
     check_positive,
+    matching_from_permutation,
 )
 
 __all__ = [
@@ -24,11 +25,12 @@ __all__ = [
     "MILLISECONDS",
     "SECONDS",
     "check_demand_matrix",
+    "check_matching",
     "check_nonnegative",
-    "check_permutation",
     "check_positive",
     "ensure_rng",
     "gbps_to_mb_per_ms",
+    "matching_from_permutation",
     "mb_per_ms_to_gbps",
     "ms_to_us",
     "spawn_rngs",

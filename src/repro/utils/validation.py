@@ -59,25 +59,38 @@ def check_demand_matrix(demand: np.ndarray, *, square: bool = True) -> np.ndarra
     return np.array(arr, dtype=np.float64, order="C")
 
 
-def check_permutation(perm: np.ndarray, *, partial: bool = True) -> np.ndarray:
-    """Validate a (possibly partial) permutation matrix.
+def check_matching(matching: np.ndarray, n: "int | None" = None) -> np.ndarray:
+    """Validate a matching and return a read-only int64 copy of it.
 
-    A permutation matrix here is a 0/1 square matrix with at most one 1 per
-    row and per column; with ``partial=False`` exactly one per row/column is
-    required.  Returns it as a C-contiguous int8 matrix.
+    A *matching* holds one OCS configuration's circuits: entry ``i`` is the
+    output port input ``i``'s circuit reaches, or -1 if input ``i`` has no
+    circuit.  It must be a 1-D integer array, of shape ``(n,)`` when ``n``
+    is given, with values in ``[-1, n)`` and no output used twice.  O(n).
     """
-    return permutation_matching(perm, partial=partial)[0]
+    arr = np.asarray(matching)
+    if arr.ndim != 1 or (n is not None and arr.shape[0] != n):
+        expected = "1-D" if n is None else f"({n},)"
+        raise ValueError(f"matching has shape {arr.shape}, expected {expected}")
+    n = arr.shape[0]
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"matching must be integers, got dtype {arr.dtype}")
+    if n and (arr.min() < -1 or arr.max() >= n):
+        raise ValueError(f"matching must map each input to an output in [0, {n}) or -1")
+    copy = np.array(arr, dtype=np.int64)
+    # Shifted by one, "no circuit" counts in bin 0.
+    if n and np.bincount(copy + 1, minlength=n + 1)[1:].max() > 1:
+        raise ValueError("matching connects an output more than once")
+    copy.setflags(write=False)
+    return copy
 
 
-def permutation_matching(
-    perm: np.ndarray, *, partial: bool = True
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Validate a permutation matrix and return it with its matching.
+def matching_from_permutation(perm: np.ndarray) -> np.ndarray:
+    """The matching of a (possibly partial) permutation matrix.
 
-    The matrix comes back as in :func:`check_permutation`.  The *matching*
-    is an ``(m,)`` int64 array whose entry ``i`` is the column of row
-    ``i``'s 1, or -1 for an empty row.  One scan over the matrix finds the
-    nonzeros; checking them and deriving the matching costs O(nonzeros).
+    A permutation matrix here is a square 0/1 matrix (any numeric or
+    boolean dtype) with at most one 1 per row and per column.  Returns its
+    circuits as in :func:`check_matching`: entry ``i`` is the column of row
+    ``i``'s 1, or -1 for an empty row.
     """
     arr = np.asarray(perm)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -86,15 +99,10 @@ def permutation_matching(
     keys = np.flatnonzero(arr)
     if (arr.flat[keys] != 1).any():  # negative, fractional and NaN entries
         raise ValueError("permutation entries must be 0 or 1")
+    rows, cols = np.divmod(keys, max(m, 1))
     # Row-major keys: a row used twice repeats a neighbour's row.
-    rows = keys // max(m, 1)
-    cols = keys - rows * m
-    repeated = (np.diff(rows) == 0).any() or (np.bincount(cols, minlength=m) > 1).any()
-    if partial:
-        if repeated:
-            raise ValueError("partial permutation has a row or column with >1 entry")
-    elif repeated or keys.size != m:
-        raise ValueError("full permutation must have exactly one entry per row/column")
+    if (np.diff(rows) == 0).any():
+        raise ValueError("permutation has a row with more than one entry")
     matching = np.full(m, -1, dtype=np.int64)
     matching[rows] = cols
-    return np.ascontiguousarray(arr, dtype=np.int8), matching
+    return check_matching(matching)

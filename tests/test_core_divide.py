@@ -6,72 +6,78 @@ import numpy as np
 import pytest
 
 from repro.core.divide import divide_by_type
+from repro.hybrid.schedule import ScheduleEntry
 
 
-def reduced_permutation(n: int, pairs: "list[tuple[int, int]]") -> np.ndarray:
-    perm = np.zeros((n + 1, n + 1), dtype=np.int8)
+def reduced_matching(n: int, pairs: "list[tuple[int, int]]") -> np.ndarray:
+    """The (n+1,) matching of a reduced-space configuration's circuits."""
+    matching = np.full(n + 1, -1)
     for i, j in pairs:
-        perm[i, j] = 1
-    return perm
+        matching[i] = j
+    return matching
+
+
+def circuit_count(regular: np.ndarray) -> int:
+    return int((regular >= 0).sum())
 
 
 class TestDivideByType:
     def test_pure_regular_permutation(self):
-        perm = reduced_permutation(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
-        divided = divide_by_type(perm)
-        assert divided.o2m_port is None
-        assert divided.m2o_port is None
-        assert not divided.has_composite
-        assert divided.regular.sum() == 4
+        matching = reduced_matching(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
+        regular, o2m_port, m2o_port = divide_by_type(matching)
+        assert o2m_port is None
+        assert m2o_port is None
+        np.testing.assert_array_equal(regular, [1, 0, 3, 2])
 
     def test_one_to_many_grant(self):
         # Sender 2 matched to the composite column.
-        perm = reduced_permutation(4, [(2, 4), (0, 1), (1, 0)])
-        divided = divide_by_type(perm)
-        assert divided.o2m_port == 2
-        assert divided.m2o_port is None
-        assert divided.regular.sum() == 2
-        assert divided.regular[2].sum() == 0  # the grant is not a regular circuit
+        matching = reduced_matching(4, [(2, 4), (0, 1), (1, 0)])
+        regular, o2m_port, m2o_port = divide_by_type(matching)
+        assert o2m_port == 2
+        assert m2o_port is None
+        assert circuit_count(regular) == 2
+        assert regular[2] == -1  # the grant is not a regular circuit
 
     def test_many_to_one_grant(self):
-        perm = reduced_permutation(4, [(4, 3), (0, 0)])
-        divided = divide_by_type(perm)
-        assert divided.m2o_port == 3
-        assert divided.o2m_port is None
+        matching = reduced_matching(4, [(4, 3), (0, 0)])
+        _, o2m_port, m2o_port = divide_by_type(matching)
+        assert m2o_port == 3
+        assert o2m_port is None
 
     def test_both_grants_in_one_permutation(self):
-        perm = reduced_permutation(4, [(1, 4), (4, 2), (0, 0), (3, 3)])
-        divided = divide_by_type(perm)
-        assert divided.o2m_port == 1
-        assert divided.m2o_port == 2
-        assert divided.has_composite
-        assert divided.regular.sum() == 2
+        matching = reduced_matching(4, [(1, 4), (4, 2), (0, 0), (3, 3)])
+        regular, o2m_port, m2o_port = divide_by_type(matching)
+        assert o2m_port == 1
+        assert m2o_port == 2
+        np.testing.assert_array_equal(regular, [0, -1, -1, 3])
 
     def test_composite_to_composite_corner_ignored(self):
         # P[n, n] = 1 carries no demand (DI[n, n] == 0 by construction).
-        perm = reduced_permutation(4, [(4, 4), (0, 1)])
-        divided = divide_by_type(perm)
-        assert divided.o2m_port is None
-        assert divided.m2o_port is None
-        assert divided.regular.sum() == 1
+        matching = reduced_matching(4, [(4, 4), (0, 1)])
+        regular, o2m_port, m2o_port = divide_by_type(matching)
+        assert o2m_port is None
+        assert m2o_port is None
+        np.testing.assert_array_equal(regular, [1, -1, -1, -1])
 
     def test_regular_block_is_a_copy(self):
-        perm = reduced_permutation(3, [(0, 0)])
-        divided = divide_by_type(perm)
-        divided.regular[0, 0] = 0
-        assert perm[0, 0] == 1
+        entry = ScheduleEntry(matching=reduced_matching(3, [(0, 0)]), duration=1.0)
+        regular, _, _ = divide_by_type(entry.matching)
+        regular[0] = -1  # writable, although the entry's matching is not
+        assert entry.matching[0] == 0
 
     def test_rejects_non_permutation(self):
-        bad = np.zeros((5, 5), dtype=np.int8)
-        bad[0, 0] = bad[0, 1] = 1  # two entries in one row
-        with pytest.raises(ValueError):
-            divide_by_type(bad)
+        # Two senders on the composite port: the reduced configuration is
+        # rejected where its entry is built, so it never reaches the split.
+        bad = reduced_matching(4, [(0, 4), (1, 4)])
+        with pytest.raises(ValueError, match="more than once"):
+            ScheduleEntry(matching=bad, duration=1.0)
 
     def test_rejects_tiny_matrix(self):
         with pytest.raises(ValueError):
-            divide_by_type(np.zeros((1, 1), dtype=np.int8))
+            divide_by_type(np.full(1, -1))
 
     def test_partial_permutation_accepted(self):
-        perm = reduced_permutation(4, [(0, 2)])
-        divided = divide_by_type(perm)
-        assert divided.regular.sum() == 1
+        matching = reduced_matching(4, [(0, 2)])
+        regular, o2m_port, m2o_port = divide_by_type(matching)
+        assert circuit_count(regular) == 1
+        assert o2m_port is m2o_port is None

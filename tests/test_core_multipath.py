@@ -4,20 +4,62 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core.multipath import (
     NO_PATH,
+    MultiPathCpSchedule,
     MultiPathCpScheduler,
+    MultiPathScheduleEntry,
     divide_by_type_multipath,
     multi_path_reduction,
 )
-from repro.core.reduction import cp_switch_demand_reduction
+from repro.core.reduction import cp_switch_demand_reduction, qualifying_lines
+from repro.core.scheduler import CompositeScheduleEntry, CpSchedule
+from repro.hybrid.schedule import Schedule
 from repro.hybrid.solstice import SolsticeScheduler
 from repro.switch.params import fast_ocs_params
 
 
+@st.composite
+def small_demands(draw):
+    """A random sparse demand at radix 3-8, entries up to 3 Mb."""
+    n = draw(st.integers(3, 8))
+    values = draw(arrays(np.float64, (n, n), elements=st.floats(0.01, 3.0)))
+    present = draw(arrays(np.bool_, (n, n)))
+    return values * present
+
+
 class TestMultiPathReduction:
-    def test_k1_matches_base_algorithm(self, sparse_demand):
+    @given(
+        demand=small_demands(),
+        rt=st.integers(1, 3),
+        bt=st.floats(0.5, 2.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_k1_filters_like_algorithm_1(self, demand, rt, bt):
+        # What k = 1 shares with Algorithm 1: the same filtered entries,
+        # and the same path for every entry whose row or column alone
+        # qualifies.  An entry whose row and column both qualify may go
+        # the other way: the k-path greedy scans entries in row-major
+        # order, while Algorithm 1 books the single-side entries first.
+        base = cp_switch_demand_reduction(demand, rt, bt)
+        multi = multi_path_reduction(demand, 1, rt, bt)
+        np.testing.assert_array_equal(multi.filtered, base.filtered)
+        _, row_qualifies, col_qualifies = qualifying_lines(demand, rt, bt)
+        single = (base.filtered > 0) & (row_qualifies[:, None] != col_qualifies[None, :])
+        np.testing.assert_array_equal(
+            (multi.o2m_path != NO_PATH)[single], base.o2m_assignment[single]
+        )
+        np.testing.assert_array_equal(
+            (multi.m2o_path != NO_PATH)[single], base.m2o_assignment[single]
+        )
+
+    def test_k1_reduction_matches_base_on_sparse_fixture(self, sparse_demand):
+        # Only on this fixture; test_k1_filters_like_algorithm_1 states
+        # what holds in general.
         base = cp_switch_demand_reduction(sparse_demand, 3, 2.0)
         multi = multi_path_reduction(sparse_demand, 1, 3, 2.0)
         np.testing.assert_allclose(multi.reduced, base.reduced)
@@ -71,27 +113,71 @@ class TestMultiPathReduction:
 class TestDivideByTypeMultipath:
     def test_extracts_multiple_grants(self):
         n, k = 4, 2
-        perm = np.zeros((n + k, n + k), dtype=np.int8)
-        perm[0, n] = 1  # sender 0 on o2m path 0
-        perm[1, n + 1] = 1  # sender 1 on o2m path 1
-        perm[n, 2] = 1  # receiver 2 on m2o path 0
-        perm[2, 3] = 1  # a regular circuit
-        regular, o2m, m2o = divide_by_type_multipath(perm, n)
+        matching = np.full(n + k, -1)
+        matching[0] = n  # sender 0 on o2m path 0
+        matching[1] = n + 1  # sender 1 on o2m path 1
+        matching[n] = 2  # receiver 2 on m2o path 0
+        matching[2] = 3  # a regular circuit
+        regular, o2m, m2o = divide_by_type_multipath(matching, n)
         assert o2m == {0: 0, 1: 1}
         assert m2o == {0: 2}
-        assert regular.sum() == 1
+        np.testing.assert_array_equal(regular, [-1, -1, 3, -1])
 
     def test_path_to_path_matches_ignored(self):
         n, k = 3, 2
-        perm = np.zeros((n + k, n + k), dtype=np.int8)
-        perm[n, n + 1] = 1
-        regular, o2m, m2o = divide_by_type_multipath(perm, n)
+        matching = np.full(n + k, -1)
+        matching[n] = n + 1
+        regular, o2m, m2o = divide_by_type_multipath(matching, n)
         assert o2m == {}
         assert m2o == {}
+        np.testing.assert_array_equal(regular, [-1, -1, -1])
 
     def test_rejects_undersized_permutation(self):
         with pytest.raises(ValueError):
-            divide_by_type_multipath(np.zeros((3, 3), dtype=np.int8), 3)
+            divide_by_type_multipath(np.full(3, -1), 3)
+
+
+#: The two cp entry types, each built from its shared fields.
+ENTRY_TYPES = {
+    "base": lambda **fields: CompositeScheduleEntry(**fields),
+    "k-path": lambda **fields: MultiPathScheduleEntry(
+        **fields, o2m_grants={}, m2o_grants={}
+    ),
+}
+
+
+class TestEntryRejection:
+    """The k-path entry and schedule go through the base types' checks."""
+
+    @pytest.mark.parametrize("kind", sorted(ENTRY_TYPES))
+    @pytest.mark.parametrize("duration", [-0.1, float("nan"), float("inf")])
+    def test_bad_duration_rejected(self, kind, duration):
+        with pytest.raises(ValueError, match="duration"):
+            ENTRY_TYPES[kind](
+                matching=np.full(3, -1),
+                duration=duration,
+                composite_served=np.zeros((3, 3)),
+            )
+
+    @pytest.mark.parametrize("kind", sorted(ENTRY_TYPES))
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 4), (3,), (9,)])
+    def test_composite_served_of_wrong_shape_rejected(self, kind, shape):
+        with pytest.raises(ValueError, match="composite_served"):
+            ENTRY_TYPES[kind](
+                matching=np.full(3, -1), duration=1.0, composite_served=np.zeros(shape)
+            )
+
+    @pytest.mark.parametrize("schedule_type", [CpSchedule, MultiPathCpSchedule])
+    def test_negative_reconfig_delay_rejected(self, schedule_type, sparse_demand):
+        reduction = multi_path_reduction(sparse_demand, 2, 3, 2.0)
+        with pytest.raises(ValueError, match="reconfig_delay"):
+            schedule_type(
+                entries=(),
+                reconfig_delay=-0.01,
+                reduction=reduction,
+                filtered_residual=np.zeros((8, 8)),
+                reduced_schedule=Schedule(entries=(), reconfig_delay=0.01),
+            )
 
 
 class TestMultiPathScheduler:
@@ -144,3 +230,23 @@ class TestMultiPathImmutability:
         schedule = scheduler.schedule(skewed_demand16, params)
         with pytest.raises(ValueError):
             schedule.filtered_residual[0, 0] = 1.0
+
+    def test_entry_arrays_read_only(self, skewed_demand16):
+        params = fast_ocs_params(16)
+        scheduler = MultiPathCpScheduler(SolsticeScheduler(), n_paths=2)
+        schedule = scheduler.schedule(skewed_demand16, params)
+        assert schedule.composite_volume_served > 0
+        for entry in schedule.entries:
+            with pytest.raises(ValueError):
+                entry.composite_served[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                entry.matching[0] = -1
+
+    @pytest.mark.parametrize("kind", sorted(ENTRY_TYPES))
+    def test_built_entry_freezes_composite_served(self, kind):
+        served = np.zeros((3, 3))
+        entry = ENTRY_TYPES[kind](
+            matching=np.full(3, -1), duration=1.0, composite_served=served
+        )
+        with pytest.raises(ValueError):
+            entry.composite_served[0, 0] = 1.0

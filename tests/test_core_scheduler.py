@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core.config import FilterConfig
 from repro.core.cpsched import cpsched
+from repro.core.multipath import MultiPathCpScheduler
 from repro.core.scheduler import CpSwitchScheduler
 from repro.hybrid.eclipse import EclipseScheduler
 from repro.hybrid.solstice import SolsticeScheduler
@@ -77,7 +81,7 @@ class TestCpSwitchScheduler:
         assert cp_schedule.reduction.composite_volume == 0.0
         assert cp_schedule.n_configs == h_schedule.n_configs
         for cp_entry, h_entry in zip(cp_schedule, h_schedule):
-            np.testing.assert_array_equal(cp_entry.regular, h_entry.permutation)
+            np.testing.assert_array_equal(cp_entry.matching, h_entry.matching)
             assert cp_entry.duration == pytest.approx(h_entry.duration)
 
     def test_works_with_eclipse_inner(self, params, skewed_demand):
@@ -124,6 +128,84 @@ class TestScheduleImmutability:
         cp_schedule = scheduler.schedule(skewed_demand, params)
         entry = cp_schedule.entries[0]
         with pytest.raises(ValueError):
-            entry.regular[0, 0] = 1
+            entry.matching[0] = 1
         with pytest.raises(ValueError):
             entry.composite_served[0, 0] = 1.0
+
+
+
+@st.composite
+def filterable_demands(draw):
+    """A radix-4-10 demand whose small entries (at most Bt = 2 Mb on a
+    fast OCS) fill some lines, next to a few larger ones."""
+    n = draw(st.integers(4, 10))
+    small = draw(arrays(np.float64, (n, n), elements=st.floats(0.001, 2.0)))
+    present = draw(arrays(np.bool_, (n, n)))
+    large = draw(arrays(np.float64, (n, n), elements=st.sampled_from([0.0, 0.0, 30.0])))
+    return np.where(present, small, large) * ~np.eye(n, dtype=bool)
+
+
+def replayed_served(schedule, params, lanes):
+    """Each entry's ``Df,prev − Df`` over the whole filtered matrix, with
+    the schedule's grants replayed on a copy of its filtered demand.
+    ``lanes(entry)`` yields each grant's line index and lane mask; a base
+    grant (mask ``None``) leaves CPSched's result on its whole line, a
+    k-path grant subtracts what its lane served."""
+    filtered = schedule.reduction.filtered.copy()
+    out = []
+    for entry in schedule.entries:
+        previous = filtered.copy()
+        for line, mask in lanes(entry):
+            lane = filtered[line] if mask is None else filtered[line] * mask
+            remaining = cpsched(
+                lane, entry.duration, params.ocs_rate, params.effective_eps_budget
+            )
+            if mask is None:
+                filtered[line] = remaining
+            else:
+                filtered[line] -= lane - remaining
+        out.append(previous - filtered)
+    return out
+
+
+class TestCompositeServedMatchesWholeMatrix:
+    """``composite_served`` is built from the granted lines only; it keeps
+    the bits of the whole-matrix ``Df,prev − Df``."""
+
+    @given(demand=filterable_demands(), use_eclipse=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_interpret(self, demand, use_eclipse):
+        params = fast_ocs_params(demand.shape[0])
+        inner = EclipseScheduler() if use_eclipse else SolsticeScheduler()
+        schedule = CpSwitchScheduler(inner).schedule(demand, params)
+
+        def lanes(entry):
+            if entry.o2m_port is not None:
+                yield (entry.o2m_port, slice(None)), None
+            if entry.m2o_port is not None:
+                yield (slice(None), entry.m2o_port), None
+
+        for entry, expected in zip(
+            schedule.entries, replayed_served(schedule, params, lanes)
+        ):
+            assert entry.composite_served.tobytes() == expected.tobytes()
+
+    @given(demand=filterable_demands(), k=st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_k_path_loop(self, demand, k):
+        params = fast_ocs_params(demand.shape[0])
+        schedule = MultiPathCpScheduler(SolsticeScheduler(), n_paths=k).schedule(
+            demand, params
+        )
+        o2m_path, m2o_path = schedule.reduction.o2m_path, schedule.reduction.m2o_path
+
+        def lanes(entry):
+            for path, sender in entry.o2m_grants.items():
+                yield (sender, slice(None)), o2m_path[sender, :] == path
+            for path, receiver in entry.m2o_grants.items():
+                yield (slice(None), receiver), m2o_path[:, receiver] == path
+
+        for entry, expected in zip(
+            schedule.entries, replayed_served(schedule, params, lanes)
+        ):
+            assert entry.composite_served.tobytes() == expected.tobytes()

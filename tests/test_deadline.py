@@ -92,7 +92,7 @@ def assert_schedules_equal(a, b) -> None:
     """Bit-identity of two CpSchedules, field by field."""
     assert len(a.entries) == len(b.entries)
     for entry_a, entry_b in zip(a.entries, b.entries):
-        np.testing.assert_array_equal(entry_a.regular, entry_b.regular)
+        np.testing.assert_array_equal(entry_a.matching, entry_b.matching)
         assert entry_a.duration == entry_b.duration
         np.testing.assert_array_equal(
             entry_a.composite_served, entry_b.composite_served

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from repro.hybrid.schedule import Schedule, ScheduleEntry
+from repro.utils.validation import matching_from_permutation
 
 
 def entry(pairs, n=4, duration=1.0) -> ScheduleEntry:
-    perm = np.zeros((n, n), dtype=np.int8)
+    matching = np.full(n, -1)
     for i, j in pairs:
-        perm[i, j] = 1
-    return ScheduleEntry(permutation=perm, duration=duration)
+        matching[i] = j
+    return ScheduleEntry(matching=matching, duration=duration)
 
 
 class TestScheduleEntry:
@@ -22,19 +23,27 @@ class TestScheduleEntry:
         assert e.size == 4
 
     def test_rejects_double_row(self):
+        # A matching gives an input one output, so a row used twice is
+        # caught where a matrix is converted, and an output used twice
+        # where the entry is built.
         perm = np.zeros((3, 3), dtype=np.int8)
         perm[0, 0] = perm[0, 1] = 1
         with pytest.raises(ValueError):
-            ScheduleEntry(permutation=perm, duration=1.0)
+            ScheduleEntry(matching=matching_from_permutation(perm), duration=1.0)
+        with pytest.raises(ValueError, match="more than once"):
+            ScheduleEntry(matching=np.array([0, 0, -1]), duration=1.0)
 
     def test_rejects_negative_duration(self):
         with pytest.raises(ValueError):
             entry([(0, 0)], duration=-0.1)
 
     def test_permutation_is_frozen(self):
-        e = entry([(0, 0)])
+        matching = np.array([0, -1, -1, -1])
+        e = ScheduleEntry(matching=matching, duration=1.0)
         with pytest.raises(ValueError):
-            e.permutation[0, 0] = 0
+            e.matching[0] = 1
+        matching[0] = 1  # the entry holds its own copy
+        assert e.circuits == [(0, 0)]
 
 
 class TestSchedule:

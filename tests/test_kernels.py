@@ -103,7 +103,7 @@ def fault_plans():
 def _schedules_equal(a, b) -> bool:
     return len(a) == len(b) and all(
         ea.duration == eb.duration
-        and np.array_equal(ea.permutation, eb.permutation)
+        and np.array_equal(ea.matching, eb.matching)
         for ea, eb in zip(a, b)
     )
 
@@ -210,11 +210,11 @@ class TestBigSliceIdentity:
                 break
             oracle_exc = kernel_exc = None
             try:
-                o_threshold, o_perm = big_slice(oracle)
+                o_threshold, o_match = big_slice(oracle)
             except ValueError as exc:
                 oracle_exc = str(exc)
             try:
-                k_threshold, k_perm = big_slice(kernel, state=state)
+                k_threshold, k_match = big_slice(kernel, state=state)
             except ValueError as exc:
                 kernel_exc = str(exc)
             # Exception parity: degraded matrices must degrade identically.
@@ -222,12 +222,12 @@ class TestBigSliceIdentity:
             if oracle_exc is not None:
                 break
             assert o_threshold == k_threshold
-            assert np.array_equal(o_perm, k_perm)
-            mask = o_perm.astype(bool)
+            assert np.array_equal(o_match, k_match)
+            mask = np.zeros((n, n), dtype=bool)
+            mask[rows, o_match] = True
             oracle[mask] = np.maximum(oracle[mask] - o_threshold, 0.0)
-            cols = state.last_match
-            kernel[rows, cols] = np.maximum(
-                kernel[rows, cols] - k_threshold, 0.0
+            kernel[rows, k_match] = np.maximum(
+                kernel[rows, k_match] - k_threshold, 0.0
             )
             assert np.array_equal(oracle, kernel)
 

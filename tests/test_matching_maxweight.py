@@ -7,10 +7,9 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.matching.max_weight import (
-    assignment_to_permutation,
-    max_weight_matching,
-)
+from repro.matching import matching_to_permutation
+from repro.matching.max_weight import max_weight_matching
+from repro.utils.validation import matching_from_permutation
 
 
 def brute_force_best(weights: np.ndarray) -> float:
@@ -80,7 +79,8 @@ class TestMaxWeightMatching:
 class TestAssignmentToPermutation:
     def test_roundtrip(self):
         assignment = np.array([2, 0, 1])
-        perm = assignment_to_permutation(assignment)
+        perm = matching_to_permutation(assignment, 3)
         assert perm.shape == (3, 3)
         assert perm.sum() == 3
         np.testing.assert_array_equal(np.nonzero(perm)[1], assignment)
+        np.testing.assert_array_equal(matching_from_permutation(perm), assignment)

@@ -1,11 +1,13 @@
-"""Configurations as matchings: the same circuits as their permutation matrices.
+"""Configurations as matchings: the one stored form of a configuration.
 
-Schedule entries carry their circuits as a matching (entry ``i`` the output
-of input ``i``'s circuit, -1 for none), derived in the scan that validates
-the matrix or handed over by the scheduler.  The cp-Switch interpretation
-splits a reduced configuration from its matching, and the fluid engine
-takes circuits only as a matching.  These properties check that each of
-those describes exactly the circuits of the matrix it stands for.
+Schedule entries hold their circuits only as a matching (entry ``i`` the
+output of input ``i``'s circuit, -1 for none), validated once where the
+entry is built.  The cp-Switch interpretation splits a reduced
+configuration from its matching (Algorithm 3), and the fluid engine takes
+circuits only as a matching.  These properties check that a matching
+describes exactly the circuits of the permutation matrix it stands for,
+that both splits agree with Algorithm 3 read off that matrix, and that the
+entry constructors and ``run_phase`` reject the same invalid matchings.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.divide import divide_by_type, split_matching
-from repro.core.multipath import _split_matching_multipath, divide_by_type_multipath
+from repro.core.divide import divide_by_type
+from repro.core.multipath import MultiPathScheduleEntry, divide_by_type_multipath
 from repro.core.scheduler import CompositeScheduleEntry
 from repro.hybrid.schedule import ScheduleEntry
 from repro.matching import matching_to_permutation
 from repro.sim.engine import FluidEngine
 from repro.switch.params import SwitchParams
-from repro.utils.validation import permutation_matching
+from repro.utils.validation import matching_from_permutation
 
 DTYPES = (np.int8, np.bool_, np.float64)
 
@@ -42,19 +44,87 @@ def partial_permutations(draw, min_size=1, max_size=8):
     return matrix, pairs
 
 
+def corrupt(matching, pairs, corruption, offset, position):
+    """``matching`` made invalid, or ``None`` if ``corruption`` cannot
+    apply (a second use of an output needs a circuit to copy)."""
+    matching = matching.copy()
+    n = matching.shape[0]
+    i = position % n
+    if corruption == "long":
+        return np.append(matching, -1)
+    if corruption == "short":
+        return matching[:-1]
+    if corruption == "below":
+        matching[i] = -2 - offset
+    elif corruption == "above":
+        matching[i] = n + offset
+    else:  # a second input on an output already in use
+        if not pairs:
+            return None
+        used_by, output = pairs[0]
+        matching[(used_by + 1 + position % (n - 1)) % n] = output
+    return matching
+
+
+#: The three entry types, each built from a matching of ``n`` ports.
+CONSTRUCTORS = {
+    "ScheduleEntry": lambda matching, n: ScheduleEntry(matching=matching, duration=1.0),
+    "CompositeScheduleEntry": lambda matching, n: CompositeScheduleEntry(
+        matching=matching, duration=1.0, composite_served=np.zeros((n, n))
+    ),
+    "MultiPathScheduleEntry": lambda matching, n: MultiPathScheduleEntry(
+        matching=matching,
+        duration=1.0,
+        composite_served=np.zeros((n, n)),
+        o2m_grants={},
+        m2o_grants={},
+    ),
+}
+
+#: Invalid 4-port matchings: (matching, error message pattern).
+INVALID_MATCHINGS = {
+    "long": (np.full(5, -1), None),
+    "short": (np.full(3, -1), None),
+    "square": (np.full((4, 4), -1), "shape"),
+    "matrix": (np.zeros((4, 4), dtype=np.int8), "shape"),
+    "below": (np.array([-1, 1, -2, -1]), r"\[0, 4\)"),
+    "at_n": (np.array([-1, 1, 4, -1]), r"\[0, 4\)"),
+    "above": (np.array([-1, 1, np.iinfo(np.int64).max, -1]), r"\[0, 4\)"),
+    "twice": (np.array([2, -1, 2, -1]), "more than once"),
+    "float": (np.array([1.0, -1.0, -1.0, -1.0]), "integers"),
+}
+
+
+def reduced_split(matrix: np.ndarray, n: int):
+    """Algorithm 3 read off a reduced permutation matrix with composite
+    ports ``n..m-1``: the n×n regular block and, per composite port, the
+    sender in its column and the receiver in its row."""
+    m = matrix.shape[0]
+    o2m = {}
+    m2o = {}
+    for p in range(m - n):
+        senders = np.flatnonzero(matrix[:n, n + p])
+        receivers = np.flatnonzero(matrix[n + p, :n])
+        if senders.size:
+            o2m[p] = int(senders[0])
+        if receivers.size:
+            m2o[p] = int(receivers[0])
+    return matrix[:n, :n].astype(np.int8), o2m, m2o
+
+
 class TestEntryMatching:
     @given(case=partial_permutations())
     @settings(max_examples=200, deadline=None)
     def test_matching_and_permutation_describe_the_same_circuits(self, case):
         matrix, pairs = case
-        entry = ScheduleEntry(permutation=matrix, duration=1.0)
+        entry = ScheduleEntry(matching=matching_from_permutation(matrix), duration=1.0)
         assert entry.matching.shape == (matrix.shape[0],)
+        assert entry.matching.dtype == np.int64
         assert entry.circuits == pairs
         n = matrix.shape[0]
         np.testing.assert_array_equal(
-            matching_to_permutation(entry.matching, n), entry.permutation
+            matching_to_permutation(entry.matching, n), matrix.astype(np.int8)
         )
-        assert entry.permutation.dtype == np.int8
         assert not entry.matching.flags.writeable
 
     @given(case=partial_permutations())
@@ -62,11 +132,13 @@ class TestEntryMatching:
     def test_composite_entry_from_a_matrix(self, case):
         matrix, pairs = case
         entry = CompositeScheduleEntry(
-            regular=matrix, duration=1.0, composite_served=np.zeros(matrix.shape)
+            matching=matching_from_permutation(matrix),
+            duration=1.0,
+            composite_served=np.zeros(matrix.shape),
         )
         n = matrix.shape[0]
         np.testing.assert_array_equal(
-            matching_to_permutation(entry.matching, n), entry.regular
+            matching_to_permutation(entry.matching, n), matrix.astype(np.int8)
         )
         assert [(i, int(entry.matching[i])) for i, _ in pairs] == pairs
 
@@ -82,46 +154,87 @@ class TestEntryMatching:
     )
     def test_invalid_matrix_rejected(self, matrix):
         with pytest.raises(ValueError):
-            ScheduleEntry(permutation=matrix, duration=1.0)
+            matching_from_permutation(matrix)
 
-    def test_full_permutation_required_when_asked(self):
-        matrix = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-        with pytest.raises(ValueError, match="exactly one"):
-            permutation_matching(matrix, partial=False)
-        matrix[2, 2] = 1
-        np.testing.assert_array_equal(
-            permutation_matching(matrix, partial=False)[1], [1, 0, 2]
+
+#: An h-Switch entry fixes no port count of its own: a matching one port
+#: longer or shorter is a valid configuration of another switch, which
+#: ``Schedule`` (mixed sizes) and the simulators (size != n) reject.
+SIZED_BY_CALLER = {("ScheduleEntry", "long"), ("ScheduleEntry", "short")}
+
+
+class TestEntryValidation:
+    """Every entry type rejects what ``run_phase`` rejects."""
+
+    @pytest.mark.parametrize("constructor", sorted(CONSTRUCTORS))
+    @given(
+        case=partial_permutations(min_size=2, max_size=8),
+        corruption=st.sampled_from(["long", "short", "below", "above", "twice"]),
+        offset=st.integers(0, 1000),
+        position=st.integers(0, 7),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_corrupted_matching_rejected(
+        self, constructor, case, corruption, offset, position
+    ):
+        matrix, pairs = case
+        n = matrix.shape[0]
+        matching = corrupt(
+            matching_from_permutation(matrix), pairs, corruption, offset, position
         )
+        if matching is None or (constructor, corruption) in SIZED_BY_CALLER:
+            return
+        with pytest.raises(ValueError):
+            CONSTRUCTORS[constructor](matching, n)
+
+    @pytest.mark.parametrize("constructor", sorted(CONSTRUCTORS))
+    @pytest.mark.parametrize("case", sorted(INVALID_MATCHINGS))
+    def test_invalid_matching_rejected(self, constructor, case):
+        matching, message = INVALID_MATCHINGS[case]
+        if (constructor, case) in SIZED_BY_CALLER:
+            assert CONSTRUCTORS[constructor](matching, 4).size == matching.shape[0]
+            return
+        with pytest.raises(ValueError, match=message):
+            CONSTRUCTORS[constructor](matching, 4)
+
+    @pytest.mark.parametrize("constructor", sorted(CONSTRUCTORS))
+    def test_valid_matching_stored_as_frozen_int64_copy(self, constructor):
+        matching = np.array([2, -1, 0, 1], dtype=np.int32)
+        entry = CONSTRUCTORS[constructor](matching, 4)
+        assert entry.matching.dtype == np.int64
+        assert not entry.matching.flags.writeable
+        matching[0] = 3
+        np.testing.assert_array_equal(entry.matching, [2, -1, 0, 1])
 
 
 class TestSplitMatching:
     @given(case=partial_permutations(min_size=2, max_size=9))
     @settings(max_examples=300, deadline=None)
     def test_split_equals_divide_by_type(self, case):
+        # divide_by_type on the matching equals Algorithm 3 read off the
+        # permutation matrix.
         matrix, _ = case
         n = matrix.shape[0] - 1
-        divided = divide_by_type(matrix)
-        regular, o2m_port, m2o_port = split_matching(permutation_matching(matrix)[1])
+        regular_matrix, o2m, m2o = reduced_split(matrix, n)
+        regular, o2m_port, m2o_port = divide_by_type(matching_from_permutation(matrix))
         assert regular.shape == (n,)
         np.testing.assert_array_equal(
-            matching_to_permutation(regular, n), divided.regular
+            matching_to_permutation(regular, n), regular_matrix
         )
-        assert (o2m_port, m2o_port) == (divided.o2m_port, divided.m2o_port)
+        assert (o2m_port, m2o_port) == (o2m.get(0), m2o.get(0))
 
     def test_composite_to_composite_corner_grants_nothing(self):
         # P[n, n] == 1: the two composite "ports" matched to each other.
         matrix = np.zeros((3, 3), dtype=np.int8)
         matrix[0, 1] = matrix[2, 2] = 1
-        regular, o2m_port, m2o_port = split_matching(permutation_matching(matrix)[1])
-        divided = divide_by_type(matrix)
+        regular, o2m_port, m2o_port = divide_by_type(matching_from_permutation(matrix))
         assert o2m_port is m2o_port is None
-        assert divided.o2m_port is divided.m2o_port is None
         np.testing.assert_array_equal(regular, [1, -1])
 
     def test_both_grants(self):
         # Sender 1 on the one-to-many path, receiver 0 on the many-to-one.
         matching = np.array([-1, 2, 0])
-        regular, o2m_port, m2o_port = split_matching(matching)
+        regular, o2m_port, m2o_port = divide_by_type(matching)
         np.testing.assert_array_equal(regular, [-1, -1])
         assert (o2m_port, m2o_port) == (1, 0)
         np.testing.assert_array_equal(matching, [-1, 2, 0])  # input untouched
@@ -129,17 +242,19 @@ class TestSplitMatching:
     @given(case=partial_permutations(min_size=3, max_size=8), k=st.integers(1, 2))
     @settings(max_examples=200, deadline=None)
     def test_k_path_split_equals_divide_by_type_multipath(self, case, k):
+        # The k-path split of the matching equals the k-path Algorithm 3
+        # read off the permutation matrix, grants in ascending path order.
         matrix, _ = case
         n = matrix.shape[0] - k
-        regular_matrix, o2m, m2o = divide_by_type_multipath(matrix, n)
-        regular, o2m_split, m2o_split = _split_matching_multipath(
-            permutation_matching(matrix)[1], n
+        regular_matrix, o2m, m2o = reduced_split(matrix, n)
+        regular, o2m_split, m2o_split = divide_by_type_multipath(
+            matching_from_permutation(matrix), n
         )
         np.testing.assert_array_equal(
             matching_to_permutation(regular, n), regular_matrix
         )
-        assert list(o2m_split.items()) == list(o2m.items())
-        assert list(m2o_split.items()) == list(m2o.items())
+        assert list(o2m_split.items()) == sorted(o2m.items())
+        assert list(m2o_split.items()) == sorted(m2o.items())
 
 
 class TestRunPhaseMatchingValidation:
@@ -155,7 +270,7 @@ class TestRunPhaseMatchingValidation:
         n = matrix.shape[0]
         engine = self.engine(n)
         # Each circuit serves half of its 1 Mb entry at Co = 100 Mb/ms.
-        engine.run_phase(0.005, circuits=permutation_matching(matrix)[1])
+        engine.run_phase(0.005, circuits=matching_from_permutation(matrix))
         assert engine.served_ocs_direct == pytest.approx(len(pairs) * 0.5)
 
     @given(
@@ -168,21 +283,11 @@ class TestRunPhaseMatchingValidation:
     def test_corrupted_matching_rejected(self, case, corruption, offset, position):
         matrix, pairs = case
         n = matrix.shape[0]
-        circuits = permutation_matching(matrix)[1]
-        i = position % n
-        if corruption == "long":
-            circuits = np.append(circuits, -1)
-        elif corruption == "short":
-            circuits = circuits[:-1]
-        elif corruption == "below":
-            circuits[i] = -2 - offset
-        elif corruption == "above":
-            circuits[i] = n + offset
-        else:  # a second input on an output already in use
-            if not pairs:
-                return
-            used_by, output = pairs[0]
-            circuits[(used_by + 1 + position % (n - 1)) % n] = output
+        circuits = corrupt(
+            matching_from_permutation(matrix), pairs, corruption, offset, position
+        )
+        if circuits is None:
+            return
         engine = self.engine(n)
         with pytest.raises(ValueError):
             engine.run_phase(0.1, circuits=circuits)

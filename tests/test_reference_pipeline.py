@@ -18,7 +18,6 @@ import pytest
 
 from repro.core.config import FilterConfig
 from repro.core.cpsched import cpsched
-from repro.core.divide import divide_by_type
 from repro.core.scheduler import (
     CompositeScheduleEntry,
     CpSchedule,
@@ -27,6 +26,7 @@ from repro.core.scheduler import (
 from repro.hybrid.base import make_scheduler
 from repro.hybrid.schedule import Schedule
 from repro.hybrid.solstice import SolsticeScheduler
+from repro.matching import matching_to_permutation
 from repro.sim import simulate_cp, simulate_hybrid
 from repro.sim.engine import CompositeService, FluidEngine
 from repro.sim.metrics import SimulationResult
@@ -37,7 +37,7 @@ from repro.sim.reference import (
 )
 from repro.switch.params import SwitchParams, fast_ocs_params
 from repro.utils.rng import spawn_rngs
-from repro.utils.validation import check_demand_matrix
+from repro.utils.validation import check_demand_matrix, matching_from_permutation
 from repro.workloads.skewed import SkewedWorkload
 
 #: Root seed of the Figure 5/6 benchmark demands.
@@ -62,15 +62,35 @@ def reference_hybrid_schedule(
     return make_scheduler(scheduler).schedule(demand, params)
 
 
+def _matrix(matching: np.ndarray) -> np.ndarray:
+    """A configuration's permutation matrix, the form the seed steps read."""
+    return matching_to_permutation(matching, matching.shape[0])
+
+
+def divide_by_type_matrix(
+    permutation: np.ndarray,
+) -> "tuple[np.ndarray, int | None, int | None]":
+    """The seed's Algorithm 3: split a reduced-space permutation *matrix*
+    into its n×n regular block, the sender in the composite column and the
+    receiver in the composite row (``P[n, n]`` grants nothing)."""
+    n = permutation.shape[0] - 1
+    senders = np.flatnonzero(permutation[:n, n])
+    receivers = np.flatnonzero(permutation[n, :n])
+    regular = permutation[:n, :n].copy()
+    o2m_port = int(senders[0]) if senders.size else None
+    m2o_port = int(receivers[0]) if receivers.size else None
+    return regular, o2m_port, m2o_port
+
+
 def reference_cp_schedule(
     demand: np.ndarray, params: SwitchParams, scheduler: str
 ) -> CpSchedule:
     """Algorithm 4 composed from the seed kernels.
 
     Mirrors :meth:`repro.core.scheduler.CpSwitchScheduler.schedule` with
-    the seed reduction and (for Solstice) the seed sub-scheduler; the
-    DivideByType/CPSched interpretation loop was never rewritten, so it is
-    shared with the live scheduler.
+    the seed reduction, (for Solstice) the seed sub-scheduler and the
+    seed's DivideByType on permutation matrices; the CPSched calls and
+    the ``Df,prev − Df`` bookkeeping are the seed's.
     """
     config = FilterConfig()
     demand = check_demand_matrix(demand)
@@ -86,24 +106,22 @@ def reference_cp_schedule(
     entries: "list[CompositeScheduleEntry]" = []
     for item in reduced_schedule:
         previous = filtered.copy()
-        divided = divide_by_type(item.permutation)
-        if divided.o2m_port is not None:
-            r = divided.o2m_port
-            filtered[r, :] = cpsched(
-                filtered[r, :], item.duration, params.ocs_rate, eps_budget
+        regular, o2m_port, m2o_port = divide_by_type_matrix(_matrix(item.matching))
+        if o2m_port is not None:
+            filtered[o2m_port, :] = cpsched(
+                filtered[o2m_port, :], item.duration, params.ocs_rate, eps_budget
             )
-        if divided.m2o_port is not None:
-            c = divided.m2o_port
-            filtered[:, c] = cpsched(
-                filtered[:, c], item.duration, params.ocs_rate, eps_budget
+        if m2o_port is not None:
+            filtered[:, m2o_port] = cpsched(
+                filtered[:, m2o_port], item.duration, params.ocs_rate, eps_budget
             )
         entries.append(
             CompositeScheduleEntry(
-                regular=divided.regular,
+                matching=matching_from_permutation(regular),
                 duration=item.duration,
                 composite_served=previous - filtered,
-                o2m_port=divided.o2m_port,
-                m2o_port=divided.m2o_port,
+                o2m_port=o2m_port,
+                m2o_port=m2o_port,
             )
         )
     return CpSchedule(
@@ -122,7 +140,7 @@ def reference_simulate_hybrid(
     engine = ReferenceFluidEngine(np.asarray(demand, dtype=np.float64), params)
     for entry in schedule:
         engine.run_phase(params.reconfig_delay)
-        engine.run_phase(entry.duration, circuits=entry.permutation)
+        engine.run_phase(entry.duration, circuits=_matrix(entry.matching))
     engine.run_phase(None)
     return engine.result(n_configs=schedule.n_configs, makespan=schedule.makespan)
 
@@ -140,7 +158,9 @@ def reference_simulate_cp(
             composites.append(CompositeService(kind="o2m", port=entry.o2m_port))
         if entry.m2o_port is not None:
             composites.append(CompositeService(kind="m2o", port=entry.m2o_port))
-        engine.run_phase(entry.duration, circuits=entry.regular, composites=composites)
+        engine.run_phase(
+            entry.duration, circuits=_matrix(entry.matching), composites=composites
+        )
     engine.merge_composite_into_regular()
     engine.run_phase(None)
     return engine.result(

@@ -60,7 +60,7 @@ class TestSolsticeAgainstPaperProperties:
         # nothing else; structure of early slices must match.
         scaled = SolsticeScheduler().schedule(10 * demand, params)
         for a, b in zip(base, scaled):
-            np.testing.assert_array_equal(a.permutation, b.permutation)
+            np.testing.assert_array_equal(a.matching, b.matching)
             assert b.duration == pytest.approx(10 * a.duration)
             break  # the first slice is structure-deterministic
 
@@ -98,7 +98,8 @@ class TestEclipseAgainstPaperProperties:
                 value = sum(weights[i, perm[i]] for i in range(3))
                 rate = value / (alpha + 0.02)
                 best_rate = max(best_rate, rate)
-                rows, cols = np.nonzero(first.permutation)
+                rows = np.flatnonzero(first.matching >= 0)
+                cols = first.matching[rows]
                 if abs(alpha - first.duration) < 1e-12 and all(
                     perm[i] == j for i, j in zip(rows, cols)
                 ):
@@ -114,7 +115,8 @@ class TestEclipseAgainstPaperProperties:
         residual = sparse_demand.copy()
         rates = []
         for entry in schedule:
-            rows, cols = np.nonzero(entry.permutation)
+            rows = np.flatnonzero(entry.matching >= 0)
+            cols = entry.matching[rows]
             served = np.minimum(
                 residual[rows, cols], entry.duration * params.ocs_rate
             ).sum()

@@ -29,10 +29,10 @@ class TestHybridHorizon:
         params = fast_ocs_params(8)
         demand = np.zeros((8, 8))
         demand[0, 1] = 50.0
-        perm = np.zeros((8, 8), dtype=np.int8)
-        perm[0, 1] = 1
+        matching = np.full(8, -1)
+        matching[0] = 1
         schedule = Schedule(
-            entries=(ScheduleEntry(permutation=perm, duration=0.5),),
+            entries=(ScheduleEntry(matching=matching, duration=0.5),),
             reconfig_delay=0.02,
         )
         # Horizon 0.12: 0.02 reconfig (EPS serves 0.2 Mb) + 0.1 circuit

@@ -13,10 +13,10 @@ from repro.switch.params import fast_ocs_params
 
 
 def single_circuit_schedule(n, i, j, duration, delta):
-    perm = np.zeros((n, n), dtype=np.int8)
-    perm[i, j] = 1
+    matching = np.full(n, -1)
+    matching[i] = j
     return Schedule(
-        entries=(ScheduleEntry(permutation=perm, duration=duration),),
+        entries=(ScheduleEntry(matching=matching, duration=duration),),
         reconfig_delay=delta,
     )
 

@@ -13,14 +13,10 @@ from repro.switch.params import fast_ocs_params
 
 
 def two_config_schedule() -> Schedule:
-    perm_a = np.zeros((4, 4), dtype=np.int8)
-    perm_a[0, 1] = 1
-    perm_b = np.zeros((4, 4), dtype=np.int8)
-    perm_b[1, 0] = 1
     return Schedule(
         entries=(
-            ScheduleEntry(permutation=perm_a, duration=0.5),
-            ScheduleEntry(permutation=perm_b, duration=0.3),
+            ScheduleEntry(matching=np.array([1, -1, -1, -1]), duration=0.5),
+            ScheduleEntry(matching=np.array([-1, 0, -1, -1]), duration=0.3),
         ),
         reconfig_delay=0.1,
     )

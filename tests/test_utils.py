@@ -10,7 +10,8 @@ from repro.utils.units import gbps_to_mb_per_ms, mb_per_ms_to_gbps, ms_to_us, us
 from repro.utils.validation import (
     check_demand_matrix,
     check_nonnegative,
-    check_permutation,
+    check_matching,
+    matching_from_permutation,
     check_positive,
 )
 
@@ -88,14 +89,20 @@ class TestValidation:
         assert arr.shape == (2, 3)
 
     def test_check_permutation_partial_vs_full(self):
+        # matching_from_permutation checks a partial or a full permutation.
         partial = np.zeros((3, 3), dtype=int)
         partial[0, 1] = 1
-        assert check_permutation(partial, partial=True).sum() == 1
-        with pytest.raises(ValueError):
-            check_permutation(partial, partial=False)
+        np.testing.assert_array_equal(matching_from_permutation(partial), [1, -1, -1])
         full = np.eye(3, dtype=int)
-        assert check_permutation(full, partial=False).sum() == 3
+        np.testing.assert_array_equal(matching_from_permutation(full), [0, 1, 2])
 
     def test_check_permutation_rejects_values(self):
         with pytest.raises(ValueError):
-            check_permutation(np.full((2, 2), 2))
+            matching_from_permutation(np.full((2, 2), 2))
+
+    def test_check_matching_returns_a_frozen_int64_copy(self):
+        matching = np.array([2, -1, 0], dtype=np.int8)
+        checked = check_matching(matching)
+        assert checked.dtype == np.int64 and not checked.flags.writeable
+        matching[0] = 1
+        np.testing.assert_array_equal(checked, [2, -1, 0])

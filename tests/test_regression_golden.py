@@ -296,3 +296,66 @@ class TestFaultedPathGoldens:
             assert _close(actual, expected), f"{name}: {actual!r} != {expected!r}"
         assert _close(result.released_composite, released)
         assert (result.reroute.n_swaps if result.reroute is not None else 0) == swaps
+
+
+# ---------------------------------------------------------------------- #
+# rate segments and served volumes, bit for bit
+# ---------------------------------------------------------------------- #
+#
+# The faulted goldens compare served volumes within 1e-12, and the engine
+# fuzz compares them with the seed engine, which sums rate totals in
+# another order, within 1e-12 too; so nothing else pins the bits of each
+# segment's rate totals or of the three served volumes.  These runs are
+# EPS-drain heavy: skewed §3.2 demand (one dense row and one dense
+# column), fast OCS, run to completion.  Each case pins a digest of every
+# segment's (start, end, ocs_direct_rate, composite_rate, eps_rate) and of
+# the three served volumes.  Re-derive a row with `_segment_digest` on the
+# case's result.
+
+
+def _skewed_run(scheduler, n, switch):
+    params = fast_ocs_params(n)
+    demand = SkewedWorkload().generate(n, np.random.default_rng(777)).demand
+    if switch == "h":
+        return simulate_hybrid(demand, scheduler.schedule(demand, params), params)
+    schedule = CpSwitchScheduler(scheduler).schedule(demand, params)
+    return simulate_cp(demand, schedule, params)
+
+
+def _segment_digest(result) -> str:
+    segments = np.array(
+        [
+            (s.start, s.end, s.ocs_direct_rate, s.composite_rate, s.eps_rate)
+            for s in result.segments
+        ],
+        dtype=np.float64,
+    )
+    volumes = np.array(
+        [result.served_ocs_direct, result.served_composite, result.served_eps]
+    )
+    digest = hashlib.sha256(segments.tobytes())
+    digest.update(volumes.tobytes())
+    return digest.hexdigest()[:16]
+
+
+_SCHEDULERS = {"eclipse": EclipseScheduler, "solstice": SolsticeScheduler}
+
+#: "switch_scheduler_radix" -> digest of the segments and served volumes.
+SEGMENT_GOLDENS = {
+    "h_eclipse_32": "fb9da366c369dccc",
+    "cp_eclipse_32": "ec9f2f9dcbdedfc5",
+    "h_eclipse_64": "74c64face66aa957",
+    "cp_eclipse_64": "03cd62921a58ccc5",
+    "h_solstice_32": "3cd522435086058d",
+    "cp_solstice_32": "13f32dc5b4a08d66",
+    "h_solstice_64": "f54c61dc28fb6f9c",
+    "cp_solstice_64": "1eedd6aef2e98111",
+}
+
+
+class TestSegmentGoldens:
+    @pytest.mark.parametrize("case", sorted(SEGMENT_GOLDENS))
+    def test_segments_and_served_volumes(self, case):
+        switch, scheduler, radix = case.split("_")
+        result = _skewed_run(_SCHEDULERS[scheduler](), int(radix), switch)
+        assert _segment_digest(result) == SEGMENT_GOLDENS[case]

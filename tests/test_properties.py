@@ -26,7 +26,7 @@ from repro.hybrid.solstice.scheduler import SolsticeScheduler
 from repro.hybrid.solstice.stuffing import quick_stuff
 from repro.matching.birkhoff import birkhoff_von_neumann, recompose
 from repro.sim import simulate_cp, simulate_hybrid
-from repro.sim.rates import max_min_fair_rate_matrix
+from repro.sim.rates import max_min_fair_rates
 from repro.switch.params import fast_ocs_params
 from repro.utils.validation import VOLUME_TOL
 
@@ -154,14 +154,14 @@ class TestMaxMinProperties:
     )
     @settings(max_examples=80, deadline=None)
     def test_capacities_respected_and_maximal(self, mask, in_caps, out_caps):
-        rates = max_min_fair_rate_matrix(mask, in_caps, out_caps)
-        assert (rates >= 0).all()
-        assert (rates.sum(axis=1) <= in_caps + 1e-6).all()
-        assert (rates.sum(axis=0) <= out_caps + 1e-6).all()
-        # Maximality: every flow crosses a saturated port.
-        in_used = rates.sum(axis=1)
-        out_used = rates.sum(axis=0)
         rows, cols = np.nonzero(mask)
+        rates = max_min_fair_rates(rows, cols, in_caps, out_caps)
+        assert (rates >= 0).all()
+        in_used = np.bincount(rows, weights=rates, minlength=6)
+        out_used = np.bincount(cols, weights=rates, minlength=6)
+        assert (in_used <= in_caps + 1e-6).all()
+        assert (out_used <= out_caps + 1e-6).all()
+        # Maximality: every flow crosses a saturated port.
         for i, j in zip(rows, cols):
             saturated = (
                 in_used[i] >= in_caps[i] - 1e-6 or out_used[j] >= out_caps[j] - 1e-6

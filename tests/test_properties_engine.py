@@ -24,12 +24,15 @@ more than two live entries shares ``Co`` and every drain moves the shares.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.matching import matching_to_permutation
+from repro.sim import rates as rates_module
 from repro.sim.engine import CompositeService, FluidEngine
 from repro.sim.reference import ReferenceFluidEngine
 from repro.switch.params import SwitchParams
@@ -42,6 +45,27 @@ def demands():
         arrays(np.float64, (N, N), elements=st.floats(0.0, 30.0, allow_nan=False, width=32)),
         arrays(np.bool_, (N, N)),
     ).map(lambda pair: pair[0] * pair[1])
+
+
+def skewed_demands():
+    """The §3.2 shape: one dense row and one dense column (a one-to-many
+    sender and a many-to-one receiver), so the EPS flows form a hub/leaf
+    graph: two hubs, one-flow ports and a hub–hub flow."""
+    return st.tuples(
+        st.integers(0, N - 1),
+        st.integers(0, N - 1),
+        arrays(np.float64, N, elements=st.floats(1.0, 1.3)),
+        arrays(np.float64, N, elements=st.floats(1.0, 1.3)),
+        demands().map(lambda sparse: sparse * 0.05),
+    ).map(_skewed)
+
+
+def _skewed(args):
+    sender, receiver, row, col, background = args
+    demand = background.copy()
+    demand[sender, :] = row
+    demand[:, receiver] = col
+    return demand
 
 
 def partial_matchings():
@@ -200,13 +224,34 @@ class TestEngineFuzz:
     # across phase boundaries; lane masks restrict a composite grant to some
     # of its row's or column's entries, as k-path grants do.
     @given(
-        demand=demands(),
+        demand=st.one_of(demands(), skewed_demands()),
         phase_list=phases(st.one_of(st.none(), partial_matchings()), lane_masks()),
         park=st.booleans(),
     )
     @settings(max_examples=100, deadline=None)
     def test_matches_reference_engine(self, demand, phase_list, park):
         _assert_matches_reference(demand, phase_list, park, PARAMS)
+
+    # With the quotient bound at 0, every EPS flow graph with a hub port
+    # drains on the general loop, which then stays checked against the
+    # seed engine; the run with the default bound must give the same bits.
+    @given(
+        demand=st.one_of(demands(), skewed_demands()),
+        phase_list=phases(st.one_of(st.none(), partial_matchings()), lane_masks()),
+        park=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_general_loop_matches_reference_engine(self, demand, phase_list, park):
+        with mock.patch.object(rates_module, "QUOTIENT_MAX_HUBS", 0):
+            general = _assert_matches_reference(demand, phase_list, park, PARAMS)
+        live = _run(demand, phase_list, park=park)
+        np.testing.assert_array_equal(live.finish_times, general.finish_times)
+        assert live.segments == general.segments
+        assert (live.served_ocs_direct, live.served_composite, live.served_eps) == (
+            general.served_ocs_direct,
+            general.served_composite,
+            general.served_eps,
+        )
 
     # Parking every entry leaves no EPS flow, so phases drain by rate class
     # (see repro.sim.engine); scaled-down demands drain several entries of
@@ -256,3 +301,4 @@ def _assert_matches_reference(demand, phase_list, park, params, park_below=5.0):
             getattr(live, name), getattr(seed, name), rtol=SERVED_RTOL, atol=1e-12,
             err_msg=name,
         )
+    return live

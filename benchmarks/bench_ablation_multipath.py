@@ -5,7 +5,9 @@ Figure 11 shows the single composite path saturating once several ports
 carry skewed demand.  The paper sketches the fix — k paths per direction —
 and this bench demonstrates it: with 4 skewed senders and receivers,
 growing k recovers (most of) the lost completion time, at the price of k
-reserved high-bandwidth port pairs.
+reserved high-bandwidth port pairs.  k paths run through the one cp-Switch
+pipeline (``CpSwitchScheduler(n_paths=k)`` and ``simulate_cp``), so the
+k = 1 row is Algorithm 4.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import numpy as np
 
 from benchmarks.common import BENCH_SEED, emit, trials
 from repro.analysis.aggregate import aggregate
-from repro.core.multipath import MultiPathCpScheduler
+from repro.core.scheduler import CpSwitchScheduler
 from repro.hybrid.solstice import SolsticeScheduler
-from repro.sim import simulate_hybrid, simulate_multipath
+from repro.sim import simulate_cp, simulate_hybrid
 from repro.switch.params import ocs_params
 from repro.utils.rng import spawn_rngs
 from repro.workloads.varying import VaryingSkewWorkload
@@ -50,11 +52,11 @@ def _rows(ocs: str):
     rows.append(["h-Switch", "-", aggregate(h_totals).mean, aggregate(h_skews).mean])
 
     for k in PATH_COUNTS:
-        scheduler = MultiPathCpScheduler(h_scheduler, n_paths=k)
+        scheduler = CpSwitchScheduler(h_scheduler, n_paths=k)
         totals, skews = [], []
         for spec in specs:
             schedule = scheduler.schedule(spec.demand, params)
-            result = simulate_multipath(spec.demand, schedule, params)
+            result = simulate_cp(spec.demand, schedule, params)
             totals.append(result.completion_time)
             skews.append(result.coflow_completion(spec.skewed_mask))
         rows.append([f"cp-Switch k={k}", k, aggregate(totals).mean, aggregate(skews).mean])

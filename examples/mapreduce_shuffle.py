@@ -26,12 +26,10 @@ import numpy as np
 
 from repro import (
     CpSwitchScheduler,
-    MultiPathCpScheduler,
     SolsticeScheduler,
     fast_ocs_params,
     simulate_cp,
     simulate_hybrid,
-    simulate_multipath,
     slow_ocs_params,
 )
 from repro.workloads.base import volume_scale_for
@@ -71,8 +69,8 @@ def run(params, label: str) -> None:
     cp_result = simulate_cp(demand, cp_scheduler.schedule(demand, params), params)
     # §4 extension: one many-to-one composite path per reducer.
     k = len(reducer_masks)
-    mp_scheduler = MultiPathCpScheduler(solstice, n_paths=k)
-    mp_result = simulate_multipath(demand, mp_scheduler.schedule(demand, params), params)
+    mp_scheduler = CpSwitchScheduler(solstice, n_paths=k)
+    mp_result = simulate_cp(demand, mp_scheduler.schedule(demand, params), params)
 
     print(f"\n=== {label}: {demand.sum():.0f} Mb epoch, "
           f"{k} reducers x 50 mappers ===")

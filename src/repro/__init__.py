@@ -23,7 +23,7 @@ True
 
 Layers
 ------
-* :mod:`repro.core` — the paper's Algorithms 1–4 and the k-path extension;
+* :mod:`repro.core` — the paper's Algorithms 1–4, for k composite paths;
 * :mod:`repro.hybrid` — Solstice and Eclipse h-Switch schedulers (built
   from scratch per their papers);
 * :mod:`repro.sim` — fluid online execution of either switch;
@@ -45,7 +45,6 @@ from repro.core import (
     cpsched,
     divide_by_type,
 )
-from repro.core.multipath import MultiPathCpScheduler, multi_path_reduction
 from repro.faults import (
     BackupPlanner,
     BackupSet,
@@ -63,7 +62,7 @@ from repro.hybrid import (
     TdmScheduler,
     make_scheduler,
 )
-from repro.sim import SimulationResult, simulate_cp, simulate_hybrid, simulate_multipath
+from repro.sim import SimulationResult, simulate_cp, simulate_hybrid
 from repro.switch import OcsClass, SwitchParams, fast_ocs_params, slow_ocs_params
 from repro.workloads import (
     CombinedWorkload,
@@ -91,7 +90,6 @@ __all__ = [
     "FaultPlan",
     "FaultSummary",
     "FilterConfig",
-    "MultiPathCpScheduler",
     "OcsClass",
     "ReducedDemand",
     "RerouteOutcome",
@@ -111,10 +109,8 @@ __all__ = [
     "divide_by_type",
     "fast_ocs_params",
     "make_scheduler",
-    "multi_path_reduction",
     "run_comparison",
     "simulate_cp",
     "simulate_hybrid",
-    "simulate_multipath",
     "slow_ocs_params",
 ]

@@ -382,10 +382,8 @@ def cmd_schedule(args) -> int:
         inputs = np.flatnonzero(entry.matching >= 0)
         circuits = list(zip(inputs.tolist(), entry.matching[inputs].tolist()))
         if args.switch == "cp":
-            if entry.o2m_port is not None:
-                circuits.append(f"o2m@{entry.o2m_port}")
-            if entry.m2o_port is not None:
-                circuits.append(f"m2o@{entry.m2o_port}")
+            circuits += [f"o2m@{port}" for port in entry.o2m_ports]
+            circuits += [f"m2o@{port}" for port in entry.m2o_ports]
         print(f"  config {index}: {entry.duration:.4f} ms, {circuits}")
     print(
         f"completion {result.completion_time:.3f} ms over {result.n_configs} configurations "

@@ -6,8 +6,9 @@
 * :mod:`repro.core.cpsched` — Algorithm 2, ``CPSched``.
 * :mod:`repro.core.divide` — Algorithm 3, ``DivideByType``.
 * :mod:`repro.core.scheduler` — Algorithm 4, ``CPSwitchSched``.
-* :mod:`repro.core.multipath` — the §4 extension to k composite paths per
-  direction.
+
+Algorithms 1, 3 and 4 take ``k`` composite paths per direction (the §4
+extension; ``n_paths``, default 1 as in the paper).
 """
 
 from repro.core.config import FilterConfig

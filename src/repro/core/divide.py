@@ -1,14 +1,17 @@
-"""Algorithm 3 — ``DivideByType`` (§2.3).
+"""Algorithm 3 — ``DivideByType`` (§2.3), for k paths (§4).
 
-An h-Switch scheduler fed the reduced (n+1)×(n+1) demand returns
-configurations over n+1 "ports", each as a matching (see
+An h-Switch scheduler fed the reduced (n+k)×(n+k) demand returns
+configurations over n+k "ports", each as a matching (see
 :mod:`repro.hybrid.schedule`).  DivideByType decomposes one into:
 
 * the regular circuits — an ``(n,)`` matching of ordinary OCS circuits,
-* the sender (if any) granted the **one-to-many** composite path — the
-  input ``i`` whose circuit reaches output ``n`` (``P[i, n] == 1``),
-* the receiver (if any) granted the **many-to-one** composite path — the
-  output of input ``n``'s circuit (``P[n, j] == 1``).
+* the senders granted a **one-to-many** composite path — each input ``i``
+  whose circuit reaches a path output ``n + p`` (``P[i, n + p] == 1``),
+* the receivers granted a **many-to-one** composite path — the output of
+  each path input ``n + q`` (``P[n + q, j] == 1``).
+
+A matching gives each input one output and each output one input, so a
+configuration grants a port at most one path per direction.
 
 Note on fidelity: the paper's listing returns the permutation *rows*
 (``Srow = P[row, :]``) but Algorithm 4 then treats them as demand vectors
@@ -18,9 +21,9 @@ consumes ``Df`` rows/columns, so this function returns the composite *port
 indices* and the caller fetches the demand vectors from ``Df``
 (see DESIGN.md §1).
 
-A corner case the reduction can produce: ``P[n, n] == 1`` (the two
-composite "ports" matched to each other) carries no demand — ``DI[n, n]``
-is always 0 — and is ignored.
+A corner case the reduction can produce: a path input matched to a path
+output (``P[n + q, n + p] == 1``, at k = 1 ``P[n, n]``) carries no demand —
+``DI[n:, n:]`` is always 0 — and is ignored.
 """
 
 from __future__ import annotations
@@ -28,33 +31,37 @@ from __future__ import annotations
 import numpy as np
 
 
-def divide_by_type(matching: np.ndarray) -> "tuple[np.ndarray, int | None, int | None]":
+def divide_by_type(
+    matching: np.ndarray, n_ports: int
+) -> "tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]":
     """Algorithm 3: split a reduced-space configuration into path types.
 
     Parameters
     ----------
     matching:
-        The ``(n+1,)`` matching of a configuration an h-Switch scheduler
+        The ``(n+k,)`` matching of a configuration an h-Switch scheduler
         produced on a reduced demand.  It was validated when its schedule
-        entry was built, so it is not checked again here: O(n).
+        entry was built, so it is not checked again here: O(n + k).
+    n_ports:
+        n — the regular ports; the other ``k`` are composite paths.
 
     Returns
     -------
-    regular, o2m_port, m2o_port:
-        The regular circuits as a new ``(n,)`` matching (the sender's
-        circuit to the composite port removed), the sender granted the
-        one-to-many path and the receiver granted the many-to-one path
-        (each ``None`` if not granted).
+    regular, o2m_ports, m2o_ports:
+        The regular circuits as a new ``(n,)`` matching (the senders'
+        circuits to composite paths removed), the senders granted a
+        one-to-many path and the receivers granted a many-to-one path,
+        each a tuple in path order (empty if no path is granted).
     """
-    n = matching.shape[0] - 1
-    if n < 1:
-        raise ValueError(f"a reduced configuration has at least 2 ports, got {n + 1}")
+    n = int(n_ports)
+    if n < 1 or matching.shape[0] <= n:
+        raise ValueError(
+            f"a configuration of {matching.shape[0]} ports cannot host "
+            f"{n} ports and a composite path"
+        )
     regular = matching[:n].copy()
-    senders = np.flatnonzero(regular == n)
-    o2m_port = None
-    if senders.size:
-        o2m_port = int(senders[0])
-        regular[o2m_port] = -1
-    receiver = int(matching[n])
-    m2o_port = receiver if 0 <= receiver < n else None
-    return regular, o2m_port, m2o_port
+    senders = np.flatnonzero(regular >= n)
+    o2m_ports = tuple(senders[np.argsort(regular[senders])].tolist())
+    regular[senders] = -1
+    m2o_ports = tuple(j for j in matching[n:].tolist() if 0 <= j < n)
+    return regular, o2m_ports, m2o_ports

@@ -59,8 +59,8 @@ def composite_first(schedule: CpSchedule) -> "list[int]":
     """
     def key(index: int):
         entry = schedule.entries[index]
-        has_composite = getattr(entry, "o2m_port", None) is not None or (
-            getattr(entry, "m2o_port", None) is not None
+        has_composite = bool(
+            getattr(entry, "o2m_ports", ()) or getattr(entry, "m2o_ports", ())
         )
         return (not has_composite, -entry.duration)
 

@@ -1,10 +1,13 @@
-"""Algorithm 1 — ``cp-SwitchDemandReduction`` (§2.2).
+"""Algorithm 1 — ``cp-SwitchDemandReduction`` (§2.2), for k paths (§4).
 
-Reduces the n×n demand matrix ``D`` into an (n+1)×(n+1) matrix ``DI`` that
-any h-Switch scheduler can consume.  Column ``n`` (0-based) of ``DI``
-represents the **one-to-many** composite path: ``DI[i, n]`` is the aggregate
-volume sender ``i`` would push through OCS → composite link → EPS.  Row
-``n`` represents the **many-to-one** composite path symmetrically.
+Reduces the n×n demand matrix ``D`` into an (n+k)×(n+k) matrix ``DI`` that
+any h-Switch scheduler can consume, with ``k`` composite paths per
+direction (the paper's switch has k = 1).  Column ``n + p`` (0-based) of
+``DI`` represents one-to-many composite path ``p``: ``DI[i, n + p]`` is the
+aggregate volume sender ``i`` would push through OCS → composite link → EPS
+when it sits on that path.  Row ``n + q`` represents many-to-one path ``q``
+symmetrically.  ``DI[n:, n:]`` is always zero: composite endpoints never
+talk to each other.
 
 Filtering (paper intuition, §2.2):
 
@@ -21,6 +24,23 @@ Filtering (paper intuition, §2.2):
 The function returns both ``DI`` and the *filtered* matrix ``Df`` holding
 exactly the entries assigned to composite paths, so that
 ``DI[:n, :n] == D - Df`` and total volume is conserved.
+
+k paths (the §4 extension).  The split above does not depend on k.  Only
+then does each port with a composite aggregate take a path, one per
+direction: senders in ascending port order, each to the one-to-many path
+with the least total so far (ties to the lowest path), and receivers the
+same over the many-to-one paths.  At k = 1 every port takes path 0, which
+is Algorithm 1 bit for bit.
+
+Why ports and not entries.  The paper's sketch balances "the minimal
+composite entry"; taken per *entry* that would shard one sender's fan-out
+across several paths, which backfires: a configuration can still match the
+sender to only one path at a time, so sharding shrinks the aggregate each
+configuration sees (shorter Solstice slices) and drops the composite rate
+below ``Co`` (fewer live entries per grant).  With each port on one path,
+its aggregate stays whole, a grant serves the port's whole filtered row or
+column (Algorithm 4), and the k paths spread across *different* skewed
+ports — the §3.5 overload that the extension exists for.
 """
 
 from __future__ import annotations
@@ -40,10 +60,11 @@ class ReducedDemand:
     Attributes
     ----------
     reduced:
-        ``DI`` — the (n+1)×(n+1) reduced demand.  ``reduced[:n, :n]`` is the
-        demand left on regular EPS-EPS / OCS-OCS paths; ``reduced[:n, n]``
-        aggregates per-sender one-to-many composite demand; ``reduced[n, :n]``
-        aggregates per-receiver many-to-one composite demand.
+        ``DI`` — the (n+k)×(n+k) reduced demand.  ``reduced[:n, :n]`` is the
+        demand left on regular EPS-EPS / OCS-OCS paths; ``reduced[:n, n:]``
+        holds each sender's one-to-many composite aggregate in the column
+        of its path, ``reduced[n:, :n]`` each receiver's many-to-one
+        aggregate in the row of its path.
     filtered:
         ``Df`` — the n×n matrix of entries assigned to composite paths.
     o2m_assignment:
@@ -63,8 +84,7 @@ class ReducedDemand:
 
     def __post_init__(self) -> None:
         # Freeze the arrays: schedules keep references to this reduction as
-        # provenance, and `o2m_loads`/`m2o_loads` are live views into
-        # `reduced` — a caller mutating any of them would silently corrupt
+        # provenance — a caller mutating any of them would silently corrupt
         # every schedule derived from it.
         for name in ("reduced", "filtered", "o2m_assignment", "m2o_assignment"):
             array = np.asarray(getattr(self, name))
@@ -82,13 +102,22 @@ class ReducedDemand:
 
     @property
     def o2m_loads(self) -> np.ndarray:
-        """Per-sender one-to-many composite aggregate, ``DI[:n, n]``."""
-        return self.reduced[: self.n_ports, self.n_ports]
+        """Per-sender one-to-many composite aggregate (each sender's one
+        nonzero of ``DI[i, n:]``), read-only like ``reduced``."""
+        n = self.n_ports
+        return _read_only(self.reduced[:n, n:].sum(axis=1))
 
     @property
     def m2o_loads(self) -> np.ndarray:
-        """Per-receiver many-to-one composite aggregate, ``DI[n, :n]``."""
-        return self.reduced[self.n_ports, : self.n_ports]
+        """Per-receiver many-to-one composite aggregate (each receiver's
+        one nonzero of ``DI[n:, j]``), read-only like ``reduced``."""
+        n = self.n_ports
+        return _read_only(self.reduced[n:, :n].sum(axis=0))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _blocked_mask(n: int, blocked, name: str) -> "np.ndarray | None":
@@ -150,6 +179,24 @@ def qualifying_lines(
     return small, row_qualifies, col_qualifies
 
 
+def _paths_of_ports(
+    loads: np.ndarray, n_paths: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The ports with a composite aggregate, ascending, and each one's path.
+
+    Ports take a path in ascending port order, each the path with the
+    least total so far, ties to the lowest path (see the module docstring).
+    """
+    ports = np.flatnonzero(loads > 0.0)
+    totals = [0.0] * n_paths
+    paths = []
+    for load in loads[ports].tolist():
+        path = totals.index(min(totals))
+        paths.append(path)
+        totals[path] += load
+    return ports, np.array(paths, dtype=np.int64)
+
+
 def cp_switch_demand_reduction(
     demand: np.ndarray,
     fanout_threshold: int,
@@ -157,6 +204,7 @@ def cp_switch_demand_reduction(
     *,
     blocked_o2m=None,
     blocked_m2o=None,
+    n_paths: int = 1,
 ) -> ReducedDemand:
     """Algorithm 1: build the reduced demand ``DI`` and filtered demand ``Df``.
 
@@ -177,6 +225,9 @@ def cp_switch_demand_reduction(
         dead, so the next scheduling round keeps their rows/columns on the
         regular paths instead of parking demand on hardware that cannot
         serve it.
+    n_paths:
+        k — composite paths per direction (§4); each port with a composite
+        aggregate sits on one of them (see the module docstring).
 
     Returns
     -------
@@ -185,6 +236,8 @@ def cp_switch_demand_reduction(
         ``DI[:n, :n] == D - Df``.
     """
     demand = check_demand_matrix(demand)
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     n = demand.shape[0]
     nonzero, row_qualifies, col_qualifies = qualifying_lines(
         demand,
@@ -194,12 +247,11 @@ def cp_switch_demand_reduction(
         blocked_m2o=blocked_m2o,
     )
 
-    reduced = np.zeros((n + 1, n + 1), dtype=np.float64)
     filtered = np.zeros_like(demand)
     o2m_mask = np.zeros((n, n), dtype=bool)
     m2o_mask = np.zeros((n, n), dtype=bool)
-    o2m_loads = reduced[:n, n]  # views: updates write through to `reduced`
-    m2o_loads = reduced[n, :n]
+    o2m_loads = np.zeros(n)
+    m2o_loads = np.zeros(n)
 
     # Lines 6-8: row qualifies, column does not -> one-to-many path of i.
     only_rows = nonzero & row_qualifies[:, None] & ~col_qualifies[None, :]
@@ -243,8 +295,14 @@ def cp_switch_demand_reduction(
         o2m_mask[both_rows[goes_o2m], both_cols[goes_o2m]] = True
         m2o_mask[both_rows[~goes_o2m], both_cols[~goes_o2m]] = True
 
-    # Line 16: remaining demand stays on regular paths.
+    # Line 16: remaining demand stays on regular paths; each port's
+    # aggregate goes to its path's column (one-to-many) or row (many-to-one).
+    reduced = np.zeros((n + n_paths, n + n_paths), dtype=np.float64)
     reduced[:n, :n] = demand - filtered
+    rows, paths = _paths_of_ports(o2m_loads, n_paths)
+    reduced[rows, n + paths] = o2m_loads[rows]
+    cols, paths = _paths_of_ports(m2o_loads, n_paths)
+    reduced[n + paths, cols] = m2o_loads[cols]
 
     return ReducedDemand(
         reduced=reduced,
@@ -263,6 +321,7 @@ def reduce_with_config(
     *,
     blocked_o2m=None,
     blocked_m2o=None,
+    n_paths: int = 1,
 ) -> ReducedDemand:
     """Algorithm 1 with thresholds resolved from a :class:`FilterConfig`."""
     config = config or FilterConfig()
@@ -272,4 +331,5 @@ def reduce_with_config(
         volume_threshold=config.resolve_volume_threshold(params),
         blocked_o2m=blocked_o2m,
         blocked_m2o=blocked_m2o,
+        n_paths=n_paths,
     )

@@ -1,18 +1,20 @@
 """Algorithm 4 — ``CPSwitchSched`` (§2.3): the full cp-Switch scheduler.
 
-The pipeline (Figure 4 of the paper):
+The pipeline (Figure 4 of the paper), with ``k`` composite paths per
+direction (k = 1 in the paper; §4 sketches k > 1):
 
-1. **Reduce & filter** the n×n demand ``D`` into the (n+1)×(n+1) demand
+1. **Reduce & filter** the n×n demand ``D`` into the (n+k)×(n+k) demand
    ``DI`` and the filtered composite demand ``Df`` (Algorithm 1).
 2. **Delegate** ``DI`` to any h-Switch scheduler (Solstice or Eclipse here)
    — this is the reduction that lets cp-Switch ride on the existing body of
    hybrid-switch scheduling research.
 3. **Interpret** each returned configuration with DivideByType
-   (Algorithm 3): circuits to or from the last port are composite-path
+   (Algorithm 3): circuits to or from the last k ports are composite-path
    grants.
 4. **Schedule within** each granted composite path with CPSched
    (Algorithm 2) under the reserved EPS budget ``Ce*``, recording exactly
-   how much of ``Df`` each configuration serves.
+   how much of ``Df`` each configuration serves.  A grant serves its
+   port's whole filtered row (one-to-many) or column (many-to-one).
 
 The result is a :class:`CpSchedule`: an ordered list of
 :class:`CompositeScheduleEntry` — the cp-Switch analogue of a plain
@@ -58,53 +60,36 @@ class CompositeScheduleEntry:
         n×n matrix of filtered-demand volume (Mb) the composite paths
         deliver during this configuration — the paper's
         ``Df,prev − Df`` term.
-    o2m_port, m2o_port:
-        Ports granted the one-to-many / many-to-one composite path
-        (``None`` if not granted).
+    o2m_ports, m2o_ports:
+        Ports granted a one-to-many / many-to-one composite path, in path
+        order (empty if none; at most one each with one path).
     """
 
     matching: np.ndarray
     duration: float
     composite_served: np.ndarray
-    o2m_port: "int | None" = None
-    m2o_port: "int | None" = None
+    o2m_ports: "tuple[int, ...]" = ()
+    m2o_ports: "tuple[int, ...]" = ()
 
     def __post_init__(self) -> None:
-        _check_cp_entry(self)
+        matching = check_matching(self.matching)
+        object.__setattr__(self, "matching", matching)
+        check_nonnegative("duration", self.duration)
+        served = np.asarray(self.composite_served, dtype=np.float64)
+        n = matching.shape[0]
+        if served.shape != (n, n):
+            raise ValueError(
+                f"composite_served shape {served.shape} != ({n}, {n}) of the matching"
+            )
+        served.setflags(write=False)
+        object.__setattr__(self, "composite_served", served)
+        object.__setattr__(self, "o2m_ports", tuple(self.o2m_ports))
+        object.__setattr__(self, "m2o_ports", tuple(self.m2o_ports))
 
     @property
     def composite_volume(self) -> float:
         """Volume (Mb) the composite paths carry in this configuration."""
         return float(self.composite_served.sum())
-
-
-def _check_cp_entry(entry) -> None:
-    """Validate and freeze the fields every cp-Switch entry type shares
-    (this one and the k-path entry): the matching, a finite non-negative
-    duration and an n×n ``composite_served``."""
-    matching = check_matching(entry.matching)
-    object.__setattr__(entry, "matching", matching)
-    check_nonnegative("duration", entry.duration)
-    served = np.asarray(entry.composite_served, dtype=np.float64)
-    n = matching.shape[0]
-    if served.shape != (n, n):
-        raise ValueError(
-            f"composite_served shape {served.shape} != ({n}, {n}) of the matching"
-        )
-    served.setflags(write=False)
-    object.__setattr__(entry, "composite_served", served)
-
-
-def _check_cp_schedule(schedule) -> None:
-    """Validate and freeze the fields every cp-Switch schedule type shares
-    (this one and the k-path schedule)."""
-    object.__setattr__(schedule, "entries", tuple(schedule.entries))
-    check_nonnegative("reconfig_delay", schedule.reconfig_delay)
-    # The residual is part of the schedule's provenance and the simulator
-    # reads it later.
-    residual = np.asarray(schedule.filtered_residual, dtype=np.float64)
-    residual.setflags(write=False)
-    object.__setattr__(schedule, "filtered_residual", residual)
 
 
 def _served_since(
@@ -140,7 +125,7 @@ class CpSchedule:
         Part of ``Df`` the composite paths did not finish within the
         schedule (Mb); it is served by the EPS afterwards.
     reduced_schedule:
-        The raw (n+1)-space schedule the h-Switch sub-scheduler produced
+        The raw (n+k)-space schedule the h-Switch sub-scheduler produced
         (kept for diagnostics and the runtime tables).
     """
 
@@ -151,7 +136,13 @@ class CpSchedule:
     reduced_schedule: Schedule
 
     def __post_init__(self) -> None:
-        _check_cp_schedule(self)
+        object.__setattr__(self, "entries", tuple(self.entries))
+        check_nonnegative("reconfig_delay", self.reconfig_delay)
+        # The residual is part of the schedule's provenance and the
+        # simulator reads it later.
+        residual = np.asarray(self.filtered_residual, dtype=np.float64)
+        residual.setflags(write=False)
+        object.__setattr__(self, "filtered_residual", residual)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -182,10 +173,10 @@ class CpSchedule:
         """
         granted: dict[tuple[str, int], None] = {}
         for entry in self.entries:
-            if entry.o2m_port is not None:
-                granted[("o2m", int(entry.o2m_port))] = None
-            if entry.m2o_port is not None:
-                granted[("m2o", int(entry.m2o_port))] = None
+            for port in entry.o2m_ports:
+                granted[("o2m", port)] = None
+            for port in entry.m2o_ports:
+                granted[("m2o", port)] = None
         return tuple(granted)
 
     def reordered(self, order: "list[int]") -> "CpSchedule":
@@ -213,12 +204,16 @@ class CpSwitchScheduler:
     ----------
     inner:
         The h-Switch scheduling algorithm used as a sub-routine.
+    n_paths:
+        k — composite paths per direction (the §4 extension; the paper's
+        switch has one).
     filter_config:
         Resolution of the (Rt, Bt) thresholds; defaults to the paper's
         heuristic (β = 0.7, α by OCS class).
     """
 
     inner: HybridScheduler
+    n_paths: int = 1
     filter_config: FilterConfig = field(default_factory=FilterConfig)
     #: Optional :class:`~repro.service.deadline.DeadlineBudget` polled
     #: after the Algorithm-1 reduction and before each interpretation step
@@ -229,7 +224,8 @@ class CpSwitchScheduler:
 
     @property
     def name(self) -> str:
-        return f"cp-{self.inner.name}"
+        paths = "" if self.n_paths == 1 else self.n_paths
+        return f"cp{paths}-{self.inner.name}"
 
     def schedule(
         self,
@@ -260,6 +256,7 @@ class CpSwitchScheduler:
                 self.filter_config,
                 blocked_o2m=blocked_o2m,
                 blocked_m2o=blocked_m2o,
+                n_paths=self.n_paths,
             )
         if self.budget is not None:
             # Stage marker: exhaustion surfaces at the inner scheduler's
@@ -283,8 +280,8 @@ class CpSwitchScheduler:
             # Schedule-quality audit: what Algorithm 4 decided, not how
             # fast — deterministic for a seeded run, so ``repro obs diff``
             # and the BENCH_obs gate treat any change as drift.
-            o2m_grants = sum(1 for e in entries if e.o2m_port is not None)
-            m2o_grants = sum(1 for e in entries if e.m2o_port is not None)
+            o2m_grants = sum(len(e.o2m_ports) for e in entries)
+            m2o_grants = sum(len(e.m2o_ports) for e in entries)
             composite_mb = float(sum(e.composite_served.sum() for e in entries))
             obs.get_tracer().event(
                 "cpsched.audit",
@@ -328,9 +325,11 @@ def interpret(
 
     Each configuration's matching is split by DivideByType (Algorithm 3,
     :func:`~repro.core.divide.divide_by_type`); each composite grant then
-    serves the filtered demand ``reduction.filtered`` with CPSched
-    (Algorithm 2) under the reserved EPS budget Ce*.  Only the granted row
-    and column of ``filtered`` change, so only they are copied.
+    serves its port's whole row (one-to-many) or column (many-to-one) of
+    the filtered demand ``reduction.filtered`` with CPSched (Algorithm 2)
+    under the reserved EPS budget Ce*, the one-to-many grants first.  Only
+    the granted rows and columns of ``filtered`` change, so only they are
+    copied.
 
     Grants on ``dead_o2m`` / ``dead_m2o`` ports are stripped: the entry
     keeps its regular circuits and serves nothing over that composite path.
@@ -338,6 +337,7 @@ def interpret(
     before each configuration and truncates only on a hard overdraft.
     """
     eps_budget = params.effective_eps_budget
+    n = reduction.n_ports
     filtered = reduction.filtered.copy()
     entries: list[CompositeScheduleEntry] = []
     for item in reduced_schedule:
@@ -352,29 +352,25 @@ def interpret(
             # dropped configurations would have served merges back for the
             # EPS drain.
             break
-        matching, o2m_port, m2o_port = divide_by_type(item.matching)
-        if o2m_port in dead_o2m:
-            o2m_port = None
-        if m2o_port in dead_m2o:
-            m2o_port = None
-        rows = [] if o2m_port is None else [o2m_port]
-        cols = [] if m2o_port is None else [m2o_port]
+        matching, o2m_ports, m2o_ports = divide_by_type(item.matching, n)
+        rows = [port for port in o2m_ports if port not in dead_o2m]
+        cols = [port for port in m2o_ports if port not in dead_m2o]
         before = filtered[rows], filtered[:, cols]
-        if o2m_port is not None:
-            filtered[o2m_port, :] = cpsched(
-                filtered[o2m_port, :], item.duration, params.ocs_rate, eps_budget
+        for port in rows:
+            filtered[port, :] = cpsched(
+                filtered[port, :], item.duration, params.ocs_rate, eps_budget
             )
-        if m2o_port is not None:
-            filtered[:, m2o_port] = cpsched(
-                filtered[:, m2o_port], item.duration, params.ocs_rate, eps_budget
+        for port in cols:
+            filtered[:, port] = cpsched(
+                filtered[:, port], item.duration, params.ocs_rate, eps_budget
             )
         entries.append(
             CompositeScheduleEntry(
                 matching=matching,
                 duration=item.duration,
                 composite_served=_served_since(filtered, rows, cols, before),
-                o2m_port=o2m_port,
-                m2o_port=m2o_port,
+                o2m_ports=tuple(rows),
+                m2o_ports=tuple(cols),
             )
         )
     return CpSchedule(

@@ -255,9 +255,9 @@ class BackupPlanner:
         ``blocked_o2m`` / ``blocked_m2o`` are the ports already excluded
         when the primary was scheduled (the epoch controller's dead-port
         carry-over); the qualification is computed with them blocked, as
-        the primary's own reduction was.  Only base (single path per
-        direction) cp-Switch schedules are supported — the k-path
-        extension's lanes change what a surviving grant may serve.
+        the primary's own reduction was.  A schedule with k paths per
+        direction arms the same way: each grant serves its port's whole
+        filtered line, whichever path carries it.
         """
         demand = check_demand_matrix(demand)
         base_o2m = frozenset(int(p) for p in blocked_o2m)

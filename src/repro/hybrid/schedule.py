@@ -32,8 +32,8 @@ class ScheduleEntry:
         The configuration's circuits as an ``(m,)`` matching (module
         docstring), stored as a read-only int64 copy.  For a plain h-Switch
         schedule m = n; for a schedule produced from a reduced cp-Switch
-        demand m = n + 1 and input/output ``n`` stands for the composite
-        paths.
+        demand m = n + k and inputs/outputs ``n`` to ``n + k - 1`` stand
+        for the k composite paths per direction.
     duration:
         Time the configuration is held, ms (excluding the reconfiguration
         penalty, which the simulator charges separately).

@@ -497,6 +497,7 @@ class AnytimeScheduler:
             self.inner.filter_config,
             blocked_o2m=blocked_o2m,
             blocked_m2o=blocked_m2o,
+            n_paths=self.inner.n_paths,
         )
         stripped = sum(
             1

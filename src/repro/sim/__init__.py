@@ -10,7 +10,7 @@ completion times and a piecewise-constant service-rate timeline for
 windowed utilization metrics.
 """
 
-from repro.sim.cp_sim import simulate_cp, simulate_multipath
+from repro.sim.cp_sim import simulate_cp
 from repro.sim.hybrid_sim import simulate_hybrid
 from repro.sim.metrics import RateSegment, SimulationResult
 from repro.sim.rates import max_min_fair_rates
@@ -21,5 +21,4 @@ __all__ = [
     "max_min_fair_rates",
     "simulate_cp",
     "simulate_hybrid",
-    "simulate_multipath",
 ]

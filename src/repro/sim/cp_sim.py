@@ -1,4 +1,4 @@
-"""Online execution of cp-Switch schedules (base and k-path variants).
+"""Online execution of cp-Switch schedules (k composite paths per direction).
 
 Differences from the h-Switch execution:
 
@@ -7,7 +7,8 @@ Differences from the h-Switch execution:
   paths while the schedule runs;
 * each configuration may additionally grant one-to-many / many-to-one
   composite paths, served at the CPSched rates with ``Ce*`` reserved on the
-  EPS links they traverse;
+  EPS links they traverse; a grant serves its port's whole filtered row or
+  column, one grant per port and direction (Algorithm 4);
 * after the schedule, unfinished filtered demand returns to the EPS for the
   final drain (it is ordinary packet traffic at that point).
 
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.multipath import MultiPathCpSchedule
 from repro.core.scheduler import CpSchedule
 from repro.faults.injector import as_injector
 from repro.faults.reroute import RerouteOutcome, RerouteRuntime
@@ -54,7 +54,7 @@ def simulate_cp(
     faults=None,
     backups=None,
 ) -> SimulationResult:
-    """Execute a base (single path per direction) cp-Switch schedule.
+    """Execute a cp-Switch schedule, every composite grant of each entry.
 
     Parameters
     ----------
@@ -77,12 +77,9 @@ def simulate_cp(
         outages.
     """
     def composites_for(entry) -> "list[CompositeService]":
-        services: list[CompositeService] = []
-        if entry.o2m_port is not None:
-            services.append(CompositeService(kind="o2m", port=entry.o2m_port))
-        if entry.m2o_port is not None:
-            services.append(CompositeService(kind="m2o", port=entry.m2o_port))
-        return services
+        return [CompositeService(kind="o2m", port=port) for port in entry.o2m_ports] + [
+            CompositeService(kind="m2o", port=port) for port in entry.m2o_ports
+        ]
 
     return _run(
         demand,
@@ -93,55 +90,6 @@ def simulate_cp(
         horizon,
         n_configs=cp_schedule.n_configs,
         makespan=cp_schedule.makespan,
-        faults=faults,
-        backups=backups,
-    )
-
-
-def simulate_multipath(
-    demand: np.ndarray,
-    mp_schedule: MultiPathCpSchedule,
-    params: SwitchParams,
-    horizon: "float | None" = None,
-    faults=None,
-    backups=None,
-) -> SimulationResult:
-    """Execute a k-path cp-Switch schedule (§4 extension).
-
-    Each granted path serves only the filtered entries the reduction
-    assigned to it (its *lane*), unlike the base scheduler which serves the
-    whole filtered row/column — with k paths the lanes are what prevents two
-    paths from double-serving one entry.  A composite-port outage
-    (``faults``) kills one (direction, port) lane set; its parked demand
-    falls back to the regular paths.
-
-    ``backups`` arms fast-reroute as in :func:`simulate_cp`.  Note that
-    :class:`~repro.faults.reroute.BackupPlanner` only plans for base
-    schedules; a caller arming a k-path run must account for lanes itself —
-    re-parked demand outside every surviving lane waits for the final
-    drain (volume is still conserved).
-    """
-    reduction = mp_schedule.reduction
-
-    def composites_for(entry) -> "list[CompositeService]":
-        services: list[CompositeService] = []
-        for path, sender in entry.o2m_grants.items():
-            lane = reduction.o2m_path[sender, :] == path
-            services.append(CompositeService(kind="o2m", port=sender, lane_mask=lane))
-        for path, receiver in entry.m2o_grants.items():
-            lane = reduction.m2o_path[:, receiver] == path
-            services.append(CompositeService(kind="m2o", port=receiver, lane_mask=lane))
-        return services
-
-    return _run(
-        demand,
-        mp_schedule.entries,
-        reduction.filtered,
-        composites_for,
-        params,
-        horizon,
-        n_configs=mp_schedule.n_configs,
-        makespan=mp_schedule.makespan,
         faults=faults,
         backups=backups,
     )
@@ -161,9 +109,7 @@ def _surviving_composites(engine, injector, services):
         if injector.composite_port_up(service.kind, service.port):
             alive.append(service)
         else:
-            released = engine.release_composite(
-                service.kind, service.port, service.lane_mask
-            )
+            released = engine.release_composite(service.kind, service.port)
             injector.note_released(released)
     return alive
 
@@ -181,7 +127,7 @@ def _run(
     faults=None,
     backups=None,
 ) -> SimulationResult:
-    """The phase loop shared by h-, cp- and k-path execution.
+    """The phase loop shared by h- and cp-Switch execution.
 
     Every entry carries its circuits as ``entry.matching``.
     ``filtered=None`` (h-Switch) parks nothing on composite paths, so the

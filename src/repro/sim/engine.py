@@ -161,16 +161,12 @@ class CompositeService:
         ``"o2m"`` (one-to-many: ``port`` is the sender) or ``"m2o"``
         (many-to-one: ``port`` is the receiver).
     port:
-        The granted port index.
-    lane_mask:
-        Optional boolean vector restricting which filtered entries of the
-        row/column this path serves (used by the k-path extension);
-        ``None`` serves the whole row/column, as Algorithm 4 does.
+        The granted port index; the path serves its whole filtered row
+        (``"o2m"``) or column (``"m2o"``), as Algorithm 4 does.
     """
 
     kind: str
     port: int
-    lane_mask: "np.ndarray | None" = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("o2m", "m2o"):
@@ -341,9 +337,7 @@ class FluidEngine:
         self._rebuild_support()
         return moved
 
-    def release_composite(
-        self, kind: str, port: int, lane_mask: "np.ndarray | None" = None
-    ) -> float:
+    def release_composite(self, kind: str, port: int) -> float:
         """Fail a composite path over: park its demand on the regular paths.
 
         When the one-to-many path of sender ``port`` (``kind="o2m"``) or
@@ -355,9 +349,7 @@ class FluidEngine:
         degradation: completion time rises, volume is never lost.
 
         Must be called between phases (like :meth:`assign_composite`);
-        returns the released volume (Mb).  ``lane_mask``, a boolean vector
-        of shape ``(n,)``, restricts the release to one k-path lane's
-        entries.
+        returns the released volume (Mb).
         """
         if kind not in ("o2m", "m2o"):
             raise ValueError(f"kind must be 'o2m' or 'm2o', got {kind!r}")
@@ -367,8 +359,6 @@ class FluidEngine:
         composite = self._composite
         residual = composite[port, :] if kind == "o2m" else composite[:, port]
         mask = residual > 0.0
-        if lane_mask is not None:
-            mask &= self._lane(lane_mask)
         released = float(residual[mask].sum())
         if released <= 0.0:
             return 0.0
@@ -426,13 +416,6 @@ class FluidEngine:
             ).inc(parked)
         return parked
 
-    def _lane(self, lane_mask) -> np.ndarray:
-        """``lane_mask`` as a boolean vector over the n partner ports."""
-        lane = np.asarray(lane_mask, dtype=bool)
-        if lane.shape != (self.n,):
-            raise ValueError(f"lane_mask has shape {lane.shape}, expected ({self.n},)")
-        return lane
-
     # ------------------------------------------------------------------ #
     # phase execution
     # ------------------------------------------------------------------ #
@@ -459,8 +442,8 @@ class FluidEngine:
             circuits.  Another shape or dtype, a value outside ``[-1, n)``
             or an output used twice raises ``ValueError``.
         composites:
-            Active composite paths.  A port outside ``[0, n)`` or a lane
-            mask whose shape is not ``(n,)`` raises ``ValueError``.
+            Active composite paths.  A port outside ``[0, n)`` raises
+            ``ValueError``.
         eps_port_scale:
             Optional per-port capacity factors in [0, 1] (fault injection:
             degraded EPS line rates).  Scales each port's EPS capacity in
@@ -509,10 +492,6 @@ class FluidEngine:
                 lo, hi = self._col_start[port], self._col_start[port + 1]
                 positions = self._col_order[lo:hi]
                 partners = self._rows[positions]
-            if service.lane_mask is not None:
-                keep = self._lane(service.lane_mask)[partners]
-                positions = positions[keep]
-                partners = partners[keep]
             services.append((service.kind == "o2m", positions, partners))
 
         # Phase-level observability: one span per run_phase call (never

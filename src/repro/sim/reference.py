@@ -161,8 +161,6 @@ class ReferenceFluidEngine:
             else:
                 vector = self.composite[:, service.port]
             active = vector > VOLUME_TOL
-            if service.lane_mask is not None:
-                active = active & service.lane_mask
             count = int(active.sum())
             if count == 0:
                 continue

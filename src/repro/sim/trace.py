@@ -53,15 +53,11 @@ def schedule_timeline(schedule: "Schedule | CpSchedule") -> "list[TimelineInterv
         clock += delta
         kind = "circuit"
         label = f"config {index}"
-        o2m = getattr(entry, "o2m_port", None)
-        m2o = getattr(entry, "m2o_port", None)
-        if o2m is not None or m2o is not None:
+        grants = [f"o2m@{port}" for port in getattr(entry, "o2m_ports", ())] + [
+            f"m2o@{port}" for port in getattr(entry, "m2o_ports", ())
+        ]
+        if grants:
             kind = "composite"
-            grants = []
-            if o2m is not None:
-                grants.append(f"o2m@{o2m}")
-            if m2o is not None:
-                grants.append(f"m2o@{m2o}")
             label = f"config {index} ({', '.join(grants)})"
         intervals.append(TimelineInterval(clock, clock + entry.duration, label, kind))
         clock += entry.duration

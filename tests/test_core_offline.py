@@ -60,7 +60,7 @@ class TestPolicies:
         seen_regular = False
         for index in order:
             entry = cp_schedule.entries[index]
-            has_composite = entry.o2m_port is not None or entry.m2o_port is not None
+            has_composite = bool(entry.o2m_ports or entry.m2o_ports)
             if not has_composite:
                 seen_regular = True
             else:

@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.config import FilterConfig
 from repro.core.cpsched import cpsched
-from repro.core.multipath import MultiPathCpScheduler
 from repro.core.scheduler import CpSwitchScheduler
 from repro.hybrid.eclipse import EclipseScheduler
 from repro.hybrid.solstice import SolsticeScheduler
@@ -45,16 +44,16 @@ class TestCpSwitchScheduler:
         # Replay CPSched manually over the schedule and compare residuals.
         filtered = cp_schedule.reduction.filtered.copy()
         for entry in cp_schedule:
-            if entry.o2m_port is not None:
-                filtered[entry.o2m_port, :] = cpsched(
-                    filtered[entry.o2m_port, :],
+            for port in entry.o2m_ports:
+                filtered[port, :] = cpsched(
+                    filtered[port, :],
                     entry.duration,
                     params.ocs_rate,
                     params.effective_eps_budget,
                 )
-            if entry.m2o_port is not None:
-                filtered[:, entry.m2o_port] = cpsched(
-                    filtered[:, entry.m2o_port],
+            for port in entry.m2o_ports:
+                filtered[:, port] = cpsched(
+                    filtered[:, port],
                     entry.duration,
                     params.ocs_rate,
                     params.effective_eps_budget,
@@ -145,25 +144,20 @@ def filterable_demands(draw):
     return np.where(present, small, large) * ~np.eye(n, dtype=bool)
 
 
-def replayed_served(schedule, params, lanes):
+def replayed_served(schedule, params):
     """Each entry's ``Df,prev − Df`` over the whole filtered matrix, with
-    the schedule's grants replayed on a copy of its filtered demand.
-    ``lanes(entry)`` yields each grant's line index and lane mask; a base
-    grant (mask ``None``) leaves CPSched's result on its whole line, a
-    k-path grant subtracts what its lane served."""
+    the schedule's grants replayed on a copy of its filtered demand, each
+    over its port's whole row (one-to-many) or column (many-to-one)."""
     filtered = schedule.reduction.filtered.copy()
     out = []
     for entry in schedule.entries:
         previous = filtered.copy()
-        for line, mask in lanes(entry):
-            lane = filtered[line] if mask is None else filtered[line] * mask
-            remaining = cpsched(
-                lane, entry.duration, params.ocs_rate, params.effective_eps_budget
+        lines = [(port, slice(None)) for port in entry.o2m_ports]
+        lines += [(slice(None), port) for port in entry.m2o_ports]
+        for line in lines:
+            filtered[line] = cpsched(
+                filtered[line], entry.duration, params.ocs_rate, params.effective_eps_budget
             )
-            if mask is None:
-                filtered[line] = remaining
-            else:
-                filtered[line] -= lane - remaining
         out.append(previous - filtered)
     return out
 
@@ -178,34 +172,15 @@ class TestCompositeServedMatchesWholeMatrix:
         params = fast_ocs_params(demand.shape[0])
         inner = EclipseScheduler() if use_eclipse else SolsticeScheduler()
         schedule = CpSwitchScheduler(inner).schedule(demand, params)
-
-        def lanes(entry):
-            if entry.o2m_port is not None:
-                yield (entry.o2m_port, slice(None)), None
-            if entry.m2o_port is not None:
-                yield (slice(None), entry.m2o_port), None
-
-        for entry, expected in zip(
-            schedule.entries, replayed_served(schedule, params, lanes)
-        ):
+        for entry, expected in zip(schedule.entries, replayed_served(schedule, params)):
             assert entry.composite_served.tobytes() == expected.tobytes()
 
     @given(demand=filterable_demands(), k=st.integers(1, 3))
     @settings(max_examples=150, deadline=None)
     def test_k_path_loop(self, demand, k):
         params = fast_ocs_params(demand.shape[0])
-        schedule = MultiPathCpScheduler(SolsticeScheduler(), n_paths=k).schedule(
+        schedule = CpSwitchScheduler(SolsticeScheduler(), n_paths=k).schedule(
             demand, params
         )
-        o2m_path, m2o_path = schedule.reduction.o2m_path, schedule.reduction.m2o_path
-
-        def lanes(entry):
-            for path, sender in entry.o2m_grants.items():
-                yield (sender, slice(None)), o2m_path[sender, :] == path
-            for path, receiver in entry.m2o_grants.items():
-                yield (slice(None), receiver), m2o_path[:, receiver] == path
-
-        for entry, expected in zip(
-            schedule.entries, replayed_served(schedule, params, lanes)
-        ):
+        for entry, expected in zip(schedule.entries, replayed_served(schedule, params)):
             assert entry.composite_served.tobytes() == expected.tobytes()

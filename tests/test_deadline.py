@@ -97,8 +97,8 @@ def assert_schedules_equal(a, b) -> None:
         np.testing.assert_array_equal(
             entry_a.composite_served, entry_b.composite_served
         )
-        assert entry_a.o2m_port == entry_b.o2m_port
-        assert entry_a.m2o_port == entry_b.m2o_port
+        assert entry_a.o2m_ports == entry_b.o2m_ports
+        assert entry_a.m2o_ports == entry_b.m2o_ports
     np.testing.assert_array_equal(a.filtered_residual, b.filtered_residual)
     np.testing.assert_array_equal(a.reduction.filtered, b.reduction.filtered)
     assert len(a.reduced_schedule) == len(b.reduced_schedule)
@@ -368,19 +368,77 @@ class TestWarmReuseDeadPorts:
         anytime = AnytimeScheduler(make_inner(), deadline_s=2.5, clock=clock)
         demand = covering_demand()
         warm = anytime.schedule(demand, PARAMS)
-        granted_o2m = {e.o2m_port for e in warm.entries if e.o2m_port is not None}
+        granted_o2m = {port for e in warm.entries for port in e.o2m_ports}
         assert granted_o2m, "covering workload must grant o2m composite paths"
         dead = next(iter(granted_o2m))
         clock.step = 1.0
         reused = anytime.schedule(demand, PARAMS, blocked_o2m={dead})
         assert anytime.last_outcome.fallback_level == FALLBACK_WARM_REUSE
         assert f"dead-port grant" in anytime.last_outcome.detail
-        assert all(entry.o2m_port != dead for entry in reused.entries)
+        assert all(dead not in entry.o2m_ports for entry in reused.entries)
         # The blocked reduction never assigns volume to the dead port's own
         # composite path (entries may still ride the receivers' m2o paths).
         assert float(reused.reduction.reduced[dead, N]) == 0.0
         assert not reused.reduction.o2m_assignment[dead, :].any()
         simulate_cp(demand, reused, PARAMS).check_conservation()
+
+    def test_dead_o2m_and_m2o_grants_stripped_parking_nothing(self):
+        # One dead port of each kind, both granted by the remembered
+        # schedule: interpretation strips both grants, and the blocked
+        # reduction parks nothing on either port's composite path.
+        clock = TickClock(step=0.0)
+        anytime = AnytimeScheduler(make_inner(), deadline_s=2.5, clock=clock)
+        demand = covering_demand()
+        warm = anytime.schedule(demand, PARAMS)
+        dead_o2m = next(port for e in warm.entries for port in e.o2m_ports)
+        dead_m2o = next(port for e in warm.entries for port in e.m2o_ports)
+        clock.step = 1.0
+        reused = anytime.schedule(
+            demand, PARAMS, blocked_o2m={dead_o2m}, blocked_m2o={dead_m2o}
+        )
+        assert anytime.last_outcome.fallback_level == FALLBACK_WARM_REUSE
+        assert "; 2 dead-port grant(s) stripped" in anytime.last_outcome.detail
+        assert len(reused.entries) == len(warm.entries)
+        for entry in reused.entries:
+            assert dead_o2m not in entry.o2m_ports
+            assert dead_m2o not in entry.m2o_ports
+        reduction = reused.reduction
+        assert reduction.o2m_loads[dead_o2m] == 0.0
+        assert reduction.m2o_loads[dead_m2o] == 0.0
+        assert not reduction.o2m_assignment[dead_o2m, :].any()
+        assert not reduction.m2o_assignment[:, dead_m2o].any()
+        simulate_cp(demand, reused, PARAMS).check_conservation()
+
+
+class TestInterpretTruncation:
+    def test_overdraft_truncates_and_the_dropped_demand_drains_on_the_eps(self):
+        # A tick budget of one tick: the first configuration's checkpoint
+        # exhausts it (tick 1 of 1), the second's overdraft test reads tick
+        # 4 of HARD_OVERDRAFT x 1, so interpretation keeps one entry.
+        scheduler = make_inner()
+        demand = covering_demand()
+        full = scheduler.schedule(demand, PARAMS)
+        assert len(full.entries) >= 2
+        reduction = reduce_with_config(demand, PARAMS, scheduler.filter_config)
+        budget = DeadlineBudget(1.0, clock=TickClock(step=1.0)).start()
+        truncated = interpret(full.reduced_schedule, reduction, PARAMS, budget=budget)
+        assert budget.overdrawn()
+        assert len(truncated.entries) == 1
+        kept, first = truncated.entries[0], full.entries[0]
+        np.testing.assert_array_equal(kept.matching, first.matching)
+        assert kept.composite_served.tobytes() == first.composite_served.tobytes()
+        assert (kept.o2m_ports, kept.m2o_ports) == (first.o2m_ports, first.m2o_ports)
+        # What the dropped grants would have served stays parked, and the
+        # final drain merges it back onto the EPS.
+        dropped = sum(e.composite_volume for e in full.entries[1:])
+        assert dropped > 0.0
+        assert truncated.filtered_residual.sum() == pytest.approx(
+            full.filtered_residual.sum() + dropped
+        )
+        result = simulate_cp(demand, truncated, PARAMS)
+        result.check_conservation()
+        assert result.finished
+        assert result.served_composite <= truncated.composite_volume_served + 1e-9
 
 
 class TestFiniteBudgetValidity:

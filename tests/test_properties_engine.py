@@ -11,9 +11,9 @@ splits — checking the invariants that must hold regardless:
 * finish times within [0, clock] and only for demanded entries;
 * horizon-bounded runs never deliver more than unbounded ones;
 * the same event times and finish times as the frozen seed engine
-  (:class:`~repro.sim.reference.ReferenceFluidEngine`), with and without
-  lane-masked composite grants, and the same served volumes up to the
-  order in which the two engines sum their rate totals.
+  (:class:`~repro.sim.reference.ReferenceFluidEngine`), and the same
+  served volumes up to the order in which the two engines sum their rate
+  totals.
 
 Circuits are drawn as a matching, the live engine's input; the seed engine
 gets that matching's matrix.  Two switches are fuzzed against the seed
@@ -83,12 +83,7 @@ def _prefix_matching(args):
     return matching
 
 
-def lane_masks():
-    """A k-path lane: the partners a composite grant may serve."""
-    return st.one_of(st.none(), arrays(np.bool_, (N,)))
-
-
-def phases(circuits=partial_matchings(), lanes=st.none()):
+def phases(circuits=partial_matchings()):
     return st.lists(
         st.tuples(
             st.floats(0.0, 0.5, allow_nan=False),  # duration
@@ -97,8 +92,6 @@ def phases(circuits=partial_matchings(), lanes=st.none()):
             st.integers(min_value=0, max_value=N - 1),  # o2m port
             st.booleans(),  # grant an m2o path?
             st.integers(min_value=0, max_value=N - 1),  # m2o port
-            lanes,  # o2m lane mask
-            lanes,  # m2o lane mask
         ),
         min_size=0,
         max_size=4,
@@ -114,6 +107,19 @@ SHARED = SwitchParams(n_ports=N, eps_rate=10.0, ocs_rate=20.0, reconfig_delay=0.
 #: by one within a phase, at shares Co/5, Co/4, Co/3 and then Ce*.
 FIVE_ON_ONE_PATH = np.zeros((N, N))
 FIVE_ON_ONE_PATH[0, 1:] = [0.5, 1.0, 1.5, 2.0, 2.5]
+
+#: The §3.2 shape with four isolated pairs behind it: a dense row 0 and a
+#: dense column 5 that a composite grant on each drains within a phase,
+#: then, after the merge, four one-flow diagonal entries that drain on the
+#: EPS as one class of isolated pairs.  From the first of those drains the
+#: class loop fills the hub/leaf quotient, whose pair nodes count one flow
+#: per port: a leaf node counted by its class size gives the three left
+#: Ce/3 each instead of Ce.
+SKEWED_THEN_PAIRS = np.zeros((N, N))
+SKEWED_THEN_PAIRS[0, :] = [1.0, 1.1, 1.2, 1.3, 1.05, 1.15]
+SKEWED_THEN_PAIRS[:, 5] = [1.25, 1.0, 1.1, 1.2, 1.3, 1.05]
+SKEWED_THEN_PAIRS[[1, 2, 3, 4], [1, 2, 3, 4]] = [0.3, 0.5, 0.7, 0.9]
+GRANT_ROW_0_AND_COLUMN_5 = (0.5, None, True, 0, True, 5)
 
 #: Relative tolerance on served volumes against the seed engine, which sums
 #: each event's rate totals over the full matrices, in another order than
@@ -138,16 +144,14 @@ def _run(
         filtered = np.where(demand < park_below, demand, 0.0)
         engine.assign_composite(filtered)
     clock_budget = horizon
-    for (
-        duration, circuits, use_o2m, o2m_port, use_m2o, m2o_port, o2m_lane, m2o_lane
-    ) in phase_list:
+    for duration, circuits, use_o2m, o2m_port, use_m2o, m2o_port in phase_list:
         if clock_budget is not None:
             duration = min(duration, max(0.0, clock_budget - engine.clock))
         composites = []
         if use_o2m:
-            composites.append(CompositeService("o2m", o2m_port, lane_mask=o2m_lane))
+            composites.append(CompositeService("o2m", o2m_port))
         if use_m2o:
-            composites.append(CompositeService("m2o", m2o_port, lane_mask=m2o_lane))
+            composites.append(CompositeService("m2o", m2o_port))
         if engine_cls is ReferenceFluidEngine and circuits is not None:
             circuits = matching_to_permutation(circuits, N)
         engine.run_phase(duration, circuits=circuits, composites=composites)
@@ -221,13 +225,13 @@ class TestEngineFuzz:
         assert delivered_bounded <= delivered_unbounded + 1e-6
 
     # A None phase is a reconfiguration gap, so the same EPS flow set recurs
-    # across phase boundaries; lane masks restrict a composite grant to some
-    # of its row's or column's entries, as k-path grants do.
+    # across phase boundaries.
     @given(
         demand=st.one_of(demands(), skewed_demands()),
-        phase_list=phases(st.one_of(st.none(), partial_matchings()), lane_masks()),
+        phase_list=phases(st.one_of(st.none(), partial_matchings())),
         park=st.booleans(),
     )
+    @example(demand=SKEWED_THEN_PAIRS, phase_list=[GRANT_ROW_0_AND_COLUMN_5], park=True)
     @settings(max_examples=100, deadline=None)
     def test_matches_reference_engine(self, demand, phase_list, park):
         _assert_matches_reference(demand, phase_list, park, PARAMS)
@@ -237,7 +241,7 @@ class TestEngineFuzz:
     # seed engine; the run with the default bound must give the same bits.
     @given(
         demand=st.one_of(demands(), skewed_demands()),
-        phase_list=phases(st.one_of(st.none(), partial_matchings()), lane_masks()),
+        phase_list=phases(st.one_of(st.none(), partial_matchings())),
         park=st.booleans(),
     )
     @settings(max_examples=100, deadline=None)
@@ -258,13 +262,19 @@ class TestEngineFuzz:
     # one path within a phase, each drain moving the path's shares.
     @given(
         demand=demands(),
-        phase_list=phases(st.one_of(st.none(), partial_matchings()), lane_masks()),
+        phase_list=phases(st.one_of(st.none(), partial_matchings())),
         park_below=st.sampled_from([5.0, np.inf]),
         scale=st.sampled_from([1.0, 0.1]),
     )
     @example(
         demand=FIVE_ON_ONE_PATH,
-        phase_list=[(0.5, None, True, 0, False, 0, None, None)],
+        phase_list=[(0.5, None, True, 0, False, 0)],
+        park_below=np.inf,
+        scale=1.0,
+    )
+    @example(
+        demand=SKEWED_THEN_PAIRS,
+        phase_list=[GRANT_ROW_0_AND_COLUMN_5] * 2,
         park_below=np.inf,
         scale=1.0,
     )

@@ -5,7 +5,8 @@ random demand matrices *and* random fault mixes, and the end-to-end
 invariants must hold regardless of what fails:
 
 * volume conservation — ``delivered + stranded == total`` for both the
-  h-Switch and the cp-Switch under any fault plan;
+  h-Switch and the cp-Switch, with one or two composite paths per
+  direction, under any fault plan;
 * graceful degradation — unbounded runs always finish (dead composite
   paths release their demand instead of stranding it);
 * the all-zero plan is bit-identical to a fault-free run, whatever its
@@ -58,19 +59,23 @@ def plans():
     )
 
 
-def _schedules(demand):
+def _schedules(demand, n_paths):
     scheduler = SolsticeScheduler()
     return (
         scheduler.schedule(demand, PARAMS),
-        CpSwitchScheduler(scheduler).schedule(demand, PARAMS),
+        CpSwitchScheduler(scheduler, n_paths=n_paths).schedule(demand, PARAMS),
     )
 
 
+#: Composite paths per direction of the cp-Switch schedule.
+PATH_COUNTS = st.integers(1, 2)
+
+
 class TestFaultFuzz:
-    @given(demand=demands(), plan=plans())
+    @given(demand=demands(), plan=plans(), n_paths=PATH_COUNTS)
     @settings(max_examples=40, deadline=None)
-    def test_conservation_under_any_fault_mix(self, demand, plan):
-        h_schedule, cp_schedule = _schedules(demand)
+    def test_conservation_under_any_fault_mix(self, demand, plan, n_paths):
+        h_schedule, cp_schedule = _schedules(demand, n_paths)
         h_result = simulate_hybrid(demand, h_schedule, PARAMS, faults=plan)
         cp_result = simulate_cp(demand, cp_schedule, PARAMS, faults=plan)
         for result in (h_result, cp_result):
@@ -85,10 +90,15 @@ class TestFaultFuzz:
         # Released volume is real filtered demand, never manufactured.
         assert 0.0 <= cp_result.released_composite <= demand.sum() + 1e-6
 
-    @given(demand=demands(), plan=plans(), horizon=st.floats(0.0, 1.0, allow_nan=False))
+    @given(
+        demand=demands(),
+        plan=plans(),
+        horizon=st.floats(0.0, 1.0, allow_nan=False),
+        n_paths=PATH_COUNTS,
+    )
     @settings(max_examples=40, deadline=None)
-    def test_bounded_faulted_runs_keep_the_ledger(self, demand, plan, horizon):
-        h_schedule, cp_schedule = _schedules(demand)
+    def test_bounded_faulted_runs_keep_the_ledger(self, demand, plan, horizon, n_paths):
+        h_schedule, cp_schedule = _schedules(demand, n_paths)
         h_result = simulate_hybrid(demand, h_schedule, PARAMS, horizon=horizon, faults=plan)
         cp_result = simulate_cp(demand, cp_schedule, PARAMS, horizon=horizon, faults=plan)
         for result in (h_result, cp_result):
@@ -97,10 +107,14 @@ class TestFaultFuzz:
             assert result.residual is not None
             assert (result.residual >= 0.0).all()
 
-    @given(demand=demands(), seed=st.integers(min_value=0, max_value=2**16))
+    @given(
+        demand=demands(),
+        seed=st.integers(min_value=0, max_value=2**16),
+        n_paths=PATH_COUNTS,
+    )
     @settings(max_examples=40, deadline=None)
-    def test_null_plan_bit_identical(self, demand, seed):
-        h_schedule, cp_schedule = _schedules(demand)
+    def test_null_plan_bit_identical(self, demand, seed, n_paths):
+        h_schedule, cp_schedule = _schedules(demand, n_paths)
         plan = FaultPlan(seed=seed)
         for simulate, schedule in (
             (simulate_hybrid, h_schedule),
@@ -114,10 +128,10 @@ class TestFaultFuzz:
             assert nulled.served_eps == base.served_eps
             np.testing.assert_array_equal(nulled.finish_times, base.finish_times)
 
-    @given(demand=demands(), plan=plans())
+    @given(demand=demands(), plan=plans(), n_paths=PATH_COUNTS)
     @settings(max_examples=40, deadline=None)
-    def test_same_plan_replays_identically(self, demand, plan):
-        _h_schedule, cp_schedule = _schedules(demand)
+    def test_same_plan_replays_identically(self, demand, plan, n_paths):
+        _h_schedule, cp_schedule = _schedules(demand, n_paths)
         first = simulate_cp(demand, cp_schedule, PARAMS, faults=plan)
         second = simulate_cp(demand, cp_schedule, PARAMS, faults=plan)
         assert first.completion_time == second.completion_time

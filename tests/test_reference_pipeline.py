@@ -120,8 +120,8 @@ def reference_cp_schedule(
                 matching=matching_from_permutation(regular),
                 duration=item.duration,
                 composite_served=previous - filtered,
-                o2m_port=o2m_port,
-                m2o_port=m2o_port,
+                o2m_ports=() if o2m_port is None else (o2m_port,),
+                m2o_ports=() if m2o_port is None else (m2o_port,),
             )
         )
     return CpSchedule(
@@ -153,11 +153,8 @@ def reference_simulate_cp(
     engine.assign_composite(cp_schedule.reduction.filtered)
     for entry in cp_schedule.entries:
         engine.run_phase(params.reconfig_delay)
-        composites: "list[CompositeService]" = []
-        if entry.o2m_port is not None:
-            composites.append(CompositeService(kind="o2m", port=entry.o2m_port))
-        if entry.m2o_port is not None:
-            composites.append(CompositeService(kind="m2o", port=entry.m2o_port))
+        composites = [CompositeService(kind="o2m", port=p) for p in entry.o2m_ports]
+        composites += [CompositeService(kind="m2o", port=p) for p in entry.m2o_ports]
         engine.run_phase(
             entry.duration, circuits=_matrix(entry.matching), composites=composites
         )

@@ -3,7 +3,9 @@
 The load-bearing invariants:
 
 * a mid-epoch composite-port outage with backups armed swaps at the current
-  phase boundary — under **every** scheduler/kernel backend combination;
+  phase boundary — under **every** scheduler/kernel backend combination,
+  and with two composite paths per direction, where the swap re-parks
+  demand only onto lines that surviving grants serve;
 * the conservation ledger balances through a swap (volume is re-parked,
   never lost);
 * fast-reroute strands no more volume than degrade-to-EPS, and strictly
@@ -15,6 +17,8 @@ The load-bearing invariants:
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -185,10 +189,8 @@ class TestBackupPlanner:
         _, cp_schedule, _, backups = plan_backups()
         granted = set()
         for entry in cp_schedule.entries:
-            if entry.o2m_port is not None:
-                granted.add(("o2m", entry.o2m_port))
-            if entry.m2o_port is not None:
-                granted.add(("m2o", entry.m2o_port))
+            granted |= {("o2m", port) for port in entry.o2m_ports}
+            granted |= {("m2o", port) for port in entry.m2o_ports}
         assert set(backups.armed) == granted
         assert backups.n_armed == len(granted)
         assert granted, "covering workload must grant composite paths"
@@ -210,10 +212,8 @@ class TestBackupPlanner:
             rows = np.zeros(N, dtype=bool)
             cols = np.zeros(N, dtype=bool)
             for entry in cp_schedule.entries:
-                if entry.o2m_port is not None and ("o2m", entry.o2m_port) != (kind, port):
-                    rows[entry.o2m_port] = True
-                if entry.m2o_port is not None and ("m2o", entry.m2o_port) != (kind, port):
-                    cols[entry.m2o_port] = True
+                rows[[p for p in entry.o2m_ports if ("o2m", p) != (kind, port)]] = True
+                cols[[p for p in entry.m2o_ports if ("m2o", p) != (kind, port)]] = True
             covered = rows[:, None] | cols[None, :]
             repair = backups.repair(backup_key(kind, port), covered)
             assert repair[~covered].sum() == 0.0
@@ -406,6 +406,55 @@ class TestSwapSemantics:
             FALLBACK_KEY,
             *(backup_key("m2o", p) for p in m2o_ports[:2]),
         )
+
+
+    def test_k_path_swap_reparks_only_onto_surviving_grants(self):
+        # Two paths per direction: the first configuration grants two
+        # senders and two receivers.  One granted sender dies; the swap
+        # re-parks its orphans only on lines a surviving grant serves.
+        demand = covering_demand()
+        scheduler = CpSwitchScheduler(SolsticeScheduler(), n_paths=2, filter_config=FILTER)
+        cp_schedule = scheduler.schedule(demand, PARAMS)
+        first = cp_schedule.entries[0]
+        assert len(first.o2m_ports) == 2 and len(first.m2o_ports) == 2
+        backups = BackupPlanner(scheduler).plan(demand, cp_schedule, PARAMS)
+        assert set(backups.armed) == set(cp_schedule.granted_ports)
+        dead = first.o2m_ports[0]
+        reparked = []
+        real_repark = FluidEngine.repark_composite
+
+        def spy(engine, filtered):
+            reparked.append(np.array(filtered))
+            return real_repark(engine, filtered)
+
+        horizon = cp_schedule.makespan
+        with mock.patch.object(FluidEngine, "repark_composite", spy):
+            reroute = simulate_cp(
+                demand,
+                cp_schedule,
+                PARAMS,
+                horizon=horizon,
+                faults=killer("o2m", dead),
+                backups=backups,
+            )
+        degrade = simulate_cp(
+            demand, cp_schedule, PARAMS, horizon=horizon, faults=killer("o2m", dead)
+        )
+        reroute.check_conservation()
+        degrade.check_conservation()
+        assert reroute.reroute.n_swaps == 1
+        assert reroute.reroute.swaps[0].key == backup_key("o2m", dead)
+        assert reroute.reroute.reparked_mb > 0.0
+        assert reroute.stranded_volume < degrade.stranded_volume - 1e-9
+        rows = np.zeros(N, dtype=bool)
+        cols = np.zeros(N, dtype=bool)
+        for kind, port in cp_schedule.granted_ports:
+            if (kind, port) != ("o2m", dead):
+                (rows if kind == "o2m" else cols)[port] = True
+        covered = rows[:, None] | cols[None, :]
+        (parked,) = reparked
+        assert parked.sum() > 0.0
+        assert not parked[~covered].any()
 
 
 class TestRerouteTrials:

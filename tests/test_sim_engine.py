@@ -179,20 +179,6 @@ class TestCompositeService:
         # Rate = min(Ce*=5, Co/1) = 5 -> 5 Mb left of 10.
         assert engine.composite[0, 1] == pytest.approx(5.0)
 
-    def test_lane_mask_restricts_service(self):
-        n = 4
-        demand = np.zeros((n, n))
-        demand[0, 1] = 4.0
-        demand[0, 2] = 4.0
-        params = fast_ocs_params(n)
-        engine = FluidEngine(demand, params)
-        engine.assign_composite(demand.copy())
-        lane = np.zeros(n, dtype=bool)
-        lane[1] = True
-        engine.run_phase(0.2, composites=[CompositeService("o2m", 0, lane_mask=lane)])
-        assert engine.composite[0, 1] == pytest.approx(2.0)
-        assert engine.composite[0, 2] == pytest.approx(4.0)
-
 
 class TestLifecycle:
     def test_assign_composite_after_start_rejected(self):
@@ -264,31 +250,6 @@ class TestCompositeGrantValidation:
         with pytest.raises(ValueError, match=r"port must be in \[0, 4\), got 4"):
             engine.run_phase(0.1, composites=[CompositeService(kind, 4)])
         assert engine.clock == 0.0
-
-    def test_short_lane_mask_rejected(self):
-        engine = make_engine(np.ones((4, 4)))
-        engine.assign_composite(np.ones((4, 4)))
-        lane = np.ones(3, dtype=bool)
-        with pytest.raises(ValueError, match=r"lane_mask has shape \(3,\)"):
-            engine.run_phase(0.1, composites=[CompositeService("o2m", 0, lane)])
-        assert engine.clock == 0.0
-
-    def test_long_lane_mask_rejected(self):
-        # A (9,) mask used to be cut to its first four entries.
-        engine = make_engine(np.ones((4, 4)))
-        engine.assign_composite(np.ones((4, 4)))
-        lane = np.ones(9, dtype=bool)
-        with pytest.raises(ValueError, match=r"lane_mask has shape \(9,\)"):
-            engine.run_phase(0.1, composites=[CompositeService("m2o", 1, lane)])
-        assert engine.composite.sum() == 16.0
-
-    @pytest.mark.parametrize("size", [3, 9])
-    def test_release_lane_mask_of_the_wrong_shape_rejected(self, size):
-        engine = make_engine(np.ones((4, 4)))
-        engine.assign_composite(np.ones((4, 4)))
-        with pytest.raises(ValueError, match=rf"lane_mask has shape \({size},\)"):
-            engine.release_composite("o2m", 0, lane_mask=np.ones(size, dtype=bool))
-        assert engine.released_composite == 0.0
 
 
 class TestWaterfillReuse:

@@ -5,12 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.multipath import MultiPathCpScheduler
 from repro.core.scheduler import CpSwitchScheduler
 from repro.hybrid.eclipse import EclipseScheduler
 from repro.hybrid.schedule import Schedule, ScheduleEntry
 from repro.hybrid.solstice import SolsticeScheduler
-from repro.sim import simulate_cp, simulate_hybrid, simulate_multipath
+from repro.sim import simulate_cp, simulate_hybrid
 from repro.switch.params import fast_ocs_params
 
 
@@ -112,18 +111,15 @@ class TestSimulateCp:
 
 class TestSimulateMultipath:
     def test_k1_completion_matches_cp_on_skewed_fixture(self, params, skewed_demand):
-        # Only on this fixture: in general k = 1 is not Algorithm 4 (see
-        # repro.core.multipath), and on random demands the two finish at
-        # different times.
+        # One path is Algorithm 4: the same schedule and the same run.
         base = CpSwitchScheduler(SolsticeScheduler()).schedule(skewed_demand, params)
-        multi = MultiPathCpScheduler(SolsticeScheduler(), n_paths=1).schedule(
+        multi = CpSwitchScheduler(SolsticeScheduler(), n_paths=1).schedule(
             skewed_demand, params
         )
         base_result = simulate_cp(skewed_demand, base, params)
-        multi_result = simulate_multipath(skewed_demand, multi, params)
-        assert multi_result.completion_time == pytest.approx(
-            base_result.completion_time, rel=1e-6
-        )
+        multi_result = simulate_cp(skewed_demand, multi, params)
+        np.testing.assert_array_equal(multi_result.finish_times, base_result.finish_times)
+        assert multi_result.completion_time == base_result.completion_time
 
     def test_two_paths_help_two_skewed_senders(self):
         # Two one-to-many senders compete for the single composite path;
@@ -132,18 +128,18 @@ class TestSimulateMultipath:
         demand = np.zeros((16, 16))
         demand[0, 1:16] = 1.0
         demand[1, np.r_[0, 2:16]] = 1.0
-        single = MultiPathCpScheduler(SolsticeScheduler(), n_paths=1).schedule(demand, params)
-        double = MultiPathCpScheduler(SolsticeScheduler(), n_paths=2).schedule(demand, params)
-        r1 = simulate_multipath(demand, single, params)
-        r2 = simulate_multipath(demand, double, params)
+        single = CpSwitchScheduler(SolsticeScheduler(), n_paths=1).schedule(demand, params)
+        double = CpSwitchScheduler(SolsticeScheduler(), n_paths=2).schedule(demand, params)
+        r1 = simulate_cp(demand, single, params)
+        r2 = simulate_cp(demand, double, params)
         assert r2.completion_time <= r1.completion_time + 1e-9
         r2.check_conservation()
 
     def test_conservation(self, params, sparse_demand):
-        multi = MultiPathCpScheduler(SolsticeScheduler(), n_paths=3).schedule(
+        multi = CpSwitchScheduler(SolsticeScheduler(), n_paths=3).schedule(
             sparse_demand, params
         )
-        result = simulate_multipath(sparse_demand, multi, params)
+        result = simulate_cp(sparse_demand, multi, params)
         result.check_conservation()
 
 

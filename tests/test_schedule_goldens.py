@@ -3,15 +3,17 @@
 The simulation goldens (``test_regression_golden.py``,
 ``test_reference_pipeline.py``) pin what a schedule does once it runs;
 these pin the schedules themselves.  Each case digests, entry by entry,
-the matching's bytes, the duration, the composite grants and the
-``composite_served`` matrix, and then the cp schedule's
-``filtered_residual``.  The cases cover Solstice and Eclipse under both
-kernel backends and TDM, each taken as an h-Switch, a cp-Switch and a
-k = 2 schedule at radix 32 and 64 (fast OCS, seeded skewed and typical
-demand), plus the deadline ladder's L1, L2 and L3 schedules under a
-:class:`~repro.service.deadline.TickClock` budget.  Where a demand has at
-most one composite port per direction (the skewed cases, Eclipse, TDM),
-the second path carries nothing and the k = 2 schedule is the k = 1 one.
+the matching's bytes, the duration and the composite grants, and then
+the cp schedule's ``filtered_residual`` (which sums up what the grants
+served).  The cases cover Solstice and Eclipse under both kernel
+backends and TDM, each taken as an h-Switch, a cp-Switch and a k = 2
+schedule at radix 32 and 64 (fast OCS, seeded skewed, typical and
+two-skewed-port demand), plus the deadline ladder's L1, L2 and L3
+schedules under a :class:`~repro.service.deadline.TickClock` budget.
+Where a demand has at most one composite port per direction (the skewed
+cases, typical Eclipse and TDM), the second path carries nothing and the
+k = 2 schedule is the k = 1 one; the two-skewed-port demand (§3.5) puts
+a port on each path, so there every k = 2 schedule differs.
 
 Re-derive a golden by printing ``_schedule_digest`` of the case's
 schedule; a change that is meant to alter schedules says so when it does.
@@ -38,6 +40,7 @@ from repro.switch.params import fast_ocs_params
 from repro.utils.rng import spawn_rngs
 from repro.workloads.combined import CombinedWorkload
 from repro.workloads.skewed import SkewedWorkload
+from repro.workloads.varying import VaryingSkewWorkload
 
 #: Root seed of the Figure 5/6 benchmark demands.
 SEED = 2016
@@ -45,6 +48,9 @@ SEED = 2016
 WORKLOADS = {
     "skewed": SkewedWorkload.for_params,
     "typical": CombinedWorkload.typical,
+    "two-skewed": lambda params: VaryingSkewWorkload.for_params(
+        params, n_skewed_ports=2
+    ),
 }
 
 
@@ -73,8 +79,6 @@ def _schedule_digest(schedule) -> str:
         digest.update(np.float64(entry.duration).tobytes())
         if hasattr(entry, "o2m_ports"):
             digest.update(repr(_grants(entry.o2m_ports, entry.m2o_ports)).encode())
-        if hasattr(entry, "composite_served"):
-            digest.update(np.ascontiguousarray(entry.composite_served).tobytes())
     if hasattr(schedule, "filtered_residual"):
         digest.update(np.ascontiguousarray(schedule.filtered_residual).tobytes())
     return digest.hexdigest()[:16]
@@ -96,65 +100,95 @@ def _schedules(workload: str, n: int, scheduler: str, backend: str):
 
 #: (workload, radix, scheduler, backend) -> (h, cp, k = 2) digests.
 SCHEDULE_GOLDENS = {
-    ("skewed", 32, "solstice", "oracle"): (
-        "6236a32940f77200", "f565e607e1f3dd9a", "f565e607e1f3dd9a"
+    ('skewed', 32, 'solstice', 'oracle'): (
+        "6236a32940f77200", "566cc0354fa968ac", "566cc0354fa968ac"
     ),
-    ("skewed", 32, "solstice", "kernel"): (
-        "6236a32940f77200", "f565e607e1f3dd9a", "f565e607e1f3dd9a"
+    ('skewed', 32, 'solstice', 'kernel'): (
+        "6236a32940f77200", "566cc0354fa968ac", "566cc0354fa968ac"
     ),
-    ("skewed", 32, "eclipse", "oracle"): (
-        "5eefc12d7f3ccb26", "2a05f92e8220a891", "2a05f92e8220a891"
+    ('skewed', 32, 'eclipse', 'oracle'): (
+        "5eefc12d7f3ccb26", "bcaf10a924ea1d4b", "bcaf10a924ea1d4b"
     ),
-    ("skewed", 32, "eclipse", "kernel"): (
-        "5eefc12d7f3ccb26", "2a05f92e8220a891", "2a05f92e8220a891"
+    ('skewed', 32, 'eclipse', 'kernel'): (
+        "5eefc12d7f3ccb26", "bcaf10a924ea1d4b", "bcaf10a924ea1d4b"
     ),
-    ("skewed", 32, "tdm", "kernel"): (
-        "31b5175a3dc327d7", "432247a637fe8845", "432247a637fe8845"
+    ('skewed', 32, 'tdm', 'kernel'): (
+        "31b5175a3dc327d7", "1b6a2f99f446865b", "1b6a2f99f446865b"
     ),
-    ("skewed", 64, "solstice", "oracle"): (
-        "0c74196ca950373f", "e73e881f97e5636c", "e73e881f97e5636c"
+    ('skewed', 64, 'solstice', 'oracle'): (
+        "0c74196ca950373f", "66d79d098a66e130", "66d79d098a66e130"
     ),
-    ("skewed", 64, "solstice", "kernel"): (
-        "0c74196ca950373f", "e73e881f97e5636c", "e73e881f97e5636c"
+    ('skewed', 64, 'solstice', 'kernel'): (
+        "0c74196ca950373f", "66d79d098a66e130", "66d79d098a66e130"
     ),
-    ("skewed", 64, "eclipse", "oracle"): (
-        "7621f37089521d23", "404a9a3958cf1a94", "404a9a3958cf1a94"
+    ('skewed', 64, 'eclipse', 'oracle'): (
+        "7621f37089521d23", "326667a367346473", "326667a367346473"
     ),
-    ("skewed", 64, "eclipse", "kernel"): (
-        "7621f37089521d23", "404a9a3958cf1a94", "404a9a3958cf1a94"
+    ('skewed', 64, 'eclipse', 'kernel'): (
+        "7621f37089521d23", "326667a367346473", "326667a367346473"
     ),
-    ("skewed", 64, "tdm", "kernel"): (
-        "d3baa7cc0023fc19", "ade454da77e6bbfa", "ade454da77e6bbfa"
+    ('skewed', 64, 'tdm', 'kernel'): (
+        "d3baa7cc0023fc19", "67cd7dc44f289ac3", "67cd7dc44f289ac3"
     ),
-    ("typical", 32, "solstice", "oracle"): (
-        "072650ae67b72f2f", "afbf4f55ffc0c17b", "07e342be1834e174"
+    ('typical', 32, 'solstice', 'oracle'): (
+        "072650ae67b72f2f", "0c49bbb85a4e8f8f", "c80cfd7ba8342168"
     ),
-    ("typical", 32, "solstice", "kernel"): (
-        "072650ae67b72f2f", "afbf4f55ffc0c17b", "07e342be1834e174"
+    ('typical', 32, 'solstice', 'kernel'): (
+        "072650ae67b72f2f", "0c49bbb85a4e8f8f", "c80cfd7ba8342168"
     ),
-    ("typical", 32, "eclipse", "oracle"): (
-        "9713b2989f47d747", "5e578210baa8f7ca", "5e578210baa8f7ca"
+    ('typical', 32, 'eclipse', 'oracle'): (
+        "9713b2989f47d747", "96421b54a90d42ce", "96421b54a90d42ce"
     ),
-    ("typical", 32, "eclipse", "kernel"): (
-        "9713b2989f47d747", "5e578210baa8f7ca", "5e578210baa8f7ca"
+    ('typical', 32, 'eclipse', 'kernel'): (
+        "9713b2989f47d747", "96421b54a90d42ce", "96421b54a90d42ce"
     ),
-    ("typical", 32, "tdm", "kernel"): (
-        "8a78d9fb40f46880", "c4d539972710f415", "c4d539972710f415"
+    ('typical', 32, 'tdm', 'kernel'): (
+        "8a78d9fb40f46880", "407c2b5530124596", "407c2b5530124596"
     ),
-    ("typical", 64, "solstice", "oracle"): (
-        "277ef565a69ee283", "c71ae532ccb0c696", "0570730cf7d7a392"
+    ('typical', 64, 'solstice', 'oracle'): (
+        "277ef565a69ee283", "6cdfea429d28bab5", "bada2f2cd54614c9"
     ),
-    ("typical", 64, "solstice", "kernel"): (
-        "277ef565a69ee283", "c71ae532ccb0c696", "0570730cf7d7a392"
+    ('typical', 64, 'solstice', 'kernel'): (
+        "277ef565a69ee283", "6cdfea429d28bab5", "bada2f2cd54614c9"
     ),
-    ("typical", 64, "eclipse", "oracle"): (
-        "d8295d3796fad8c6", "1cfb02bc9378b127", "1cfb02bc9378b127"
+    ('typical', 64, 'eclipse', 'oracle'): (
+        "d8295d3796fad8c6", "76552c67c809773c", "76552c67c809773c"
     ),
-    ("typical", 64, "eclipse", "kernel"): (
-        "d8295d3796fad8c6", "1cfb02bc9378b127", "1cfb02bc9378b127"
+    ('typical', 64, 'eclipse', 'kernel'): (
+        "d8295d3796fad8c6", "76552c67c809773c", "76552c67c809773c"
     ),
-    ("typical", 64, "tdm", "kernel"): (
-        "f35ae4d477e3561f", "0147ca22a07eac0a", "0147ca22a07eac0a"
+    ('typical', 64, 'tdm', 'kernel'): (
+        "f35ae4d477e3561f", "d6ba083c76e8540a", "d6ba083c76e8540a"
+    ),
+    ('two-skewed', 32, 'solstice', 'oracle'): (
+        "2d2db18d8e3f8d7f", "ee711264c708a8cf", "38026221551d2ae4"
+    ),
+    ('two-skewed', 32, 'solstice', 'kernel'): (
+        "2d2db18d8e3f8d7f", "ee711264c708a8cf", "38026221551d2ae4"
+    ),
+    ('two-skewed', 32, 'eclipse', 'oracle'): (
+        "2943544736aca955", "ae6493c5ae6ce019", "eaaff914c63018f2"
+    ),
+    ('two-skewed', 32, 'eclipse', 'kernel'): (
+        "2943544736aca955", "ae6493c5ae6ce019", "eaaff914c63018f2"
+    ),
+    ('two-skewed', 32, 'tdm', 'kernel'): (
+        "fb7b8540e74cd779", "9b30753497b4703e", "6bc6056e487e93aa"
+    ),
+    ('two-skewed', 64, 'solstice', 'oracle'): (
+        "01affe0b7bea6a66", "bd47f4f7cdfe36c7", "8a46ae5b9361c6f4"
+    ),
+    ('two-skewed', 64, 'solstice', 'kernel'): (
+        "01affe0b7bea6a66", "bd47f4f7cdfe36c7", "8a46ae5b9361c6f4"
+    ),
+    ('two-skewed', 64, 'eclipse', 'oracle'): (
+        "f8a0ff4c04f501d8", "9930cc9f56fe030b", "cfc3b910924ebabf"
+    ),
+    ('two-skewed', 64, 'eclipse', 'kernel'): (
+        "f8a0ff4c04f501d8", "9930cc9f56fe030b", "cfc3b910924ebabf"
+    ),
+    ('two-skewed', 64, 'tdm', 'kernel'): (
+        "9bfdbbcce08e656b", "b85e1d56af25cbb1", "cb0bd9d7483a106b"
     ),
 }
 
@@ -196,9 +230,9 @@ def _ladder_l3():
 
 #: rung -> (case, expected fallback level, digest).
 LADDER_GOLDENS = {
-    "L1": (_ladder_l1, FALLBACK_TRUNCATED, "d9f225dca5946c35"),
-    "L2": (_ladder_l2, FALLBACK_WARM_REUSE, "d7e5d2b65bb66180"),
-    "L3": (_ladder_l3, FALLBACK_TDM, "9c758637758d3bfc"),
+    "L1": (_ladder_l1, FALLBACK_TRUNCATED, "ea85e9c08d1668a0"),
+    "L2": (_ladder_l2, FALLBACK_WARM_REUSE, "f9e3700559b282b1"),
+    "L3": (_ladder_l3, FALLBACK_TDM, "8a88239f73f0acfd"),
 }
 
 _CASES = [
@@ -217,6 +251,15 @@ _CASES = [
 class TestScheduleGoldens:
     def test_every_case_has_a_golden(self):
         assert sorted(SCHEDULE_GOLDENS) == sorted(_CASES)
+
+    def test_two_skewed_ports_use_both_paths(self):
+        # Where two ports per direction have a composite aggregate, the
+        # k = 2 golden must pin a schedule of its own, not the k = 1 one.
+        cases = [case for case in _CASES if case[0] == "two-skewed"]
+        assert len(cases) == 10
+        for case in cases:
+            _, cp, two_paths = SCHEDULE_GOLDENS[case]
+            assert two_paths != cp, case
 
     @pytest.mark.parametrize("case", _CASES, ids=["-".join(map(str, c)) for c in _CASES])
     def test_schedules_match_golden(self, case):

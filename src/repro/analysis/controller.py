@@ -43,7 +43,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.reroute import BackupPlanner
 from repro.hybrid.base import HybridScheduler
 from repro.runner.journal import RunJournal
-from repro.service.deadline import AnytimeScheduler
+from repro.service.deadline import AnytimeScheduler, check_deadline
 from repro.sim import simulate_cp, simulate_hybrid
 from repro.sim.metrics import SimulationResult
 from repro.switch.params import SwitchParams
@@ -84,7 +84,6 @@ class EpochReport:
 
     epoch: int
     offered_volume: float
-    scheduled_volume: float
     served_volume: float
     completion_time: float
     n_configs: int
@@ -205,18 +204,11 @@ class EpochController:
                 "fast_reroute repairs composite-path outages; it requires "
                 "use_composite_paths=True"
             )
-        if self.deadline_s is not None:
-            value = float(self.deadline_s)
-            if math.isnan(value) or value <= 0:
-                raise ValueError(
-                    f"deadline_s must be a positive number of seconds (or None "
-                    f"for unbounded), got {self.deadline_s}"
-                )
-            if not self.use_composite_paths:
-                raise ValueError(
-                    "deadline_s arms the anytime cp-Switch fallback ladder; it "
-                    "requires use_composite_paths=True"
-                )
+        if check_deadline(self.deadline_s) is not None and not self.use_composite_paths:
+            raise ValueError(
+                "deadline_s arms the anytime cp-Switch fallback ladder; it "
+                "requires use_composite_paths=True"
+            )
         if self.max_backlog is not None:
             bound = float(self.max_backlog)
             if math.isnan(bound) or bound <= 0:
@@ -383,7 +375,6 @@ class EpochController:
         report = EpochReport(
             epoch=epoch,
             offered_volume=offered,
-            scheduled_volume=offered,
             served_volume=float(served.sum()),
             completion_time=result.completion_time,
             n_configs=result.n_configs,

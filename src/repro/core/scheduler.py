@@ -56,10 +56,9 @@ class CompositeScheduleEntry:
         :mod:`repro.hybrid.schedule`), stored as a read-only int64 copy.
     duration:
         Hold time (ms), reconfiguration penalty excluded.
-    composite_served:
-        n×n matrix of filtered-demand volume (Mb) the composite paths
-        deliver during this configuration — the paper's
-        ``Df,prev − Df`` term.
+    composite_volume:
+        Filtered-demand volume (Mb) the composite paths deliver during
+        this configuration — the sum of the paper's ``Df,prev − Df`` term.
     o2m_ports, m2o_ports:
         Ports granted a one-to-many / many-to-one composite path, in path
         order (empty if none; at most one each with one path).
@@ -67,46 +66,17 @@ class CompositeScheduleEntry:
 
     matching: np.ndarray
     duration: float
-    composite_served: np.ndarray
+    composite_volume: float = 0.0
     o2m_ports: "tuple[int, ...]" = ()
     m2o_ports: "tuple[int, ...]" = ()
 
     def __post_init__(self) -> None:
-        matching = check_matching(self.matching)
-        object.__setattr__(self, "matching", matching)
+        object.__setattr__(self, "matching", check_matching(self.matching))
         check_nonnegative("duration", self.duration)
-        served = np.asarray(self.composite_served, dtype=np.float64)
-        n = matching.shape[0]
-        if served.shape != (n, n):
-            raise ValueError(
-                f"composite_served shape {served.shape} != ({n}, {n}) of the matching"
-            )
-        served.setflags(write=False)
-        object.__setattr__(self, "composite_served", served)
+        volume = check_nonnegative("composite_volume", self.composite_volume)
+        object.__setattr__(self, "composite_volume", volume)
         object.__setattr__(self, "o2m_ports", tuple(self.o2m_ports))
         object.__setattr__(self, "m2o_ports", tuple(self.m2o_ports))
-
-    @property
-    def composite_volume(self) -> float:
-        """Volume (Mb) the composite paths carry in this configuration."""
-        return float(self.composite_served.sum())
-
-
-def _served_since(
-    filtered: np.ndarray,
-    rows: "list[int]",
-    cols: "list[int]",
-    before: "tuple[np.ndarray, np.ndarray]",
-) -> np.ndarray:
-    """``composite_served`` of one configuration: ``before`` (the granted
-    ``rows`` and ``cols`` of ``filtered``, taken before the grants ran)
-    minus their values now, and zero off those lines, which the grants do
-    not touch.  Where a granted row crosses a granted column both writes
-    store the same difference."""
-    served = np.zeros_like(filtered)
-    served[rows] = before[0] - filtered[rows]
-    served[:, cols] = before[1] - filtered[:, cols]
-    return served
 
 
 @dataclass(frozen=True)
@@ -126,7 +96,7 @@ class CpSchedule:
         schedule (Mb); it is served by the EPS afterwards.
     reduced_schedule:
         The raw (n+k)-space schedule the h-Switch sub-scheduler produced
-        (kept for diagnostics and the runtime tables).
+        (kept for the deadline ladder's warm reuse).
     """
 
     entries: "tuple[CompositeScheduleEntry, ...]"
@@ -138,8 +108,8 @@ class CpSchedule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
         check_nonnegative("reconfig_delay", self.reconfig_delay)
-        # The residual is part of the schedule's provenance and the
-        # simulator reads it later.
+        # The residual is provenance (the simulator parks and serves
+        # ``reduction.filtered`` itself); freeze it like the reduction.
         residual = np.asarray(self.filtered_residual, dtype=np.float64)
         residual.setflags(write=False)
         object.__setattr__(self, "filtered_residual", residual)
@@ -282,7 +252,7 @@ class CpSwitchScheduler:
             # and the BENCH_obs gate treat any change as drift.
             o2m_grants = sum(len(e.o2m_ports) for e in entries)
             m2o_grants = sum(len(e.m2o_ports) for e in entries)
-            composite_mb = float(sum(e.composite_served.sum() for e in entries))
+            composite_mb = cp_schedule.composite_volume_served
             obs.get_tracer().event(
                 "cpsched.audit",
                 n=n,
@@ -327,9 +297,10 @@ def interpret(
     :func:`~repro.core.divide.divide_by_type`); each composite grant then
     serves its port's whole row (one-to-many) or column (many-to-one) of
     the filtered demand ``reduction.filtered`` with CPSched (Algorithm 2)
-    under the reserved EPS budget Ce*, the one-to-many grants first.  Only
-    the granted rows and columns of ``filtered`` change, so only they are
-    copied.
+    under the reserved EPS budget Ce*, the one-to-many grants first, and
+    the entry records what its grants served: each grant's CPSched input
+    minus its output, summed.  Only the granted rows and columns of the
+    one working copy of ``filtered`` change.
 
     Grants on ``dead_o2m`` / ``dead_m2o`` ports are stripped: the entry
     keeps its regular circuits and serves nothing over that composite path.
@@ -355,20 +326,18 @@ def interpret(
         matching, o2m_ports, m2o_ports = divide_by_type(item.matching, n)
         rows = [port for port in o2m_ports if port not in dead_o2m]
         cols = [port for port in m2o_ports if port not in dead_m2o]
-        before = filtered[rows], filtered[:, cols]
-        for port in rows:
-            filtered[port, :] = cpsched(
-                filtered[port, :], item.duration, params.ocs_rate, eps_budget
-            )
-        for port in cols:
-            filtered[:, port] = cpsched(
-                filtered[:, port], item.duration, params.ocs_rate, eps_budget
-            )
+        # Views of ``filtered``: a granted column sees the rows served first.
+        lines = [filtered[port] for port in rows] + [filtered[:, port] for port in cols]
+        volume = 0.0
+        for line in lines:
+            left = cpsched(line, item.duration, params.ocs_rate, eps_budget)
+            volume += float((line - left).sum())
+            line[:] = left
         entries.append(
             CompositeScheduleEntry(
                 matching=matching,
                 duration=item.duration,
-                composite_served=_served_since(filtered, rows, cols, before),
+                composite_volume=volume,
                 o2m_ports=tuple(rows),
                 m2o_ports=tuple(cols),
             )

@@ -492,20 +492,16 @@ def reference_cp_switch_demand_reduction(
 
     reduced = np.zeros((n + 1, n + 1), dtype=np.float64)
     filtered = np.zeros_like(demand)
-    o2m_mask = np.zeros((n, n), dtype=bool)
-    m2o_mask = np.zeros((n, n), dtype=bool)
     o2m_loads = reduced[:n, n]
     m2o_loads = reduced[n, :n]
 
     only_rows = nonzero & row_qualifies[:, None] & ~col_qualifies[None, :]
     filtered[only_rows] = demand[only_rows]
     np.add.at(o2m_loads, np.nonzero(only_rows)[0], demand[only_rows])
-    o2m_mask |= only_rows
 
     only_cols = nonzero & ~row_qualifies[:, None] & col_qualifies[None, :]
     filtered[only_cols] = demand[only_cols]
     np.add.at(m2o_loads, np.nonzero(only_cols)[1], demand[only_cols])
-    m2o_mask |= only_cols
 
     both = nonzero & row_qualifies[:, None] & col_qualifies[None, :]
     for i, j in zip(*np.nonzero(both)):
@@ -513,18 +509,9 @@ def reference_cp_switch_demand_reduction(
         filtered[i, j] = value
         if o2m_loads[i] <= m2o_loads[j]:
             o2m_loads[i] += value
-            o2m_mask[i, j] = True
         else:
             m2o_loads[j] += value
-            m2o_mask[i, j] = True
 
     reduced[:n, :n] = demand - filtered
 
-    return ReducedDemand(
-        reduced=reduced,
-        filtered=filtered,
-        o2m_assignment=o2m_mask,
-        m2o_assignment=m2o_mask,
-        volume_threshold=float(volume_threshold),
-        fanout_threshold=int(fanout_threshold),
-    )
+    return ReducedDemand(reduced=reduced, filtered=filtered)

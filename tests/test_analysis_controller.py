@@ -258,7 +258,6 @@ class TestKeptUpScaling:
         return EpochReport(
             epoch=0,
             offered_volume=offered,
-            scheduled_volume=offered,
             served_volume=offered - backlog,
             completion_time=1.0,
             n_configs=1,

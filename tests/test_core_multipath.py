@@ -8,6 +8,8 @@ k = 1 is Algorithm 4.
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,8 +57,8 @@ class TestMultiPathReduction:
         # k = 1 is the frozen seed Algorithm 1, bit for bit.
         reduction = cp_switch_demand_reduction(demand, rt, bt, n_paths=1)
         seed = reference_cp_switch_demand_reduction(demand, rt, bt)
-        for name in ("reduced", "filtered", "o2m_assignment", "m2o_assignment"):
-            assert getattr(reduction, name).tobytes() == getattr(seed, name).tobytes()
+        assert reduction.reduced.tobytes() == seed.reduced.tobytes()
+        assert reduction.filtered.tobytes() == seed.filtered.tobytes()
 
     @given(
         demand=small_demands(),
@@ -72,8 +74,7 @@ class TestMultiPathReduction:
         multi = cp_switch_demand_reduction(demand, rt, bt, blocked_o2m=blocked, n_paths=k)
         assert multi.reduced.shape == (n + k, n + k)
         # Algorithm 1's split, unchanged.
-        for name in ("filtered", "o2m_assignment", "m2o_assignment"):
-            assert getattr(multi, name).tobytes() == getattr(one, name).tobytes()
+        assert multi.filtered.tobytes() == one.filtered.tobytes()
         assert multi.reduced[:n, :n].tobytes() == one.reduced[:n, :n].tobytes()
         # Each port sits on at most one path per direction, carrying its
         # whole aggregate; composite endpoints never talk to each other.
@@ -90,8 +91,6 @@ class TestMultiPathReduction:
         multi = cp_switch_demand_reduction(sparse_demand, 3, 2.0, n_paths=1)
         assert multi.reduced.tobytes() == base.reduced.tobytes()
         assert multi.filtered.tobytes() == base.filtered.tobytes()
-        np.testing.assert_array_equal(multi.o2m_assignment, base.o2m_assignment)
-        np.testing.assert_array_equal(multi.m2o_assignment, base.m2o_assignment)
 
     def test_volume_conserved(self, sparse_demand):
         multi = cp_switch_demand_reduction(sparse_demand, 3, 2.0, n_paths=3)
@@ -134,16 +133,19 @@ class TestMultiPathReduction:
             np.testing.assert_array_equal(m2o, expected + [-1] * 4)
 
     def test_path_loads_reflect_assignments(self):
+        # A path carries the whole one-path aggregates of the ports on it.
         rng = np.random.default_rng(1)
         demand = rng.uniform(0, 2, (10, 10)) * (rng.random((10, 10)) < 0.7)
+        one = cp_switch_demand_reduction(demand, 4, 3.0)
         multi = cp_switch_demand_reduction(demand, 4, 3.0, n_paths=2)
         n = 10
         o2m, m2o = paths_of(multi)
         for p in range(2):
-            expected = demand[multi.o2m_assignment & (o2m == p)[:, None]].sum()
+            expected = one.reduced[:n, n][o2m == p].sum()
             assert multi.reduced[:n, n + p].sum() == pytest.approx(expected)
-            expected = demand[multi.m2o_assignment & (m2o == p)[None, :]].sum()
+            expected = one.reduced[n, :n][m2o == p].sum()
             assert multi.reduced[n + p, :n].sum() == pytest.approx(expected)
+        assert (o2m == 1).any() and (m2o == 1).any()
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError, match="n_paths"):
@@ -193,18 +195,14 @@ class TestEntryRejection:
     @pytest.mark.parametrize("duration", [-0.1, float("nan"), float("inf")])
     def test_bad_duration_rejected(self, kind, duration):
         with pytest.raises(ValueError, match="duration"):
-            ENTRY_TYPES[kind](
-                matching=np.full(3, -1),
-                duration=duration,
-                composite_served=np.zeros((3, 3)),
-            )
+            ENTRY_TYPES[kind](matching=np.full(3, -1), duration=duration)
 
     @pytest.mark.parametrize("kind", sorted(ENTRY_TYPES))
-    @pytest.mark.parametrize("shape", [(3, 4), (4, 4), (3,), (9,)])
-    def test_composite_served_of_wrong_shape_rejected(self, kind, shape):
-        with pytest.raises(ValueError, match="composite_served"):
+    @pytest.mark.parametrize("volume", [-1e-9, float("nan"), float("inf")])
+    def test_bad_composite_volume_rejected(self, kind, volume):
+        with pytest.raises(ValueError, match="composite_volume"):
             ENTRY_TYPES[kind](
-                matching=np.full(3, -1), duration=1.0, composite_served=np.zeros(shape)
+                matching=np.full(3, -1), duration=1.0, composite_volume=volume
             )
 
     @pytest.mark.parametrize(
@@ -243,24 +241,27 @@ class TestMultiPathScheduler:
 
     def test_grants_serve_their_whole_lines(self, skewed_demand16):
         # A grant serves its port's whole filtered row or column, and
-        # nothing else: every served entry lies on a granted line.
+        # nothing else: Df off every granted line is left as it was, and
+        # an entry without grants serves nothing.
         params = fast_ocs_params(16)
         scheduler = CpSwitchScheduler(SolsticeScheduler(), n_paths=2)
         schedule = scheduler.schedule(skewed_demand16, params)
-        granted = 0
+        on_line = np.zeros((16, 16), dtype=bool)
         for entry in schedule.entries:
-            on_line = np.zeros((16, 16), dtype=bool)
             on_line[list(entry.o2m_ports), :] = True
             on_line[:, list(entry.m2o_ports)] = True
-            assert not entry.composite_served[~on_line].any()
-            granted += len(entry.o2m_ports) + len(entry.m2o_ports)
-        assert granted > 0
+            if not (entry.o2m_ports or entry.m2o_ports):
+                assert entry.composite_volume == 0.0
+        assert on_line.any()
+        filtered, residual = schedule.reduction.filtered, schedule.filtered_residual
+        assert residual[~on_line].tobytes() == filtered[~on_line].tobytes()
+        assert (residual[on_line] < filtered[on_line]).any()
 
 
 class TestMultiPathImmutability:
     def test_reduction_arrays_read_only(self, sparse_demand):
         multi = cp_switch_demand_reduction(sparse_demand, 3, 2.0, n_paths=3)
-        for name in ("reduced", "filtered", "o2m_assignment", "m2o_assignment"):
+        for name in ("reduced", "filtered"):
             with pytest.raises(ValueError):
                 getattr(multi, name)[0, 0] = 1
 
@@ -278,15 +279,13 @@ class TestMultiPathImmutability:
         assert schedule.composite_volume_served > 0
         for entry in schedule.entries:
             with pytest.raises(ValueError):
-                entry.composite_served[0, 0] = 1.0
-            with pytest.raises(ValueError):
                 entry.matching[0] = -1
 
     @pytest.mark.parametrize("kind", sorted(ENTRY_TYPES))
-    def test_built_entry_freezes_composite_served(self, kind):
-        served = np.zeros((3, 3))
+    def test_built_entry_freezes_composite_volume(self, kind):
         entry = ENTRY_TYPES[kind](
-            matching=np.full(3, -1), duration=1.0, composite_served=served
+            matching=np.full(3, -1), duration=1.0, composite_volume=2.5
         )
-        with pytest.raises(ValueError):
-            entry.composite_served[0, 0] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            entry.composite_volume = 1.0
+        assert entry.composite_volume == 2.5

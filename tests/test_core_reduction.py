@@ -44,11 +44,13 @@ class TestFigure2Example:
 
     def test_orange_entry_balances_to_lighter_path(self, reduction):
         # At assignment time the o2m sum is 15 and the m2o sum is 14, so
-        # the orange entry joins the many-to-one path: 14 + 3 = 17.
-        assert reduction.reduced[6, 1] == pytest.approx(17.0)
-        assert reduction.reduced[4, 6] == pytest.approx(15.0)
-        assert reduction.m2o_assignment[4, 1]
-        assert not reduction.o2m_assignment[4, 1]
+        # the orange entry joins the many-to-one path: 14 + 3 = 17, and
+        # the one-to-many aggregate stays 15 (18 had it gone there).
+        assert reduction.filtered[4, 1] == 3.0
+        assert reduction.reduced[6, 1] == 17.0
+        assert reduction.reduced[4, 6] == 15.0
+        assert reduction.m2o_loads[1] == 17.0
+        assert reduction.o2m_loads[4] == 15.0
 
     def test_entry_above_bt_stays_regular(self, reduction):
         assert reduction.filtered[1, 3] == 0.0
@@ -107,23 +109,39 @@ class TestReductionBasics:
         reduction = cp_switch_demand_reduction(demand, fanout_threshold=4, volume_threshold=5.0)
         assert reduction.reduced[6, 6] == 0.0
 
-    def test_masks_partition_filtered(self):
+    def test_loads_partition_filtered(self):
+        # Every filtered entry rides exactly one composite path: the
+        # aggregates add up to Df, each within its own line of Df.
         rng = np.random.default_rng(7)
         demand = rng.uniform(0, 3, (10, 10)) * (rng.random((10, 10)) < 0.6)
         reduction = cp_switch_demand_reduction(demand, 3, 2.0)
-        both = reduction.o2m_assignment & reduction.m2o_assignment
-        assert not both.any(), "an entry may ride only one composite path"
-        covered = reduction.o2m_assignment | reduction.m2o_assignment
-        np.testing.assert_array_equal(covered, reduction.filtered > 0)
+        filtered = reduction.filtered
+        o2m, m2o = reduction.o2m_loads, reduction.m2o_loads
+        assert o2m.sum() + m2o.sum() == pytest.approx(filtered.sum(), rel=1e-12)
+        assert (o2m <= filtered.sum(axis=1) * (1 + 1e-12)).all()
+        assert (m2o <= filtered.sum(axis=0) * (1 + 1e-12)).all()
+        assert o2m.any() and m2o.any()
 
-    def test_loads_match_assignment_masks(self):
+    def test_loads_match_greedy_assignment(self):
+        # Lines 6-11: a row-only entry joins its sender's path, a
+        # column-only entry its receiver's.  Lines 12-15: then, in
+        # row-major order, an entry of both goes to the lighter path (ties
+        # to the sender's).
         rng = np.random.default_rng(8)
         demand = rng.uniform(0, 3, (10, 10)) * (rng.random((10, 10)) < 0.6)
         reduction = cp_switch_demand_reduction(demand, 3, 2.0)
-        o2m_expected = (demand * reduction.o2m_assignment).sum(axis=1)
-        m2o_expected = (demand * reduction.m2o_assignment).sum(axis=0)
-        np.testing.assert_allclose(reduction.o2m_loads, o2m_expected)
-        np.testing.assert_allclose(reduction.m2o_loads, m2o_expected)
+        small = (demand > 0) & (demand <= 2.0)
+        rows, cols = small.sum(axis=1) >= 3, small.sum(axis=0) >= 3
+        o2m = (demand * (small & rows[:, None] & ~cols[None, :])).sum(axis=1)
+        m2o = (demand * (small & ~rows[:, None] & cols[None, :])).sum(axis=0)
+        for i, j in zip(*np.nonzero(small & rows[:, None] & cols[None, :])):
+            if o2m[i] <= m2o[j]:
+                o2m[i] += demand[i, j]
+            else:
+                m2o[j] += demand[i, j]
+        assert (rows & cols).any(), "the demand must exercise the greedy"
+        np.testing.assert_allclose(reduction.o2m_loads, o2m, rtol=1e-12)
+        np.testing.assert_allclose(reduction.m2o_loads, m2o, rtol=1e-12)
 
     def test_rejects_bad_thresholds(self):
         with pytest.raises(ValueError):
@@ -185,7 +203,7 @@ class TestFrozenReduction:
 
     def test_arrays_read_only(self):
         reduction = cp_switch_demand_reduction(figure2_demand(), 4, 10.0)
-        for name in ("reduced", "filtered", "o2m_assignment", "m2o_assignment"):
+        for name in ("reduced", "filtered"):
             with pytest.raises(ValueError):
                 getattr(reduction, name)[0, 0] = 1
 

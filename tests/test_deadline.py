@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro import obs
 from repro.analysis.controller import EpochController
 from repro.core.config import FilterConfig
 from repro.core.reduction import reduce_with_config
@@ -31,6 +32,7 @@ from repro.core.scheduler import CpSwitchScheduler, interpret
 from repro.hybrid.eclipse import EclipseScheduler
 from repro.hybrid.solstice import SolsticeScheduler
 from repro.matching import kernels
+from repro.obs.tracer import JsonlTracer
 from repro.service.deadline import (
     FALLBACK_EPS_ONLY,
     FALLBACK_FULL,
@@ -71,6 +73,19 @@ def bursty_arrivals(epoch: int) -> np.ndarray:
     return demand
 
 
+def traced_checkpoints(run) -> "tuple[object, list[dict]]":
+    """``run()``'s result and the attributes of the ``deadline_checkpoint``
+    trace events it emitted, in order."""
+    tracer = JsonlTracer()
+    with obs.observability(tracer=tracer):
+        result = run()
+    return result, [
+        record["attrs"]
+        for record in tracer.records()
+        if record["kind"] == "event" and record["name"] == "deadline_checkpoint"
+    ]
+
+
 def make_inner(name: str = "solstice") -> CpSwitchScheduler:
     inner = SolsticeScheduler() if name == "solstice" else EclipseScheduler()
     return CpSwitchScheduler(inner, filter_config=FILTER)
@@ -94,9 +109,7 @@ def assert_schedules_equal(a, b) -> None:
     for entry_a, entry_b in zip(a.entries, b.entries):
         np.testing.assert_array_equal(entry_a.matching, entry_b.matching)
         assert entry_a.duration == entry_b.duration
-        np.testing.assert_array_equal(
-            entry_a.composite_served, entry_b.composite_served
-        )
+        assert entry_a.composite_volume == entry_b.composite_volume
         assert entry_a.o2m_ports == entry_b.o2m_ports
         assert entry_a.m2o_ports == entry_b.m2o_ports
     np.testing.assert_array_equal(a.filtered_residual, b.filtered_residual)
@@ -145,13 +158,16 @@ class TestDeadlineBudget:
         assert budget.checkpoint("b")  # elapsed 2
         assert not budget.checkpoint("c")  # elapsed 3 >= 2.5
         assert budget.exhausted
-        assert [stage for stage, _ in budget.checkpoints] == ["a", "b", "c"]
 
     def test_checkpoint_records_elapsed(self):
         budget = DeadlineBudget(10.0, clock=TickClock(step=1.0)).start()
-        budget.checkpoint("x")
-        (record,) = budget.checkpoints
-        assert record == ("x", 1.0)
+        _, (event,) = traced_checkpoints(lambda: budget.checkpoint("x"))
+        assert event == {
+            "stage": "x",
+            "elapsed_ms": 1000.0,
+            "deadline_ms": 10000.0,
+            "exhausted": False,
+        }
 
     def test_start_rearms(self):
         clock = TickClock(step=1.0)
@@ -161,7 +177,7 @@ class TestDeadlineBudget:
         assert budget.exhausted
         budget.start()
         assert not budget.exhausted
-        assert budget.checkpoints == []
+        assert budget.checkpoint("c")  # the clock restarted: elapsed 1 < 1.5
 
     def test_overdrawn_needs_factor_times_deadline(self):
         clock = TickClock(step=0.0)
@@ -206,11 +222,13 @@ class TestUnboundedBitIdentity:
             anytime = AnytimeScheduler(
                 make_inner(name), deadline_s=math.inf, clock=TickClock(step=1.0)
             )
-            wrapped = anytime.schedule(demand, PARAMS)
+            wrapped, events = traced_checkpoints(
+                lambda: anytime.schedule(demand, PARAMS)
+            )
         assert_schedules_equal(plain, wrapped)
         assert anytime.last_outcome.fallback_level == FALLBACK_FULL
         assert not anytime.last_outcome.deadline_hit
-        assert anytime.last_outcome.checkpoints  # budget was really installed
+        assert events  # the budget was really installed and polled
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", ["solstice", "eclipse"])
@@ -243,7 +261,9 @@ class TestFallbackLadder:
         anytime = AnytimeScheduler(
             make_inner(), deadline_s=6.5, clock=TickClock(step=1.0)
         )
-        cp_schedule = anytime.schedule(covering_demand(), PARAMS)
+        cp_schedule, events = traced_checkpoints(
+            lambda: anytime.schedule(covering_demand(), PARAMS)
+        )
         outcome = anytime.last_outcome
         assert outcome.fallback_level == FALLBACK_TRUNCATED
         assert outcome.deadline_hit
@@ -251,7 +271,7 @@ class TestFallbackLadder:
         # The inner scheduler recorded the standard watchdog degradation.
         diagnostics = anytime.inner.inner.last_diagnostics
         assert any(diag.event == "deadline" for diag in diagnostics)
-        stages = [stage for stage, _ in outcome.checkpoints]
+        stages = [event["stage"] for event in events]
         assert stages[0] == "cpsched.reduce"
         assert "solstice.stuffing" in stages
         assert "solstice.slice" in stages
@@ -379,7 +399,6 @@ class TestWarmReuseDeadPorts:
         # The blocked reduction never assigns volume to the dead port's own
         # composite path (entries may still ride the receivers' m2o paths).
         assert float(reused.reduction.reduced[dead, N]) == 0.0
-        assert not reused.reduction.o2m_assignment[dead, :].any()
         simulate_cp(demand, reused, PARAMS).check_conservation()
 
     def test_dead_o2m_and_m2o_grants_stripped_parking_nothing(self):
@@ -405,8 +424,6 @@ class TestWarmReuseDeadPorts:
         reduction = reused.reduction
         assert reduction.o2m_loads[dead_o2m] == 0.0
         assert reduction.m2o_loads[dead_m2o] == 0.0
-        assert not reduction.o2m_assignment[dead_o2m, :].any()
-        assert not reduction.m2o_assignment[:, dead_m2o].any()
         simulate_cp(demand, reused, PARAMS).check_conservation()
 
 
@@ -426,7 +443,7 @@ class TestInterpretTruncation:
         assert len(truncated.entries) == 1
         kept, first = truncated.entries[0], full.entries[0]
         np.testing.assert_array_equal(kept.matching, first.matching)
-        assert kept.composite_served.tobytes() == first.composite_served.tobytes()
+        assert kept.composite_volume == first.composite_volume
         assert (kept.o2m_ports, kept.m2o_ports) == (first.o2m_ports, first.m2o_ports)
         # What the dropped grants would have served stays parked, and the
         # final drain merges it back onto the EPS.

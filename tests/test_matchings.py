@@ -70,7 +70,7 @@ def corrupt(matching, pairs, corruption, offset, position):
 CONSTRUCTORS = {
     "ScheduleEntry": lambda matching, n: ScheduleEntry(matching=matching, duration=1.0),
     "CompositeScheduleEntry": lambda matching, n: CompositeScheduleEntry(
-        matching=matching, duration=1.0, composite_served=np.zeros((n, n))
+        matching=matching, duration=1.0
     ),
 }
 
@@ -121,9 +121,7 @@ class TestEntryMatching:
     def test_composite_entry_from_a_matrix(self, case):
         matrix, pairs = case
         entry = CompositeScheduleEntry(
-            matching=matching_from_permutation(matrix),
-            duration=1.0,
-            composite_served=np.zeros(matrix.shape),
+            matching=matching_from_permutation(matrix), duration=1.0
         )
         n = matrix.shape[0]
         np.testing.assert_array_equal(
@@ -146,10 +144,14 @@ class TestEntryMatching:
             matching_from_permutation(matrix)
 
 
-#: An h-Switch entry fixes no port count of its own: a matching one port
-#: longer or shorter is a valid configuration of another switch, which
-#: ``Schedule`` (mixed sizes) and the simulators (size != n) reject.
-SIZED_BY_CALLER = {("ScheduleEntry", "long"), ("ScheduleEntry", "short")}
+#: An entry fixes no port count of its own: a matching one port longer or
+#: shorter is a valid configuration of another switch, which ``Schedule``
+#: (mixed sizes) and the simulators (size != n) reject.
+SIZED_BY_CALLER = {
+    (constructor, corruption)
+    for constructor in CONSTRUCTORS
+    for corruption in ("long", "short")
+}
 
 
 class TestEntryValidation:
@@ -181,7 +183,7 @@ class TestEntryValidation:
     def test_invalid_matching_rejected(self, constructor, case):
         matching, message = INVALID_MATCHINGS[case]
         if (constructor, case) in SIZED_BY_CALLER:
-            assert CONSTRUCTORS[constructor](matching, 4).size == matching.shape[0]
+            assert CONSTRUCTORS[constructor](matching, 4).matching.shape == matching.shape
             return
         with pytest.raises(ValueError, match=message):
             CONSTRUCTORS[constructor](matching, 4)

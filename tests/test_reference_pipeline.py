@@ -119,7 +119,7 @@ def reference_cp_schedule(
             CompositeScheduleEntry(
                 matching=matching_from_permutation(regular),
                 duration=item.duration,
-                composite_served=previous - filtered,
+                composite_volume=float((previous - filtered).sum()),
                 o2m_ports=() if o2m_port is None else (o2m_port,),
                 m2o_ports=() if m2o_port is None else (m2o_port,),
             )

@@ -42,16 +42,33 @@ next drain, advances them and checks them for drains; nothing else
 changes while time advances, so nothing else is touched.  After a drain
 only what depends on the drained residual is recomputed:
 
-* a circuit drain removes that circuit; every other rate and the last
-  waterfill stay as they are (circuits reserve no EPS capacity, and a
-  drained circuit entry is no EPS flow);
-* an EPS drain removes that flow and solves the waterfill again under the
-  same capacities (on the flow graph's quotient, once the phase drains by
-  rate class; see below);
+* a circuit drain removes that circuit; every other rate stays as it is
+  (circuits reserve no EPS capacity, and a drained circuit entry is no
+  EPS flow);
+* an EPS drain removes that flow and solves the EPS rates again under the
+  same capacities;
 * a composite drain recomputes the phase's composite rates and EPS
-  reservations, in grant order as before, and the waterfill if the
-  capacities moved;
+  reservations, in grant order as before, and the EPS rates;
 * a dust snap recomputes everything, as a phase start does.
+
+The EPS rates come from one of two solvers.  While no port is degraded
+(``eps_port_scale is None``) and no composite entry is served, every EPS
+port has capacity ``Ce``, and the engine solves on the
+:class:`~repro.sim.rates.HubLeafQuotient` of the live regular residuals
+(the EPS flows and the live circuits): each port with two or more of those
+flows is a node of its own, the one-flow ports at one hub one node, the
+isolated pairs' inputs and outputs a node each.  Its few-node progressive
+filling, run with Python scalars on each class's flow count (one
+``bincount``), gives every flow the bits
+:func:`~repro.sim.rates.max_min_fair_rates` gives it, and the EPS total is
+the sum of the per-flow rate vector in flow order, as there.  The engine
+keeps that quotient from phase to phase and drops it only when the
+support is rebuilt: until then residuals only fall, so every phase's EPS
+flows are a subset of the flows it was built on, which keeps its classes
+valid.  A graph with more than :data:`~repro.sim.rates.QUOTIENT_MAX_HUBS`
+hub ports is refused and tried again where a quotient is next asked for,
+since drains shrink it.  Phases with composite reservations or degraded
+ports solve ``max_min_fair_rates`` under their unequal capacities.
 
 Each rule recomputes a quantity exactly when its inputs change, from the
 same inputs by the same operations, so the rates, totals and drains are
@@ -77,20 +94,12 @@ are either composite or EPS classes:
   ``min(Ce*, Co / count)``, the class rates and the composite total
   ``sum(share * count)`` follow from scalars in grant order, with no pass
   over the grants' entries.
-* *EPS classes*, from the first EPS drain of a phase with no degraded
-  port and no composite entry served: every EPS port then has capacity
-  ``Ce``, and the EPS flows are grouped by the classes of their
-  :class:`~repro.sim.rates.HubLeafQuotient` (a hub–hub flow, the
-  one-flow ports at one hub, or the isolated pairs).  An EPS drain solves
-  the few-node quotient again with Python scalars, which gives every flow
-  the bits :func:`~repro.sim.rates.max_min_fair_rates` gives it, and the
-  EPS total is still the sum of the per-flow rate vector of the live
-  flows, in flow order.  The loop enters at an EPS drain, the event at
-  which the general loop would solve again, not at a phase start: a
-  configuration phase's two or three events cannot repay a quotient and
-  a sort.  A quotient with more than
-  :data:`~repro.sim.rates.QUOTIENT_MAX_HUBS` hub ports is refused, and
-  the phase stays on the general loop without trying again.
+* *EPS classes*, from the first EPS drain of a phase that takes its EPS
+  rates from the kept quotient: the EPS flows are grouped by its classes
+  (a hub–hub flow, the one-flow ports at one hub, or the isolated pairs),
+  and an EPS drain solves the quotient again on the classes' new sizes.
+  The loop enters at an EPS drain, not at a phase start: a configuration
+  phase's two or three events cannot repay a sort.
 
 The classes are sorted by residual once, as runs of one block that each
 event advances with one vector operation.  A class's members all fall by
@@ -113,14 +122,6 @@ inputs in ascending order give the same row-major keys ``row*n + col``
 as a scan of the permutation matrix would, and checking it — shape
 ``(n,)``, values in ``[-1, n)``, no output used twice — is O(n), so a
 configuration costs O(n) plus the entries it serves.
-
-The EPS waterfill is solved again only when its inputs change.  The engine
-keeps the last solve with its exact inputs (the flow positions and the
-per-port capacities left after composite reservations) and reuses the
-rates while they match.  A circuit drain changes neither input, nor does a
-reconfiguration gap after a configuration whose circuits all drained; equal
-inputs give equal rates, so the reuse is exact.  Flow positions change
-meaning only when the support is rebuilt, which drops the memo.
 
 Demand placement: an entry's residual lives in exactly one of two matrices —
 ``regular`` (served by circuits + EPS) or ``composite`` (served only by
@@ -271,10 +272,11 @@ class FluidEngine:
         self._comp_rate = np.zeros(self._nnz)
         self._in_cap = np.empty(n)
         self._out_cap = np.empty(n)
-        # The last waterfill as (flows, in_cap, out_cap, served flows, their
-        # rates, total rate); flows are support positions, so a rebuild
-        # invalidates it.
-        self._waterfill = None
+        # The hub/leaf quotient of the live regular residuals, and each
+        # support position's class in it (see _eps_quotient).  The live set
+        # only shrinks until the next rebuild, which drops it.
+        self._quotient: "HubLeafQuotient | None" = None
+        self._eps_class = _EMPTY_POS
         # Moving volume between the matrices can leave sub-tolerance dust
         # anywhere in the support; the next advance snaps it.
         self._dust_pending = True
@@ -530,7 +532,6 @@ class FluidEngine:
         # once no EPS flow is left (and no dust is pending), or from an EPS
         # drain once no composite entry is served.
         stale = refresh = True
-        by_quotient = base_cap is None
         while remaining > TIME_TOL:
             if stale:
                 stale = False
@@ -550,7 +551,12 @@ class FluidEngine:
                 comp_pos, comp_rates, composite_total = self._composite_rates(
                     services, comp, base_cap
                 )
-                eps_pos, eps_rates, eps_total = self._eps_rates(flows)
+                quotient = (
+                    self._eps_quotient()
+                    if flows.size and base_cap is None and not comp_pos.size
+                    else None
+                )
+                eps_pos, eps_rates, eps_total = self._eps_rates(flows, quotient)
                 refresh = True
             if refresh:
                 refresh = False
@@ -638,23 +644,24 @@ class FluidEngine:
                     comp_pos, comp_rates, composite_total = self._composite_rates(
                         services, comp, base_cap
                     )
-                if eps_drained and by_quotient and not comp_pos.size:
+                if not (eps_drained or composite_drained):
+                    continue  # circuits only: every other rate stands
+                quotient = (
+                    self._eps_quotient()
+                    if base_cap is None and not comp_pos.size
+                    else None
+                )
+                if eps_drained and quotient is not None:
                     # Every port has capacity Ce: the rest of the phase
-                    # drains by class, unless the quotient is too large.
-                    quotient = hub_leaf_quotient(
-                        self._rows[flows], self._cols[flows], self.params.eps_rate
+                    # drains by class.
+                    remaining, dust = self._drain_by_class(
+                        remaining, open_ended, live, (), flows
                     )
-                    if quotient is not None:
-                        remaining, dust = self._drain_by_class(
-                            remaining, open_ended, live, (), flows, quotient
-                        )
-                        if not dust:
-                            break
-                        stale = True  # a dust residual: this loop snaps it
-                        continue
-                    by_quotient = False  # not tried again in this phase
-                if eps_drained or composite_drained:
-                    eps_pos, eps_rates, eps_total = self._eps_rates(flows)
+                    if not dust:
+                        break
+                    stale = True  # a dust residual: this loop snaps it
+                    continue
+                eps_pos, eps_rates, eps_total = self._eps_rates(flows, quotient)
 
         if obs_on:
             events = len(self.segments) - segments_before
@@ -682,18 +689,17 @@ class FluidEngine:
         live: np.ndarray,
         services: list,
         flows: np.ndarray = _EMPTY_POS,
-        quotient: "HubLeafQuotient | None" = None,
     ) -> "tuple[float, bool]":
         """Serve the rest of a phase by rate class.
 
         The classes are the live circuits plus either the live composite
-        entries, grouped by the set of grants serving them, or, given the
-        ``quotient`` of the EPS ``flows``, those flows grouped by its
-        classes.  The classes and why they give the general loop's bits
-        are in the module docstring.  Until the loop ends, ``residual``
-        holds the zeros of drained members but not the values of live
-        ones: a live member's stale value is still above ``VOLUME_TOL``,
-        which is all :meth:`_record_finishes` asks of it.
+        entries, grouped by the set of grants serving them, or the EPS
+        ``flows``, grouped by their classes in the kept quotient
+        (:meth:`_eps_quotient`).  The classes and why they give the
+        general loop's bits are in the module docstring.  Until the loop
+        ends, ``residual`` holds the zeros of drained members but not the
+        values of live ones: a live member's stale value is still above
+        ``VOLUME_TOL``, which is all :meth:`_record_finishes` asks of it.
 
         Returns the phase time left and whether the loop stopped at a dust
         residual (a drain time within ``TIME_TOL``), which the general
@@ -710,6 +716,7 @@ class FluidEngine:
         # ``grants_of`` lists the grants serving each (none but for sets).
         grants_of: "list[tuple[int, ...]]" = [()]
         counts: "list[int]" = []
+        quotient = self._quotient if flows.size else None
         if quotient is None:
             comp = residual[nnz:]
             grant_live = [
@@ -725,9 +732,10 @@ class FluidEngine:
             entries = member.nonzero()[0]
             members, member_ids = entries + nnz, member[entries]
         else:
-            flow_class = quotient.flow_class
+            flow_class = self._eps_class[flows]
+            sizes = np.bincount(flow_class, minlength=quotient.n_classes).tolist()
             members, member_ids = flows, flow_class + 1
-            grants_of *= len(quotient.sizes) + 1
+            grants_of *= quotient.n_classes + 1
 
         # The classes as runs of one block, sorted by class and then by
         # residual: ``served`` holds the residual indices, ``values`` their
@@ -783,7 +791,7 @@ class FluidEngine:
                 moved.clear()
             if solve:
                 solve = False
-                class_rates = quotient.rates()
+                class_rates = quotient.rates(sizes)
                 for c in classes:
                     if keys[c]:
                         rates[c] = class_rates[keys[c] - 1]
@@ -828,7 +836,7 @@ class FluidEngine:
                             counts[grant] -= count
                         moved.update(grants[c])
                     elif keys[c]:
-                        quotient.drain(keys[c] - 1, count)
+                        sizes[keys[c] - 1] -= count
                         flow_live[flow_of[head:stop]] = False
                         solve = True
                     else:
@@ -917,37 +925,47 @@ class FluidEngine:
         served = (comp_rate > 0).nonzero()[0]
         return served + self._nnz, comp_rate[served], composite_total
 
-    def _eps_rates(self, flows: np.ndarray) -> "tuple[np.ndarray, np.ndarray, float]":
-        """Max-min fair EPS rates of ``flows`` under the current capacities.
+    def _eps_quotient(self) -> "HubLeafQuotient | None":
+        """The hub/leaf quotient of the live regular residuals (the EPS flows
+        and the live circuits), or ``None`` while its graph has more than
+        :data:`~repro.sim.rates.QUOTIENT_MAX_HUBS` hub ports.
 
-        Returns the flows with a positive rate, their rates and the total.
-        Same flows and capacities give the same rates: a circuit drain, or
-        a gap after a drained configuration, reuses the last solve.
+        Kept from phase to phase until :meth:`_rebuild_support` drops it:
+        residuals only fall in between, so every later phase's EPS flows
+        are a subset of the flows it was built on, and
+        :class:`~repro.sim.rates.HubLeafQuotient` solves any subset.  A
+        refused build is tried again where a quotient is next asked for.
+        """
+        if self._quotient is None:
+            live = (self._residual[: self._nnz] > VOLUME_TOL).nonzero()[0]
+            quotient = hub_leaf_quotient(
+                self._rows[live], self._cols[live], self.params.eps_rate
+            )
+            if quotient is not None:
+                self._eps_class = np.zeros(self._nnz, dtype=np.int64)
+                self._eps_class[live] = quotient.flow_class
+                self._quotient = quotient
+        return self._quotient
+
+    def _eps_rates(
+        self, flows: np.ndarray, quotient: "HubLeafQuotient | None"
+    ) -> "tuple[np.ndarray, np.ndarray, float]":
+        """Max-min fair EPS rates of ``flows``: from ``quotient`` (every EPS
+        port at ``Ce``), otherwise under the current capacities.
+
+        Returns the flows with a positive rate, their rates and the total,
+        summed over every flow's rate in flow order.
         """
         if flows.size == 0:
             return _EMPTY_POS, _EMPTY_RATES, 0.0
-        in_cap = self._in_cap
-        out_cap = self._out_cap
-        memo = self._waterfill
-        if (
-            memo is None
-            or not np.array_equal(flows, memo[0])
-            or not np.array_equal(in_cap, memo[1])
-            or not np.array_equal(out_cap, memo[2])
-        ):
+        if quotient is not None:
+            rates = quotient.flow_rates(self._eps_class[flows])
+        else:
             rates = max_min_fair_rates(
-                self._rows[flows], self._cols[flows], in_cap, out_cap
+                self._rows[flows], self._cols[flows], self._in_cap, self._out_cap
             )
-            positive = rates > 0
-            memo = self._waterfill = (
-                flows,
-                in_cap.copy(),
-                out_cap.copy(),
-                flows[positive],
-                rates[positive],
-                float(rates.sum()),
-            )
-        return memo[3], memo[4], memo[5]
+        positive = rates > 0
+        return flows[positive], rates[positive], float(rates.sum())
 
     def _record_finishes(self, zeroed: np.ndarray, time: float) -> None:
         """Finish, at ``time``, the demanded entries that ``zeroed`` emptied.

@@ -137,9 +137,10 @@ class HubLeafQuotient:
     its ports, by the same operations in the same order: every class gets
     the bits each of its flows gets there.
 
-    Draining flows keeps the partition valid: a drained leaf leaves its
-    node, and a hub stays a node of its own at any count.  :meth:`drain`
-    records it; ports never gain flows.
+    The same holds for any subset of the flows the quotient was built on:
+    a leaf port keeps at most one flow, a port without one drops out of
+    the fill, and a hub stays a node of its own at any count.  So one
+    quotient serves every subset, given each class's size in it.
     """
 
     def __init__(
@@ -149,22 +150,17 @@ class HubLeafQuotient:
         hub: "list[bool]",
         capacity: float,
     ) -> None:
-        #: Each flow's class, in flow order.
+        #: Each flow's class, in the order of the flows it was built on.
         self.flow_class = flow_class
-        #: Each class's live flow count.
-        self.sizes = np.bincount(flow_class, minlength=len(ends)).tolist()
+        #: The number of classes.
+        self.n_classes = len(ends)
         self._ends = ends
         self._hub = hub
         self._capacity = float(capacity)
 
-    def drain(self, cls: int, count: int) -> None:
-        """Remove ``count`` drained flows from class ``cls``."""
-        self.sizes[cls] -= count
-
-    def rates(self) -> "list[float]":
-        """Each class's max-min fair rate over its live flows (0.0 for a
-        class with none)."""
-        sizes = self.sizes
+    def rates(self, sizes: "list[int]") -> "list[float]":
+        """Each class's max-min fair rate when class ``c`` holds
+        ``sizes[c]`` of its flows (0.0 for a class with none)."""
         ends = self._ends
         hub = self._hub
         # Unfrozen flows per port of each node: a hub counts its classes'
@@ -208,6 +204,12 @@ class HubLeafQuotient:
         for cls in active:
             rates[cls] = level
         return rates
+
+    def flow_rates(self, flow_class: np.ndarray) -> np.ndarray:
+        """Max-min fair rates of a subset of the quotient's flows, given
+        by their classes (a slice of :attr:`flow_class`), in that order."""
+        sizes = np.bincount(flow_class, minlength=self.n_classes).tolist()
+        return np.array(self.rates(sizes))[flow_class]
 
 
 def hub_leaf_quotient(

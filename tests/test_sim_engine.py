@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 
 from repro.core.cpsched import cpsched
+from repro.hybrid.solstice import SolsticeScheduler
 from repro.matching import matching_to_permutation
 from repro.sim import engine as engine_module
 from repro.sim import rates as rates_module
+from repro.sim import simulate_hybrid
 from repro.sim.engine import CompositeService, FluidEngine
 from repro.sim.rates import max_min_fair_rates
 from repro.sim.reference import ReferenceFluidEngine
 from repro.switch.params import SwitchParams, fast_ocs_params
 from repro.utils.validation import VOLUME_TOL
+from repro.workloads.skewed import SkewedWorkload
 
 
 def make_engine(demand, n=4, **params_kwargs) -> FluidEngine:
@@ -253,30 +256,59 @@ class TestCompositeGrantValidation:
 
 
 class TestWaterfillReuse:
-    def test_unchanged_inputs_skip_the_solve(self, monkeypatch):
-        solves = []
+    @staticmethod
+    def counting_solves(monkeypatch):
+        """Count ``max_min_fair_rates`` calls (and the quotients built)."""
+        solves, built = [], []
+        quotient_of = engine_module.hub_leaf_quotient
 
         def counting(*args):
             solves.append(args)
             return max_min_fair_rates(*args)
 
+        def counting_quotient(*args):
+            built.append(quotient_of(*args))
+            return built[-1]
+
         monkeypatch.setattr(engine_module, "max_min_fair_rates", counting)
+        monkeypatch.setattr(engine_module, "hub_leaf_quotient", counting_quotient)
+        return solves, built
+
+    def test_circuit_then_gap_take_the_kept_quotient(self, monkeypatch):
+        # One quotient, built at the configuration's start on the circuit
+        # entry and the EPS flows, gives the EPS rates of both phases; with
+        # every quotient refused, each phase start solves the waterfill.
+        # The gap serves the circuit's entry on the EPS beside (0, 2), so
+        # row 0 is a hub there, though the configuration's EPS flows leave
+        # it one flow.
         demand = np.zeros((4, 4))
-        demand[0, 1] = 10.0  # circuit entry: drains at 0.1 ms
-        demand[2, 3] = 10.0  # EPS entry: served throughout
-        engine = make_engine(demand)
-        engine.run_phase(0.5, circuits=matching((0, 1)))
-        engine.run_phase(0.2)  # reconfiguration gap: the same EPS flow
-        # Events: the circuit drain, the configuration's end, the gap.
-        assert len(engine.segments) == 3
-        assert len(solves) == 1
-        assert engine.regular[2, 3] == pytest.approx(3.0)
+        demand[0, 1] = 60.0  # circuit entry: 10 Mb left for the gap
+        demand[0, 2] = 10.0
+        demand[2, 3] = 10.0
+        runs = []
+        for bound in (rates_module.QUOTIENT_MAX_HUBS, -1):
+            with monkeypatch.context() as patch:
+                patch.setattr(rates_module, "QUOTIENT_MAX_HUBS", bound)
+                solves, built = self.counting_solves(patch)
+                engine = make_engine(demand)
+                engine.run_phase(0.5, circuits=matching((0, 1)))
+                engine.run_phase(0.2)  # reconfiguration gap: the same EPS flow
+            runs.append((engine, len(solves), sum(q is not None for q in built)))
+        (live, live_solves, live_built), (general, general_solves, _) = runs
+        assert len(live.segments) == 2  # nothing drains
+        assert (live_solves, live_built) == (0, 1)
+        assert general_solves == 2
+        TestIncrementalEvents.assert_bits(live, general)
+        # Ce = 10 on (0, 2) and (2, 3) for 0.5 ms, then Ce/2 on row 0.
+        np.testing.assert_allclose(
+            [live.regular[0, 1], live.regular[0, 2], live.regular[2, 3]], [9.0, 4.0, 3.0]
+        )
 
     def test_composite_free_phase_solves_only_before_its_first_eps_drain(
         self, monkeypatch
     ):
         # Five EPS drains, of a hub row, its column partner and an isolated
-        # pair; from the first one on, the classes' quotient gives the rates.
+        # pair; the kept quotient gives the rates from the phase start on.
         solves = []
 
         def counting(*args):
@@ -291,13 +323,48 @@ class TestWaterfillReuse:
         engine = make_engine(demand)
         engine.run_phase(None)
         assert len(engine.segments) == 5
-        assert len(solves) == 1
+        assert len(solves) == 0
+
+    def test_h_switch_schedule_solves_on_the_kept_quotient(self, monkeypatch):
+        # A Solstice h-Switch schedule on §3.2 skewed demand: every phase
+        # has its EPS ports at Ce, so the default run solves no waterfill,
+        # and a run with every quotient refused solves on the general loop
+        # with the same bits.  The second run of each pair stops at half
+        # the makespan and reports its residuals.
+        params = fast_ocs_params(32)
+        workload = SkewedWorkload.for_params(params)
+        demand = workload.generate(32, np.random.default_rng(3)).demand
+        schedule = SolsticeScheduler().schedule(demand, params)
+        assert len(schedule) > 10
+        runs = []
+        for bound in (rates_module.QUOTIENT_MAX_HUBS, -1):
+            with monkeypatch.context() as patch:
+                patch.setattr(rates_module, "QUOTIENT_MAX_HUBS", bound)
+                solves, _ = self.counting_solves(patch)
+                results = [
+                    simulate_hybrid(demand, schedule, params, horizon=horizon)
+                    for horizon in (None, schedule.makespan / 2)
+                ]
+            runs.append((results, len(solves)))
+        (live, live_solves), (general, general_solves) = runs
+        assert live_solves == 0 < general_solves
+        for ours, theirs in zip(live, general):
+            assert ours.segments == theirs.segments
+            assert ours.finish_times.tobytes() == theirs.finish_times.tobytes()
+            assert (ours.served_ocs_direct, ours.served_composite, ours.served_eps) == (
+                theirs.served_ocs_direct,
+                theirs.served_composite,
+                theirs.served_eps,
+            )
+        assert live[1].residual.sum() > 0
+        assert live[1].residual.tobytes() == general[1].residual.tobytes()
 
     def test_support_rebuild_drops_the_last_solve(self):
         # Support positions 1 and 2 hold the EPS flows (1, 0) and (1, 2),
         # which share input 1, before the merge, and (1, 2) and (2, 3),
         # which share no port, after it: same positions and capacities,
-        # other rates.
+        # other rates.  A quotient kept across the merge would still put
+        # both positions in input 1's class.
         demand = np.zeros((4, 4))
         demand[0, 1] = 5.0  # drains on a circuit and leaves the support
         demand[1, 0] = demand[1, 2] = demand[2, 3] = 100.0
@@ -386,6 +453,25 @@ class TestIncrementalEvents:
         )
         self.assert_same(live, seed)
         assert live.served_composite == pytest.approx(6.0)
+
+    def test_eps_drain_beside_composite_entries(self):
+        # The o2m path from port 0 reserves Co/3 on outputs 1 to 3; the EPS
+        # flows (2, 1) and (3, 1) share output 1's rest until (2, 1)
+        # drains, then (3, 1) takes all of it, still below Ce.
+        demand = np.zeros((4, 4))
+        demand[0, 1:4] = [4.0, 5.0, 6.0]
+        demand[2, 1] = 0.2
+        demand[3, 1] = 3.0
+        filtered = np.zeros((4, 4))
+        filtered[0, 1:4] = demand[0, 1:4]
+        live, seed = self.run_both(
+            demand,
+            [(0.3, None, (CompositeService("o2m", 0),)), (None, None, ())],
+            filtered=filtered,
+            ocs_rate=15.0,
+        )
+        self.assert_same(live, seed)
+        assert live.finish_times[2, 1] == pytest.approx(0.08)
 
     def test_first_advance_snaps_dust_left_by_assign(self):
         # Parking all but 1e-10 Mb of entry (0, 1) leaves sub-tolerance
@@ -595,8 +681,9 @@ class TestIncrementalEvents:
     def test_eps_drain_with_circuits_live(self, monkeypatch):
         # (1, 2) drains first, at 0.2 ms; circuit (0, 1) drains in the
         # class loop at 0.6 ms, beside the row-2 hub, its leaf (2, 3), the
-        # column-0 hub's leaf (3, 0) and the hub–hub flow (2, 0).  The final
-        # drain serves (3, 0) alone: no quotient.
+        # column-0 hub's leaf (3, 0) and the hub–hub flow (2, 0).  The
+        # merge before the final drain rebuilds the support, so the final
+        # drain, which serves (3, 0) alone, builds a second quotient.
         demand = np.zeros((4, 4))
         demand[0, 1] = 60.0
         demand[1, 2] = 2.0
@@ -606,7 +693,7 @@ class TestIncrementalEvents:
         live, built = self.run_by_class(
             monkeypatch, demand, [(1.0, matching((0, 1)), ()), (None, None, ())]
         )
-        assert built == 1
+        assert built == 2
         assert live.finish_times[0, 1] == pytest.approx(0.6)
 
     def test_eps_ties_across_two_classes(self, monkeypatch):
@@ -695,8 +782,10 @@ class TestIncrementalEvents:
 
     def test_quotient_above_the_bound_takes_the_general_loop(self, monkeypatch):
         # Two hubs against a bound of one: the phase is refused a quotient
-        # once, tries none after that, solves on the general loop at each
-        # EPS drain, and ends with the bits the class loop gives.
+        # at its start and at the isolated pair's drain, solving on the
+        # general loop both times; once (0, 1) drains, row 0 holds one flow,
+        # the quotient is built and the class loop ends the phase, with the
+        # bits of a run at the default bound.
         demand = np.zeros((4, 4))
         demand[0, 1:3] = [1.0, 2.0]
         demand[1:3, 3] = [3.0, 4.0]
@@ -718,9 +807,9 @@ class TestIncrementalEvents:
             patch.setattr(engine_module, "max_min_fair_rates", counting_solve)
             general, seed = self.run_both(demand, [(None, None, ())])
         self.assert_same(general, seed)
-        assert built == [None]
+        assert [quotient is not None for quotient in built] == [False, False, True]
         assert len(general.segments) == 5
-        assert len(solves) == 5
+        assert len(solves) == 2
         monkeypatch.setattr(rates_module, "QUOTIENT_MAX_HUBS", 16)
         live, _ = self.run_both(demand, [(None, None, ())])
         self.assert_bits(live, general)

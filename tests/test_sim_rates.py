@@ -198,10 +198,10 @@ _UNIFORM_CAPACITY = st.one_of(
 
 
 @st.composite
-def hub_leaf_cases(draw):
+def hub_leaf_cases(draw, n_masks=2):
     """Flows on up to 12 ports: dense hub rows and columns, random extra
     flows and pairs (one-flow ports, isolated pairs and hub–hub flows all
-    occur), a capacity, and two rounds of drains."""
+    occur), a capacity, and ``n_masks`` masks over the flows."""
     n = draw(st.integers(2, 12))
     mask = np.zeros((n, n), dtype=bool)
     for row in draw(st.lists(st.integers(0, n - 1), max_size=3)):
@@ -212,34 +212,50 @@ def hub_leaf_cases(draw):
     for row, col in draw(st.lists(st.tuples(ports, ports), max_size=6)):
         mask[row, col] = True
     rows, cols = np.nonzero(mask)
-    drains = draw(st.lists(arrays(np.bool_, rows.size), min_size=2, max_size=2))
-    return n, rows, cols, draw(_UNIFORM_CAPACITY), drains
+    masks = draw(st.lists(arrays(np.bool_, rows.size), min_size=n_masks, max_size=n_masks))
+    return n, rows, cols, draw(_UNIFORM_CAPACITY), masks
 
 
 class TestHubLeafQuotient:
     """The quotient's scalar filling gives every flow the bits of the
-    port-level solve, before and after drains."""
+    port-level solve, on the flows it was built on and on any subset of
+    them."""
 
     @staticmethod
     def assert_port_level_bits(quotient, rows, cols, alive, capacity, n):
-        rates = np.take(quotient.rates(), quotient.flow_class[alive])
+        rates = quotient.flow_rates(quotient.flow_class[alive])
         ports = max_min_fair_rates(rows[alive], cols[alive], caps(n, capacity), caps(n, capacity))
         assert rates.tobytes() == ports.tobytes()
         assert float(rates.sum()) == float(ports.sum())
 
+    @staticmethod
+    def build(rows, cols, capacity, n):
+        with mock.patch.object(rates_module, "QUOTIENT_MAX_HUBS", 2 * n):
+            return hub_leaf_quotient(rows, cols, capacity)
+
     @given(case=hub_leaf_cases())
     @settings(max_examples=400, deadline=None)
     def test_bit_identical_to_port_level_solve(self, case):
+        # Two rounds of drains: each round's live flows are a subset of the
+        # last round's.
         n, rows, cols, capacity, drains = case
-        with mock.patch.object(rates_module, "QUOTIENT_MAX_HUBS", 2 * n):
-            quotient = hub_leaf_quotient(rows, cols, capacity)
+        quotient = self.build(rows, cols, capacity, n)
         alive = np.ones(rows.size, dtype=bool)
         for drain in drains:
             self.assert_port_level_bits(quotient, rows, cols, alive, capacity, n)
-            for flow in np.flatnonzero(drain & alive).tolist():
-                quotient.drain(int(quotient.flow_class[flow]), 1)
             alive &= ~drain
         self.assert_port_level_bits(quotient, rows, cols, alive, capacity, n)
+
+    @given(case=hub_leaf_cases(n_masks=4))
+    @settings(max_examples=400, deadline=None)
+    def test_bit_identical_on_any_subset(self, case):
+        # Unrelated subsets of one quotient's flows, as the engine's phases
+        # see them: a reconfiguration gap serves flows that the circuits of
+        # the configuration before it took off the EPS.
+        n, rows, cols, capacity, subsets = case
+        quotient = self.build(rows, cols, capacity, n)
+        for subset in subsets:
+            self.assert_port_level_bits(quotient, rows, cols, subset, capacity, n)
 
     def test_classes_of_a_hub_row_and_column(self):
         # Row 0 and column 5 are hubs, (0, 5) a hub–hub flow, (3, 0) an
@@ -258,7 +274,7 @@ class TestHubLeafQuotient:
         # Row 0 (five flows) and column 5 (three) share 10 each: 2 per row
         # flow, (1, 5) and (2, 5) take the rest of column 5, and the
         # isolated pair runs at the full 10.
-        rates = quotient.rates()
+        rates = quotient.rates(np.bincount(quotient.flow_class).tolist())
         assert rates[classes[(0, 1)]] == rates[classes[(0, 5)]] == 2.0
         assert rates[classes[(1, 5)]] == 4.0
         assert rates[classes[(3, 0)]] == 10.0

@@ -219,16 +219,14 @@ class SolsticeScheduler:
                 break
             capacity = duration * ocs_rate
             if slice_state is not None:
-                # O(n) fancy-indexed subtraction along the matched entries.
-                # The oracle's boolean mask visits the same entries in the
-                # same (row-major) order, so the arithmetic is
-                # element-for-element identical to the oracle branch.
-                stuffed[rows, matching] = np.maximum(
-                    stuffed[rows, matching] - threshold, 0.0
-                )
-                leftover[rows, matching] = np.maximum(
-                    leftover[rows, matching] - capacity, 0.0
-                )
+                # O(n) subtraction along the matched entries, by their flat
+                # keys ``row*n + matching``.  The oracle's boolean mask
+                # visits the same entries in the same (row-major) order, so
+                # the arithmetic is element-for-element identical to the
+                # oracle branch.
+                keys = slice_state.row_keys + matching
+                stuffed.put(keys, np.maximum(stuffed.take(keys) - threshold, 0.0))
+                leftover.put(keys, np.maximum(leftover.take(keys) - capacity, 0.0))
             else:
                 mask = np.zeros((n, n), dtype=bool)
                 mask[rows, matching] = True

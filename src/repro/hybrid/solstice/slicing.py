@@ -64,32 +64,42 @@ class BigSliceState:
         self._qidx: "dict[tuple[int, int], np.ndarray]" = {}
         self._grids: "dict[int, np.ndarray]" = {}
         n = matrix.shape[0]
-        self._rows = np.arange(n)
+        #: Each input's flat key ``row * n``: a matching's entries sit at
+        #: ``row_keys + matching`` in the raveled matrix, in row order.
+        self.row_keys = np.arange(n) * n
         #: Nonzero structure, maintained across slices.  Entries only ever
         #: decrease, so positions that fall to ``<= VOLUME_TOL`` never
         #: revive — the live set shrinks monotonically and every probe and
         #: value extraction runs in O(nnz) instead of O(n²).  Positions are
-        #: stored in row-major (``np.nonzero``) order, so boolean
+        #: stored in row-major (``np.nonzero``) order, as flat keys for the
+        #: value gather and as rows and columns for the probes, so boolean
         #: sub-selection yields canonical (row-sorted) CSR indices.
-        nz_rows, nz_cols = np.nonzero(matrix > VOLUME_TOL)
-        self._nz_rows = nz_rows.astype(np.int32)
-        self._nz_cols = nz_cols.astype(np.int32)
+        self._keys = np.flatnonzero(matrix > VOLUME_TOL)
+        self._nz_rows = (self._keys // n).astype(np.int32)
+        self._nz_cols = (self._keys % n).astype(np.int32)
         self._indptr = np.zeros(n + 1, dtype=np.int32)
+        self._values: "np.ndarray | None" = None
 
     def refresh(self) -> np.ndarray:
         """Current values of the live entries, in row-major order.
 
         Drops the tracked positions the last subtraction took to
         ``VOLUME_TOL`` or below.  Every untracked entry is at or below it,
-        so an empty result means ``matrix.max() <= VOLUME_TOL``.
+        so an empty result means ``matrix.max() <= VOLUME_TOL``.  The
+        values are gathered once per slice: a later call returns them
+        again until a BigSlice call uses them, after which the caller
+        subtracts its slice.
         """
-        vals = self.matrix[self._nz_rows, self._nz_cols]
-        alive = vals > VOLUME_TOL
-        if not alive.all():
-            self._nz_rows = self._nz_rows[alive]
-            self._nz_cols = self._nz_cols[alive]
-            vals = vals[alive]
-        return vals
+        if self._values is None:
+            vals = self.matrix.take(self._keys)
+            alive = vals > VOLUME_TOL
+            if not alive.all():
+                self._keys = self._keys[alive]
+                self._nz_rows = self._nz_rows[alive]
+                self._nz_cols = self._nz_cols[alive]
+                vals = vals[alive]
+            self._values = vals
+        return self._values
 
     def quantile_index(self, m: int, max_probes: int) -> np.ndarray:
         """Positions ``np.quantile(values, grid, method="nearest")`` picks.
@@ -206,8 +216,10 @@ def _big_slice_kernel(
     # Refresh the live nonzero structure.  ``matrix[matrix > VOLUME_TOL]``
     # extracts in row-major order — exactly the order the tracked positions
     # are kept in — so the value multiset and its sort below match the
-    # oracle's bit-for-bit.
+    # oracle's bit-for-bit.  The caller subtracts this slice next, so the
+    # next refresh gathers again.
     vals = state.refresh()
+    state._values = None
     if vals.size == 0:
         raise ValueError("big_slice called on an (effectively) empty matrix")
     # Sorted unique positive values, as ``np.unique`` would produce them —
@@ -282,5 +294,5 @@ def _big_slice_kernel(
     if star < 0:
         raise ValueError(_NOT_STUFFED_MSG)
 
-    threshold = float(matrix[state._rows, match_star].min())
+    threshold = float(matrix.take(state.row_keys + match_star).min())
     return threshold, match_star

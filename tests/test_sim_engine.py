@@ -304,18 +304,10 @@ class TestWaterfillReuse:
             [live.regular[0, 1], live.regular[0, 2], live.regular[2, 3]], [9.0, 4.0, 3.0]
         )
 
-    def test_composite_free_phase_solves_only_before_its_first_eps_drain(
-        self, monkeypatch
-    ):
+    def test_composite_free_phase_solves_no_waterfill(self, monkeypatch):
         # Five EPS drains, of a hub row, its column partner and an isolated
         # pair; the kept quotient gives the rates from the phase start on.
-        solves = []
-
-        def counting(*args):
-            solves.append(args)
-            return max_min_fair_rates(*args)
-
-        monkeypatch.setattr(engine_module, "max_min_fair_rates", counting)
+        solves, _ = self.counting_solves(monkeypatch)
         demand = np.zeros((4, 4))
         demand[0, 1:4] = [1.0, 2.0, 3.0]
         demand[2, 3] = 4.5

@@ -206,8 +206,8 @@ class HubLeafQuotient:
         return rates
 
     def flow_rates(self, flow_class: np.ndarray) -> np.ndarray:
-        """Max-min fair rates of a subset of the quotient's flows, given
-        by their classes (a slice of :attr:`flow_class`), in that order."""
+        """Max-min fair rates of a subset of the quotient's flows, given by
+        their entries of :attr:`flow_class`, in that order."""
         sizes = np.bincount(flow_class, minlength=self.n_classes).tolist()
         return np.array(self.rates(sizes))[flow_class]
 
